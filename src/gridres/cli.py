@@ -351,9 +351,7 @@ def _cmd_lines_search(doc, args):
     field = _decode_field(doc)
     red = _decode_lines(field, doc, "red")
     blue = _decode_lines(field, doc, "blue")
-    prune = bool(doc.get("prune", True))
-    covers = ln.search_green_covers(red, blue, field, prune=prune,
-                                    budget=_budget(doc, args))
+    covers = ln.search_green_covers(red, blue, field, budget=_budget(doc, args))
     result = {
         "cover_count": len(covers),
         "covers": [[_line_out(l) for l in cover] for cover in covers],

@@ -6,10 +6,14 @@ one singleton line per point; any minimal cover can be rewritten inside
 this family, so the search space stays finite over the rationals.  The
 search is branch and bound on the uncovered point with fewest candidates,
 tie-broken canonically, with a configurable node budget.
+
+`lines_through_pairs` is the one source of candidate lines: the green
+cover search in `lines` draws its candidates from it as well.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from .errors import BudgetExceededError
@@ -28,20 +32,25 @@ def _singleton_line(field: Field, point: ProjPoint, excluded: ProjPoint) -> Proj
     raise ValueError(f"no line through {point} avoids {excluded}")
 
 
+def lines_through_pairs(points: Sequence[ProjPoint]) -> dict:
+    """Map each line through two or more of the points -> frozenset of the
+    indices of the points on it; each distinct line's trace is computed once."""
+    traces: dict[ProjLine, frozenset] = {}
+    for i, j in combinations(range(len(points)), 2):
+        line = line_through(points[i], points[j])
+        if line not in traces:
+            traces[line] = frozenset(k for k, p in enumerate(points) if line.contains(p))
+    return traces
+
+
 def candidate_traces(points: Sequence[ProjPoint], excluded: ProjPoint,
                      field: Field) -> dict:
     """Map frozenset-of-point-indices -> representative covering line."""
     inf = infinity_line(field)
-    traces: dict[frozenset, ProjLine] = {}
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            line = line_through(points[i], points[j])
-            if line == inf or line.contains(excluded):
-                continue
-            trace = frozenset(k for k in range(n) if line.contains(points[k]))
-            traces.setdefault(trace, line)
-    for i in range(n):
+    # a line through two points is fixed by its trace, so traces stay distinct
+    traces = {trace: line for line, trace in lines_through_pairs(points).items()
+              if line != inf and not line.contains(excluded)}
+    for i in range(len(points)):
         trace = frozenset([i])
         if trace not in traces:
             traces[trace] = _singleton_line(field, points[i], excluded)

@@ -11,16 +11,15 @@ covers that dodge one grid point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .cover import min_line_cover
+from .cover import lines_through_pairs, min_line_cover
 from .errors import BudgetExceededError, CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .multipoly import MultiPoly
-from .projective import (ProjLine, ProjPoint, all_lines, all_points,
-                         infinity_line, line_through, meet)
+from .projective import (ProjLine, ProjPoint, affine_candidate_points,
+                         infinity_line, line_through, meet, pencil)
 
 
 class GridPoints:
@@ -130,74 +129,61 @@ def validate_green_cover(config: LineConfiguration):
 
 
 def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
-                        field: Field, prune: bool = True,
-                        budget: int | None = None) -> list[tuple[ProjLine, ...]]:
+                        field: Field, budget: int | None = None) -> list[tuple[ProjLine, ...]]:
     """All n-line green families covering the n*n grid, canonically sorted.
 
-    Works over prime fields by enumerating every projective line except
-    the line at infinity.  With pruning on, only lines meeting the grid in
-    exactly n points are candidates (any cover line must); the unpruned
-    variant brute-forces all n-subsets and exists as a soundness oracle.
-    Every returned cover is asserted to split the grid into n disjoint
-    n-point traces.
+    A cover line meets the grid in exactly n points, so for n >= 2 the
+    candidates are the lines through pairs of grid points with an n-point
+    trace (`cover.lines_through_pairs`), over F_p or Q alike.  For n = 1
+    they are the pencil through the one grid point, finite only over F_p;
+    over Q that case raises ValueError.  Red, blue and infinity lines are
+    never candidates.  Every returned cover is asserted to split the grid
+    into n disjoint n-point traces.
     """
     red, blue = list(red), list(blue)
+    for line in red + blue:
+        if line.field != field:
+            raise FieldMismatchError(f"line {line} is over {line.field}, not {field}")
     n = len(red)
     if len(blue) != n:
         raise ValueError("need equally many red and blue lines")
-    if not field.is_prime_field:
-        raise ValueError("cover search enumerates lines over a prime field")
     grid = grid_intersections(red, blue)
     points = grid.points
-    index = {p: i for i, p in enumerate(points)}
+    if n == 1:
+        if not field.is_prime_field:
+            raise ValueError("a one-point grid has infinitely many cover lines over Q")
+        traces = {line: frozenset([0]) for line in pencil(points[0])}
+    else:
+        traces = lines_through_pairs(points)
     forbidden = set(red) | set(blue) | {infinity_line(field)}
-    candidates = []
-    for line in all_lines(field):
-        if line in forbidden:
-            continue
-        trace = frozenset(index[p] for p in points if line.contains(p))
-        if prune:
-            if len(trace) == n:
-                candidates.append((line, trace))
-        else:
-            candidates.append((line, trace))
-    candidates.sort(key=lambda c: c[0].sort_key())
+    candidates = sorted(((line, trace) for line, trace in traces.items()
+                         if len(trace) == n and line not in forbidden),
+                        key=lambda c: c[0].sort_key())
+    containing: dict[int, list] = {i: [] for i in range(len(points))}
+    for line, trace in candidates:
+        for i in trace:
+            containing[i].append((line, trace))
 
     solutions: set = set()
     nodes = 0
-    if prune:
-        containing: dict[int, list] = {i: [] for i in range(len(points))}
-        for line, trace in candidates:
-            for i in trace:
-                containing[i].append((line, trace))
 
-        def search(uncovered: frozenset, chosen: tuple):
-            nonlocal nodes
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget)
-            if not uncovered:
-                solutions.add(frozenset(chosen))
-                return
-            if len(chosen) == n:
-                return
-            pick = min(uncovered,
-                       key=lambda i: (sum(1 for _, t in containing[i] if t <= uncovered), i))
-            for line, trace in containing[pick]:
-                if trace <= uncovered:
-                    search(uncovered - trace, chosen + (line,))
+    def search(uncovered: frozenset, chosen: tuple):
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(budget)
+        if not uncovered:
+            solutions.add(frozenset(chosen))
+            return
+        if len(chosen) == n:
+            return
+        pick = min(uncovered,
+                   key=lambda i: (sum(1 for _, t in containing[i] if t <= uncovered), i))
+        for line, trace in containing[pick]:
+            if trace <= uncovered:
+                search(uncovered - trace, chosen + (line,))
 
-        search(frozenset(range(len(points))), ())
-    else:
-        everything = frozenset(range(len(points)))
-        for combo in combinations(candidates, n):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget)
-            union = frozenset().union(*(t for _, t in combo))
-            if union == everything:
-                solutions.add(frozenset(line for line, _ in combo))
-
+    search(frozenset(range(len(points))), ())
     covers = sorted(tuple(sorted(sol)) for sol in solutions)
     for cover in covers:
         _assert_partition(cover, points, n)
@@ -260,7 +246,7 @@ def verify_product_dependence(config: LineConfiguration):
     alpha, beta = b0, -r0
     mix = alpha * big_r + beta * big_b
     probe = None
-    for q in all_points(field) if field.is_prime_field else _rational_probe_points(field):
+    for q in affine_candidate_points(field, ()):
         if not big_g.evaluate(q.coords).is_zero():
             probe = q
             break
@@ -274,16 +260,6 @@ def verify_product_dependence(config: LineConfiguration):
             "product dependence failed term-by-term verification")
     inv = gamma.inv()
     return alpha * inv, beta * inv, field.one
-
-
-def _rational_probe_points(field: Field):
-    bound = 0
-    while True:
-        for x in range(bound + 1):
-            for y in range(bound + 1):
-                if max(x, y) == bound:
-                    yield ProjPoint.affine(field, x, y)
-        bound += 1
 
 
 def _multiplicative_subgroup(field: Field, n: int) -> list[FieldElement]:
@@ -394,7 +370,7 @@ def normalize_biconcurrent(config: LineConfiguration):
 
     anchor_line = line_through(p_red, p_blue)
     third = None
-    for q in all_points(field) if field.is_prime_field else _rational_probe_points(field):
+    for q in affine_candidate_points(field, ()):
         if not anchor_line.contains(q):
             third = q
             break

@@ -125,6 +125,18 @@ def all_lines(field: Field) -> Iterator[ProjLine]:
     yield infinity_line(field)
 
 
+def pencil(point: ProjPoint) -> list[ProjLine]:
+    """Every line through the point over F_p (p + 1 of them)."""
+    field = point.field
+    lead = next(k for k, c in enumerate(point.coords) if not c.is_zero())
+    # the point and the two unit vectors other than its leading one are
+    # independent, so the lines joining it to them span the pencil
+    u, v = (_cross(point.coords, [field.one if m == k else field.zero for m in range(3)])
+            for k in range(3) if k != lead)
+    return ([ProjLine(field, [a + t * b for a, b in zip(u, v)]) for t in field.elements()]
+            + [ProjLine(field, v)])
+
+
 def affine_candidate_points(field: Field, avoid: Iterable[ProjPoint]) -> Iterator[ProjPoint]:
     """Deterministic stream of points outside the given finite set.
 

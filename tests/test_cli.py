@@ -165,6 +165,42 @@ def test_lines_search(capsys, tmp_path):
     assert sorted(cover) == [["1", "0", "3"], ["1", "0", "5"], ["1", "0", "6"]]
 
 
+def test_lines_search_over_rationals(capsys, tmp_path):
+    code, report, _ = run(capsys, tmp_path, "lines-search", {
+        "field": RATIONALS,
+        "red": [["1", "0", "0"], ["1", "0", "-1"]],
+        "blue": [["0", "1", "0"], ["0", "1", "-1"]],
+    })
+    assert code == 0
+    assert report["result"]["covers"] == [[["1", "-1", "0"], ["1", "1", "-1"]]]
+
+    code, report, _ = run(capsys, tmp_path, "lines-search", {
+        "field": RATIONALS,
+        "red": [["1", "0", str(-c)] for c in range(3)],
+        "blue": [["0", "1", str(-c)] for c in range(3)],
+    })
+    assert code == 1
+    assert report["result"]["cover_count"] == 0
+
+    code, report, _ = run(capsys, tmp_path, "lines-search", {
+        "field": RATIONALS, "red": [["1", "0", "0"]], "blue": [["0", "1", "0"]],
+    })
+    assert code == 2
+    assert "infinitely many" in report["error"]["message"]
+
+
+def test_lines_search_budget_counts_nodes(capsys, tmp_path):
+    doc = {"field": {"kind": "prime-field", "modulus": "5"},
+           "red": [["1", "0", str(-c)] for c in range(5)],
+           "blue": [["0", "1", str(-c)] for c in range(5)]}
+    code, report, _ = run(capsys, tmp_path, "lines-search", doc, "--budget", "21")
+    assert code == 0
+    assert report["result"]["cover_count"] == 4
+    code, report, _ = run(capsys, tmp_path, "lines-search", doc, "--budget", "20")
+    assert code == 3
+    assert report["error"]["type"] == "BudgetExceededError"
+
+
 def test_lines_check(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "lines-check", {
         "field": F7,

@@ -1,13 +1,15 @@
+from itertools import combinations
 from random import Random
 
 import pytest
 
-from gridres import (Field, LineConfiguration, ProjLine,
+from gridres import (Field, FieldMismatchError, LineConfiguration, ProjLine,
                      ProjPoint, check_problem1_bound, concurrency_point,
                      grid_intersections, normalize_biconcurrent, parse_poly,
                      product_form, roots_of_unity_config, search_green_covers,
                      validate_green_cover, verify_product_dependence)
 from gridres.linalg import determinant
+from gridres.projective import all_lines, all_points, infinity_line, pencil
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -119,16 +121,52 @@ def test_search_slope_configuration_classes():
         assert len(slopes) == 1  # one parallel class per cover
 
 
-def test_search_pruning_equivalence_small():
-    for red, blue, field in [
+def brute_force_covers(red, blue, field):
+    """Every n-subset of the plane's lines, other than the red, blue and
+    infinity lines, that covers the grid."""
+    points = frozenset(grid_intersections(red, blue).points)
+    forbidden = set(red) | set(blue) | {infinity_line(field)}
+    traces = {l: frozenset(p for p in points if l.contains(p))
+              for l in all_lines(field) if l not in forbidden}
+    return sorted(tuple(sorted(combo)) for combo in combinations(traces, len(red))
+                  if frozenset().union(*(traces[l] for l in combo)) == points)
+
+
+def test_search_matches_brute_force_oracle():
+    F3 = Field.prime(3)
+    subgroup = roots_of_unity_config(F7, 3)
+    moved = transform(subgroup, random_projective_map(F7, Random(7)))
+    cases = [
         ([vertical(F5, 0)], [horizontal(F5, 0)], F5),
-        ([vertical(Field.prime(3), 0), vertical(Field.prime(3), 1)],
-         [horizontal(Field.prime(3), 0), horizontal(Field.prime(3), 1)],
-         Field.prime(3)),
-    ]:
-        pruned = search_green_covers(red, blue, field, prune=True)
-        brute = search_green_covers(red, blue, field, prune=False)
-        assert pruned == brute
+        ([vertical(F3, 0), vertical(F3, 1)], [horizontal(F3, 0), horizontal(F3, 1)], F3),
+        (subgroup.red, subgroup.blue, F7),
+        (moved.red, moved.blue, F7),
+        # two grid points at infinity: only the infinity line joins them
+        ([horizontal(F5, 0), vertical(F5, 1)], [horizontal(F5, 2), vertical(F5, 0)], F5),
+        # one grid point at infinity, covered by y = 2 and x + 2y = 2
+        ([horizontal(F5, 0), vertical(F5, 0)],
+         [horizontal(F5, 1), ProjLine(F5, (F5(1), F5(1), F5(-2)))], F5),
+    ]
+    results = [search_green_covers(*case) for case in cases]
+    for case, covers in zip(cases, results):
+        assert covers == brute_force_covers(*case)
+    assert tuple(sorted(moved.green)) in results[3]
+    assert results[-1] == [(horizontal(F5, 2), ProjLine(F5, (F5(1), F5(2), F5(-2))))]
+
+
+def test_pencil_matches_incidence_scan():
+    for point in all_points(F5):
+        lines = pencil(point)
+        assert len(lines) == len(set(lines)) == 6
+        assert set(lines) == {l for l in all_lines(F5) if l.contains(point)}
+
+
+def test_search_rejects_lines_over_another_field():
+    cfg = roots_of_unity_config(F7, 3)
+    with pytest.raises(FieldMismatchError):
+        search_green_covers(cfg.red, cfg.blue, F5)
+    with pytest.raises(FieldMismatchError):
+        search_green_covers(cfg.red, cfg.blue, Q)
 
 
 def test_product_form_examples():
