@@ -19,7 +19,8 @@ from .cover import min_line_cover
 from .errors import CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .multipoly import MultiPoly, vanishing_poly_from_nodes
-from .nullstellensatz import GridSystem, _weighted_grid_sum, grid_weights
+from .nullstellensatz import (GridSystem, _grid_point_tables, _term_sum,
+                              _weighted_grid_sum, grid_weights)
 from .projective import ProjPoint
 
 
@@ -90,13 +91,11 @@ def cb_coefficients(system: SeparableSystem) -> CBRelation:
     return CBRelation(system.field, system.nodes, points, coeffs)
 
 
-def verify_cb(f: MultiPoly, relation: CBRelation,
-              degree_bound: int | None = None) -> FieldElement:
+def verify_cb(f: MultiPoly, relation: CBRelation) -> FieldElement:
     """Residual sum alpha_x * f(x) over the grid, reported unconditionally.
 
     The dependence guarantees a zero residual whenever total_degree(f) is
-    at most relation.degree_bound; degree_bound is the bound the caller is
-    probing (purely informational, it does not change the sum).
+    at most relation.degree_bound.
     """
     if f.field != relation.field:
         raise FieldMismatchError(f"polynomial over {f.field}, relation over {relation.field}")
@@ -104,9 +103,7 @@ def verify_cb(f: MultiPoly, relation: CBRelation,
         raise ValueError(f"arity mismatch: polynomial {f.nvars}, relation {relation.nvars}")
     if f.is_laurent():
         raise ValueError("dependence applies to polynomials (nonnegative exponents)")
-    weights = [grid_weights(ns) for ns in relation.nodes]
-    weight_lists = [[w[a] for a in ns] for w, ns in zip(weights, relation.nodes)]
-    return _weighted_grid_sum(f, relation.nodes, weight_lists)
+    return _weighted_grid_sum(f, relation.nodes)
 
 
 def forced_value(values: Mapping[tuple, object], relation: CBRelation,
@@ -198,17 +195,19 @@ class HypersurfaceSystem:
         return len(self.polys)
 
     def solutions(self) -> list[tuple]:
-        """All common zeros in F_p^n by exhaustive enumeration, sorted."""
+        """All common zeros in F_p^n by exhaustive enumeration, sorted.
+
+        F_p^n is the grid with every node set equal to F_p, so the points
+        come in row-major (sorted) order from the grid evaluator, and each
+        equation is evaluated on raw residues until one is nonzero.
+        """
         p = self.field.modulus
         if p ** self.nvars > self.MAX_ENUMERATION:
             raise ValueError(
                 f"enumeration of {p}^{self.nvars} points exceeds the desk-scale cap")
-        elems = list(self.field.elements())
-        sols = []
-        for pt in product(elems, repeat=self.nvars):
-            if all(g.evaluate(pt).is_zero() for g in self.polys):
-                sols.append(pt)
-        return sols
+        nodes = [tuple(self.field.elements())] * self.nvars
+        return [pt for pt, tables in _grid_point_tables(self.polys, nodes)
+                if not any(_term_sum(g, tables) for g in self.polys)]
 
 
 @dataclass(frozen=True)

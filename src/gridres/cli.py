@@ -121,10 +121,6 @@ def _budget(doc: dict, args) -> int | None:
 
 # -- serialization -----------------------------------------------------------
 
-def _s(value) -> str:
-    return str(value)
-
-
 def _point_out(pt) -> list[str]:
     return [str(c) for c in pt]
 
@@ -152,8 +148,8 @@ def _cmd_coeff(doc, args):
     agrees = value == direct
     result = {
         "target_exponent": list(target),
-        "coefficient_via_grid": _s(value),
-        "coefficient_direct": _s(direct),
+        "coefficient_via_grid": str(value),
+        "coefficient_direct": str(direct),
         "agrees": agrees,
         "classical_degree_ok": ns.check_classical_degree(f, target),
         "relaxed_support_ok": True,
@@ -171,9 +167,9 @@ def _cmd_witness(doc, args):
     value = ns.coefficient_via_grid(f, grid)
     witness = ns.find_nonvanishing_witness(f, grid)
     result = {
-        "coefficient_via_grid": _s(value),
+        "coefficient_via_grid": str(value),
         "witness": _point_out(witness) if witness else None,
-        "witness_value": _s(f.evaluate(witness)) if witness else None,
+        "witness_value": str(f.evaluate(witness)) if witness else None,
     }
     if witness:
         return result, 0, f"nonvanishing witness {_point_out(witness)}"
@@ -190,7 +186,7 @@ def _cmd_cb_verify(doc, args):
     bound = relation.degree_bound
     within = f.total_degree() <= bound
     result = {
-        "residual": _s(residual),
+        "residual": str(residual),
         "degree_bound": bound,
         "total_degree": f.total_degree(),
         "within_bound": within,
@@ -213,7 +209,7 @@ def _cmd_cb_forced(doc, args):
             raise InputError("each value record needs point and value")
         values[tuple(field(str(v)) for v in rec["point"])] = field(str(rec["value"]))
     forced = cb.forced_value(values, relation, target)
-    result = {"target": _point_out(target), "forced_value": _s(forced)}
+    result = {"target": _point_out(target), "forced_value": str(forced)}
     return result, 0, f"value at {_point_out(target)} forced to {forced}"
 
 
@@ -254,9 +250,9 @@ def _cmd_hyper_verify(doc, args):
         "hypothesis_ok": verdict.hypothesis_ok,
         "degree_ok": verdict.degree_ok,
         "target_exponent": list(verdict.target_exponent),
-        "target_coefficient": _s(verdict.target_coefficient),
+        "target_coefficient": str(verdict.target_coefficient),
         "witness": _point_out(verdict.witness) if verdict.witness else None,
-        "witness_value": _s(verdict.witness_value) if verdict.witness_value else None,
+        "witness_value": str(verdict.witness_value) if verdict.witness_value else None,
     }
     if verdict.witness is not None:
         return result, 0, (f"|X| = {len(verdict.solutions)}, nonvanishing witness "
@@ -295,7 +291,6 @@ def _cmd_unfolded(doc, args):
 
 def _cmd_toric_verify(doc, args):
     field = _decode_field(doc)
-    grid_coefficient = None
     if "grids" in doc:
         nodes = _decode_grids(field, doc)
         for i, node_set in enumerate(nodes):
@@ -306,8 +301,8 @@ def _cmd_toric_verify(doc, args):
         names = _decode_names(doc, default_arity=len(nodes))
         separable = cb.SeparableSystem(field, nodes)
         system = toric.NewtonSystem(separable.polys_multivariate())
-        zeros = list(separable.grid().points())
         grid = separable.grid()
+        zeros = list(grid.points())
     else:
         names = _decode_names(doc)
         raw_system = _require(doc, "system", "list of expression strings")
@@ -329,8 +324,8 @@ def _cmd_toric_verify(doc, args):
     rhs = toric.weighted_vertex_combination(form, weights)
     agree = lhs == rhs
     result = {
-        "residue_sum": _s(lhs),
-        "vertex_combination": _s(rhs),
+        "residue_sum": str(lhs),
+        "vertex_combination": str(rhs),
         "vertex_weights": {str(list(v)): k for v, k in sorted(weights.values.items())},
         "unconstrained_vertices": [list(v) for v in weights.unconstrained],
         "rank": weights.rank,
@@ -339,7 +334,7 @@ def _cmd_toric_verify(doc, args):
     }
     if grid is not None:
         grid_coefficient = ns.coefficient_via_grid(f, grid)
-        result["coefficient_via_grid"] = _s(grid_coefficient)
+        result["coefficient_via_grid"] = str(grid_coefficient)
         agree = agree and grid_coefficient == lhs
         result["agree"] = agree
     if agree:
@@ -382,7 +377,7 @@ def _cmd_lines_check(doc, args):
         result["greens_concurrent_at"] = _point_out(common.coords) if common else None
         if common is not None:
             alpha, beta, gamma = ln.verify_product_dependence(config)
-            result["product_dependence"] = [_s(alpha), _s(beta), _s(gamma)]
+            result["product_dependence"] = [str(alpha), str(beta), str(gamma)]
             summary += f", dependence ({alpha}, {beta}, {gamma})"
     return result, 0 if ok else 1, summary
 
@@ -396,9 +391,9 @@ def _cmd_lines_classify(doc, args):
         _decode_lines(field, doc, "green"))
     normalized, report = ln.normalize_biconcurrent(config)
     result = {
-        "u_set": [_s(u) for u in report.u_set],
-        "v_set": [_s(v) for v in report.v_set],
-        "slopes": [_s(s) for s in report.slopes],
+        "u_set": [str(u) for u in report.u_set],
+        "v_set": [str(v) for v in report.v_set],
+        "slopes": [str(s) for s in report.slopes],
         "is_subgroup": report.is_subgroup,
         "v_equals_u": report.v_equals_u,
         "slopes_equal_u": report.slopes_equal_u,

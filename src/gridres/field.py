@@ -11,7 +11,7 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 MAX_MODULUS = 1 << 31
 
@@ -295,16 +295,3 @@ def batch_inverse(values: Sequence[FieldElement]) -> list[FieldElement]:
     out[0] = acc
     return out
 
-
-def common_field(items: Iterable) -> Field:
-    """The single descriptor shared by all given elements/carriers."""
-    field = None
-    for item in items:
-        f = item.field
-        if field is None:
-            field = f
-        elif f != field:
-            raise FieldMismatchError(f"mixed fields: {field} and {f}")
-    if field is None:
-        raise ValueError("empty collection has no field")
-    return field

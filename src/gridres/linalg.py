@@ -32,36 +32,6 @@ def determinant(rows: Sequence[Sequence[FieldElement]], field: Field) -> FieldEl
     return det
 
 
-def invert(rows: Sequence[Sequence[FieldElement]], field: Field) -> list[list[FieldElement]]:
-    """Exact inverse of a square matrix; raises on singular input."""
-    n = len(rows)
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not aug[i][c].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c].inv()
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
-def mat_vec(rows: Sequence[Sequence[FieldElement]], vec: Sequence[FieldElement],
-            field: Field) -> list[FieldElement]:
-    out = []
-    for row in rows:
-        acc = field.zero
-        for a, b in zip(row, vec):
-            acc = acc + a * b
-        out.append(acc)
-    return out
-
-
 @dataclass(frozen=True)
 class LinearSolution:
     """Outcome of solving M x = b by row reduction.

@@ -7,8 +7,15 @@ some coordinate, the coefficient of x^c equals
     sum over the grid of  f(a_1..a_n) / (phi_1'(a_1) ... phi_n'(a_n)),
 
 where phi_i is the monic polynomial vanishing on A_i.  Everything here is
-exact; the grid sum is evaluated with per-variable weight tables and one
-batched inversion per variable.
+exact.  The weight is a product of one weight per axis, so the grid sum
+factorizes per monomial: with S_i(e) = sum over a in A_i of a^e / phi_i'(a),
+
+    sum_x w(x) f(x) = sum over terms c_m x^m of  c_m * S_1(m_1) ... S_n(m_n).
+
+S_i(0) is the sum of the weights, which is 0 for |A_i| >= 2 and 1 for
+|A_i| = 1, so exponent 0 is a table entry like any other, not a factor 1.
+The same term kernel evaluates f at a single point, with a_i^e in place
+of S_i(e).
 """
 
 from __future__ import annotations
@@ -98,55 +105,60 @@ def check_relaxed_support(f: MultiPoly, c: Sequence[int]) -> bool:
     return True
 
 
-def _raw_mul(field: Field):
-    if field.is_prime_field:
-        p = field.modulus
-        return lambda a, b: a * b % p
-    return lambda a, b: a * b
+def _term_sum(f: MultiPoly, tables):
+    """Raw sum over the terms c x^m of f of c * prod_i tables[i][m_i].
+
+    tables[i] maps each exponent of variable i in f to a raw value; the
+    result is reduced mod p over F_p.  This is the only loop over terms
+    that grid computations run.
+    """
+    p = f.field.modulus
+    total = 0
+    for m, c in f.terms.items():
+        v = c.value
+        for t, e in zip(tables, m):
+            v *= t[e]
+        total += v
+    return total % p if p else total
 
 
-def _power_tables(f: MultiPoly, node_lists, field: Field):
-    """tables[i][j] maps exponent -> node_j^exponent as raw values."""
-    mul = _raw_mul(field)
-    exps = [sorted({m[i] for m in f.terms}) for i in range(f.nvars)]
-    tables = []
-    for i, nodes in enumerate(node_lists):
-        # FieldElement.__pow__ rejects 0 raised to a negative exponent
-        tables.append([{e: (a ** e).value for e in exps[i]} for a in nodes])
-    return tables, mul
+def _node_powers(polys, nodes):
+    """Per axis, per node: exponent -> node^exponent as raw values.
+
+    The exponents are those of that variable in any of the polynomials.
+    """
+    p = nodes[0][0].field.modulus
+    out = []
+    for i, ns in enumerate(nodes):
+        exps = {m[i] for g in polys for m in g.terms}
+        out.append([{e: pow(a.value, e, p) for e in exps} for a in ns])
+    return out
 
 
-def _weighted_grid_sum(f: MultiPoly, node_lists, weight_lists) -> FieldElement:
-    """sum over the grid of f(point) * prod(weights), exact, row-major."""
+def _weighted_grid_sum(f: MultiPoly, nodes) -> FieldElement:
+    """Sum over the grid of f(x) * prod_i 1/phi_i'(x_i).
+
+    One _term_sum call with tables[i][e] = S_i(e), exponent 0 included.
+    """
     field = f.field
-    if f.is_zero():
-        return field.zero
-    tables, mul = _power_tables(f, node_lists, field)
-    terms = [(m, c.value) for m, c in f.terms.items()]
-    raw_weights = [[w.value for w in ws] for ws in weight_lists]
-    prime = field.is_prime_field
-    modulus = field.modulus
-    total = field.zero.value
-    n = f.nvars
-    for idx in product(*(range(len(ns)) for ns in node_lists)):
-        val = 0
-        for m, c in terms:
-            v = c
-            for i in range(n):
-                e = m[i]
-                if e:
-                    v = mul(v, tables[i][idx[i]][e])
-            val += v
-        if prime:
-            val %= modulus
-        if val:
-            w = raw_weights[0][idx[0]]
-            for i in range(1, n):
-                w = mul(w, raw_weights[i][idx[i]])
-            total += mul(val, w)
-            if prime:
-                total %= modulus
-    return FieldElement(field, total)
+    tables = []
+    for ns, powers in zip(nodes, _node_powers([f], nodes)):
+        w = grid_weights(ns)
+        tables.append({e: field(sum(w[a].value * t[e] for a, t in zip(ns, powers))).value
+                       for e in powers[0]})
+    return field(_term_sum(f, tables))
+
+
+def _grid_point_tables(polys, nodes):
+    """(point, tables) for each grid point in row-major order.
+
+    tables[i] maps exponent -> x_i^exponent, so _term_sum(g, tables) is
+    the raw value g(point) for each g in polys.
+    """
+    axes = [list(zip(ns, powers)) for ns, powers in zip(nodes, _node_powers(polys, nodes))]
+    for combo in product(*axes):
+        point, tables = zip(*combo)
+        yield point, tables
 
 
 def _require_polynomial(f: MultiPoly):
@@ -173,9 +185,7 @@ def coefficient_via_grid(f: MultiPoly, grid: GridSystem) -> FieldElement:
     if not check_relaxed_support(f, c):
         raise ValueError(
             f"relaxed support condition violated for target exponent {c}")
-    weights = [grid_weights(ns) for ns in grid.nodes]
-    weight_lists = [[w[a] for a in ns] for w, ns in zip(weights, grid.nodes)]
-    return _weighted_grid_sum(f, grid.nodes, weight_lists)
+    return _weighted_grid_sum(f, grid.nodes)
 
 
 def find_nonvanishing_witness(f: MultiPoly, grid: GridSystem):
@@ -188,20 +198,7 @@ def find_nonvanishing_witness(f: MultiPoly, grid: GridSystem):
     _require_polynomial(f)
     if f.is_zero():
         return None
-    field = f.field
-    tables, mul = _power_tables(f, grid.nodes, field)
-    terms = [(m, c.value) for m, c in f.terms.items()]
-    n = f.nvars
-    modulus = field.modulus
-    for idx in product(*(range(len(ns)) for ns in grid.nodes)):
-        val = 0
-        for m, c in terms:
-            v = c
-            for i in range(n):
-                e = m[i]
-                if e:
-                    v = mul(v, tables[i][idx[i]][e])
-            val += v
-        if (val % modulus) if field.is_prime_field else val:
-            return tuple(grid.nodes[i][idx[i]] for i in range(n))
+    for point, tables in _grid_point_tables([f], grid.nodes):
+        if _term_sum(f, tables):
+            return point
     return None

@@ -1,9 +1,10 @@
 """Seeded random generators shared across the test modules."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
-from gridres import Field, MultiPoly
+from gridres import Field, MultiPoly, grid_weights
 
 
 def random_element(rng: Random, field: Field, nonzero: bool = False):
@@ -69,3 +70,19 @@ def random_bounded_poly(rng: Random, field: Field, nvars: int,
                 break
         terms[mono] = random_element(rng, field)
     return MultiPoly.from_terms(field, nvars, terms)
+
+
+def pointwise_grid_sum(f: MultiPoly, nodes):
+    """Oracle: sum over the grid of f(x) * prod_i grid_weights(A_i)[x_i].
+
+    Evaluates f at every grid point in field elements, with no per-axis
+    factorization.
+    """
+    weights = [grid_weights(ns) for ns in nodes]
+    total = f.field.zero
+    for x in product(*nodes):
+        w = f.field.one
+        for wi, xi in zip(weights, x):
+            w = w * wi[xi]
+        total = total + f.evaluate(x) * w
+    return total

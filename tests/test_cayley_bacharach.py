@@ -1,13 +1,15 @@
+from itertools import product
 from random import Random
 
 import pytest
 
-from gridres import (Field, HypersurfaceSystem,
+from gridres import (Field, HypersurfaceSystem, MultiPoly,
                      SeparableSystem, cb_coefficients, forced_value,
                      min_cover_size, parse_poly, verify_cb,
                      verify_hypersurface_theorem)
 
-from helpers import random_bounded_poly, random_element, random_nodes
+from helpers import (pointwise_grid_sum, random_bounded_poly, random_element,
+                     random_nodes, random_poly)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -58,6 +60,26 @@ def test_verify_cb_randomized_zero_residual():
             f = random_bounded_poly(rng, field, n, bound)
             assert verify_cb(f, rel).is_zero()
 
+
+
+@pytest.mark.parametrize("field", [Q, F7, Field.prime(101)])
+def test_verify_cb_matches_pointwise_oracle(field):
+    # degrees up to 6 per variable: most residuals lie beyond the bound and
+    # are nonzero; one-node axes have weight sum 1, larger ones weight sum 0
+    rng = Random(field.modulus or 1)
+    nonzero = 0
+    for case in range(40):
+        n = rng.randint(1, 4)
+        sizes = [rng.randint(1, 5) for _ in range(n)]
+        if case % 3 == 0:
+            sizes[rng.randrange(n)] = 1
+        rel = cb_coefficients(SeparableSystem(
+            field, [random_nodes(rng, field, k) for k in sizes]))
+        f = random_poly(rng, field, n, 6, 8)
+        residual = verify_cb(f, rel)
+        assert residual == pointwise_grid_sum(f, rel.nodes)
+        nonzero += not residual.is_zero()
+    assert nonzero >= 20
 
 def test_forced_value_examples():
     rel = cb_coefficients(SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]]))
@@ -174,3 +196,26 @@ def test_hypersurface_hypothesis_failure_reported():
     verdict = verify_hypersurface_theorem(system, parse_poly("x*y", F5, 2))
     assert not verdict.hypothesis_ok
     assert verdict.witness is None
+
+
+@pytest.mark.parametrize("field,n", [(F5, 2), (F5, 3), (F7, 2), (F7, 3)])
+def test_solutions_match_pointwise_enumeration(field, n):
+    rng = Random(10 * field.modulus + n)
+    found = 0
+    for _ in range(8):
+        polys = []
+        for i in range(n):
+            k = rng.randint(1, 3)
+            terms = {tuple(k if j == i else 0 for j in range(n)): 1}
+            for _ in range(rng.randint(0, 4)):
+                while True:
+                    mono = tuple(rng.randint(0, k - 1) for _ in range(n))
+                    if sum(mono) < k:
+                        break
+                terms[mono] = random_element(rng, field)
+            polys.append(MultiPoly.from_terms(field, n, terms))
+        expected = [pt for pt in product(field.elements(), repeat=n)
+                    if all(g.evaluate(pt).is_zero() for g in polys)]
+        assert HypersurfaceSystem(field, polys).solutions() == expected
+        found += len(expected)
+    assert found > 0

@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import pytest
@@ -6,7 +7,7 @@ from gridres import (Field, GridSystem, MultiPoly, check_classical_degree,
                      check_relaxed_support, coefficient_via_grid,
                      find_nonvanishing_witness, grid_weights, parse_poly)
 
-from helpers import random_nodes, random_relaxed_poly
+from helpers import random_nodes, random_poly, random_relaxed_poly
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -125,3 +126,27 @@ def test_witness_soundness_randomized():
             if witness is not None:
                 assert not f.evaluate(witness).is_zero()
                 assert all(w in ns for w, ns in zip(witness, grid.nodes))
+
+
+@pytest.mark.parametrize("field", [Q, F5, Field.prime(101)])
+def test_witness_matches_row_major_oracle(field):
+    rng = Random(field.modulus or 3)
+    later, none = 0, 0
+    for case in range(40):
+        n = rng.randint(1, 3)
+        sizes = [rng.randint(1, 4) for _ in range(n)]
+        grid = GridSystem(field, [random_nodes(rng, field, k) for k in sizes])
+        f = random_poly(rng, field, n, 3, 6)
+        # f * (x_i - a_0)(x_i - a_1)...: the first slabs along axis i vanish,
+        # and every fourth case the whole grid
+        i = 0 if case % 2 else rng.randrange(n)
+        ns = grid.nodes[i]
+        x = MultiPoly.variable(field, n, i)
+        for a in ns[:len(ns) if case % 4 == 3 else rng.randint(1, len(ns))]:
+            f = f * (x - a)
+        expected = next((pt for pt in product(*grid.nodes)
+                         if not f.evaluate(pt).is_zero()), None)
+        assert find_nonvanishing_witness(f, grid) == expected
+        later += expected is not None and expected != next(grid.points())
+        none += expected is None
+    assert later >= 5 and none >= 5
