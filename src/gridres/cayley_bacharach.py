@@ -40,6 +40,11 @@ class SeparableSystem:
     def nvars(self) -> int:
         return len(self.nodes)
 
+    @property
+    def degree_bound(self) -> int:
+        """Largest total degree whose values the dependence annihilates."""
+        return sum(self.sizes) - self.nvars - 1
+
     def grid(self) -> GridSystem:
         return GridSystem(self.field, self.nodes)
 
@@ -72,11 +77,6 @@ class CBRelation:
     def nvars(self) -> int:
         return len(self.nodes)
 
-    @property
-    def degree_bound(self) -> int:
-        """Largest total degree whose values the relation annihilates."""
-        return sum(self.sizes) - self.nvars - 1
-
 
 def cb_coefficients(system: SeparableSystem) -> CBRelation:
     """Dependence coefficients alpha_x = prod_i 1/g_i'(x_i), all nonzero."""
@@ -91,19 +91,20 @@ def cb_coefficients(system: SeparableSystem) -> CBRelation:
     return CBRelation(system.field, system.nodes, points, coeffs)
 
 
-def verify_cb(f: MultiPoly, relation: CBRelation) -> FieldElement:
+def verify_cb(f: MultiPoly, system: SeparableSystem | CBRelation) -> FieldElement:
     """Residual sum alpha_x * f(x) over the grid, reported unconditionally.
 
-    The dependence guarantees a zero residual whenever total_degree(f) is
-    at most relation.degree_bound.
+    Only the node sets are read, so the per-point relation need not be
+    built.  The dependence guarantees a zero residual whenever
+    total_degree(f) is at most SeparableSystem.degree_bound.
     """
-    if f.field != relation.field:
-        raise FieldMismatchError(f"polynomial over {f.field}, relation over {relation.field}")
-    if f.nvars != relation.nvars:
-        raise ValueError(f"arity mismatch: polynomial {f.nvars}, relation {relation.nvars}")
+    if f.field != system.field:
+        raise FieldMismatchError(f"polynomial over {f.field}, system over {system.field}")
+    if f.nvars != system.nvars:
+        raise ValueError(f"arity mismatch: polynomial {f.nvars}, system {system.nvars}")
     if f.is_laurent():
         raise ValueError("dependence applies to polynomials (nonnegative exponents)")
-    return _weighted_grid_sum(f, relation.nodes)
+    return _weighted_grid_sum(f, system.nodes)
 
 
 def forced_value(values: Mapping[tuple, object], relation: CBRelation,

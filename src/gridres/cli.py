@@ -181,9 +181,8 @@ def _cmd_cb_verify(doc, args):
     names = _decode_names(doc)
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
     system = cb.SeparableSystem(field, _decode_grids(field, doc))
-    relation = cb.cb_coefficients(system)
-    residual = cb.verify_cb(f, relation)
-    bound = relation.degree_bound
+    residual = cb.verify_cb(f, system)
+    bound = system.degree_bound
     within = f.total_degree() <= bound
     result = {
         "residual": str(residual),

@@ -86,17 +86,22 @@ class _Parser:
         return poly
 
     def expr(self) -> MultiPoly:
+        # one dict for all terms; zero coefficients are dropped once, at the end
+        terms: dict = {}
         negate = self.take("-")
-        poly = self.term()
-        if negate:
-            poly = -poly
         while True:
+            for m, c in self.term().terms.items():
+                if negate:
+                    c = -c
+                s = terms.get(m)
+                terms[m] = c if s is None else s + c
             if self.take("+"):
-                poly = poly + self.term()
+                negate = False
             elif self.take("-"):
-                poly = poly - self.term()
+                negate = True
             else:
-                return poly
+                return MultiPoly(self.field, self.nvars,
+                                 {m: c for m, c in terms.items() if not c.is_zero()})
 
     def term(self) -> MultiPoly:
         poly = self.factor()

@@ -1,10 +1,17 @@
-"""Lattice polytopes with exact rational certificates.
+"""Lattice polytopes with exact integer hulls.
 
-Vertices are the extreme points of a generating set of integer vectors,
-certified by an exact phase-one simplex over Fractions (no orientation
-tricks, no floats).  The same LP core supplies point-in-hull membership
-and strict supporting directions, which the residue machinery needs.
-Facet enumeration is implemented for ambient dimension up to three.
+Each polytope computes its hull once, on exact ints.  The hull finds the
+affine dimension k of the generating points and projects them onto k
+coordinates that are injective on their affine hull (convexity is
+preserved).  It then runs the 1-D extremes, the 2-D monotone chain, or a
+3-D beneath-beyond hull.  The vertices, the facets as (primitive outer
+normal, level) pairs, point membership and strict supporting directions
+(the sum of the outer normals of the facets through a vertex) are all
+read from it.  An exact phase-one simplex over Fractions is the fallback:
+it handles affine dimension four and up, and support directions that must
+also dominate points the normal-cone sum does not.  It is also the oracle
+the hull is tested against.  Facet enumeration is implemented for ambient
+dimension up to three.
 """
 
 from __future__ import annotations
@@ -103,14 +110,7 @@ def point_in_hull(point: Sequence[int], generators: Sequence[IntVec]) -> bool:
 def extreme_points(points: Iterable[IntVec]) -> list[IntVec]:
     """The extreme points of a finite integer point set, sorted."""
     pts = sorted(set(tuple(int(c) for c in p) for p in points))
-    if len(pts) <= 2:
-        return pts
-    out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1:]
-        if not point_in_hull(p, others):
-            out.append(p)
-    return out
+    return list(_integer_hull(pts).vertices) if pts else []
 
 
 def primitive(vec: Sequence[int]) -> IntVec:
@@ -140,34 +140,157 @@ def _cross3(u, v) -> IntVec:
             u[0] * v[1] - u[1] * v[0])
 
 
-def _rank(vectors: Sequence[IntVec]) -> int:
-    rows = [[Fraction(c) for c in v] for v in vectors if any(v)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _sub(u, v) -> IntVec:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+# -- the exact integer hull ---------------------------------------------------
+
+def _reduce(d, rows, cols):
+    """d with its components along the echelon rows removed (fraction-free),
+    or None when d lies in their span."""
+    for r, c in zip(rows, cols):
+        if d[c]:
+            a, b = r[c], d[c]
+            d = [a * x - b * y for x, y in zip(d, r)]
+    return d if any(d) else None
+
+
+class _Hull:
+    """Vertices and facets of one point set, plus its affine hull.
+
+    rows is an integer echelon basis of the differences to base; row i is
+    zero in the pivot columns cols[:i], so the cols coordinates are
+    injective on the affine hull.  facets holds (primitive outer normal,
+    level) pairs, lifted from the cols coordinates with zeros, so a point
+    of the affine hull lies in the polytope exactly when <normal, x> <=
+    level for all of them; facets is None for affine dimension >= 4.
+    """
+
+    __slots__ = ("vertices", "facets", "base", "rows", "cols")
+
+    def __init__(self, vertices, facets, base, rows, cols):
+        self.vertices = vertices
+        self.facets = facets
+        self.base = base
+        self.rows = rows
+        self.cols = cols
+
+    def in_affine_hull(self, point) -> bool:
+        return _reduce(_sub(point, self.base), self.rows, self.cols) is None
+
+
+def _integer_hull(pts: list) -> _Hull:
+    """Hull of distinct integer points (at least one, sorted)."""
+    base = pts[0]
+    rows, cols = [], []
+    for p in pts[1:]:
+        d = _reduce(_sub(p, base), rows, cols)
+        if d is not None:
+            rows.append(primitive(d))
+            cols.append(next(i for i, c in enumerate(d) if c))
+            if len(rows) == len(base):
+                break
+    k = len(rows)
+    if k >= 4:
+        verts = tuple(p for i, p in enumerate(pts)
+                      if not point_in_hull(p, pts[:i] + pts[i + 1:]))
+        return _Hull(verts, None, base, rows, cols)
+    lifted = {tuple(p[c] for c in cols): p for p in pts}
+    flat = sorted(lifted)
+    if k == 0:
+        verts, facets = flat, []
+    elif k == 1:
+        verts = [flat[0], flat[-1]]
+        facets = [((-1,), -flat[0][0]), ((1,), flat[-1][0])]
+    elif k == 2:
+        verts = _ccw_hull(flat)
+        facets = []
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            w = primitive((b[1] - a[1], a[0] - b[0]))
+            facets.append((w, _dot(w, a)))
+    else:
+        verts, facets = _hull_3d(flat)
+    n = len(base)
+
+    def lift(w):
+        out = [0] * n
+        for c, x in zip(cols, w):
+            out[c] = x
+        return tuple(out)
+
+    return _Hull(tuple(sorted(lifted[v] for v in verts)),
+                 tuple(sorted((lift(w), level) for w, level in facets)),
+                 base, rows, cols)
+
+
+def _hull_3d(pts: list) -> tuple[list, list]:
+    """Beneath-beyond hull of distinct 3-D integer points spanning space.
+
+    Faces are triangles (p, q, r), counterclockwise seen from outside, with
+    integer outer normal (q - p) x (r - p).  A point sees a face when it
+    lies strictly above it; visible faces are replaced by a cone from the
+    point over their horizon.  Coplanar triangles are merged into facets
+    by primitive normal.  A face vertex is a polytope vertex exactly when
+    the normals of its facets have rank 3, that is, when at least three
+    facets meet there: a point inside an edge lies on two, a point inside
+    a facet on one.
+    """
+    a, b = pts[0], pts[1]
+    c = next(p for p in pts if any(_cross3(_sub(b, a), _sub(p, a))))
+    d = next(p for p in pts if _dot(_cross3(_sub(b, a), _sub(c, a)), _sub(p, a)))
+    # edges maps a directed edge to the face that last held it, which is the
+    # current face for every edge of a current face
+    faces, edges = {}, {}
+
+    def add(p, q, r):
+        w = _cross3(_sub(q, p), _sub(r, p))
+        faces[p, q, r] = (w, _dot(w, p))
+        edges[p, q] = edges[q, r] = edges[r, p] = (p, q, r)
+
+    for p, q, r, inner in ((a, b, c, d), (a, b, d, c), (a, c, d, b), (b, c, d, a)):
+        if _dot(_cross3(_sub(q, p), _sub(r, p)), _sub(inner, p)) > 0:
+            q, r = r, q
+        add(p, q, r)
+    for x in pts:
+        visible = {f for f, (w, level) in faces.items() if _dot(w, x) > level}
+        if not visible:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][c]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        horizon = [(p, q) for f in visible
+                   for p, q in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0]))
+                   if edges[q, p] not in visible]
+        for f in visible:
+            del faces[f]
+        for p, q in horizon:
+            add(p, q, x)
+    facets, normals = {}, {}
+    for (p, q, r), (w, _) in faces.items():
+        u = primitive(w)
+        facets[u] = _dot(u, p)
+        for v in (p, q, r):
+            normals.setdefault(v, set()).add(u)
+    verts = [v for v, ns in normals.items() if len(ns) >= 3]
+    return verts, list(facets.items())
 
 
 class LatticePolytope:
-    """Convex hull of integer points; vertices stored sorted."""
+    """Convex hull of integer points; vertices stored sorted.
 
-    __slots__ = ("dim", "vertices", "points")
+    The exact hull is computed once per instance, on first use (from_points
+    computes it to find the vertices), and kept in a slot.
+    """
+
+    __slots__ = ("dim", "vertices", "points", "_hull")
 
     def __init__(self, dim: int, vertices: Sequence[IntVec], points: Sequence[IntVec]):
         self.dim = dim
         self.vertices = tuple(vertices)
         self.points = tuple(points)
+        self._hull = None
 
     @classmethod
     def from_points(cls, points: Iterable[IntVec]) -> "LatticePolytope":
@@ -177,7 +300,15 @@ class LatticePolytope:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("mixed dimensions in point set")
-        return cls(dim, tuple(extreme_points(pts)), tuple(pts))
+        hull = _integer_hull(pts)
+        out = cls(dim, hull.vertices, pts)
+        out._hull = hull
+        return out
+
+    def _hull_data(self) -> _Hull:
+        if self._hull is None:
+            self._hull = _integer_hull(list(self.vertices))
+        return self._hull
 
     def minkowski_sum(self, other: "LatticePolytope") -> "LatticePolytope":
         if self.dim != other.dim:
@@ -208,17 +339,18 @@ class LatticePolytope:
                                tuple(sorted(map(move, self.points))))
 
     def contains(self, point: Sequence[int]) -> bool:
-        return point_in_hull(tuple(int(c) for c in point), self.vertices)
+        point = tuple(int(c) for c in point)
+        hull = self._hull_data()
+        if hull.facets is None:
+            return point_in_hull(point, self.vertices)
+        return (hull.in_affine_hull(point)
+                and all(_dot(w, point) <= level for w, level in hull.facets))
 
     def is_vertex_polytope(self) -> bool:
         return len(self.vertices) == 1
 
     def affine_dim(self) -> int:
-        if len(self.vertices) <= 1:
-            return 0
-        base = self.vertices[0]
-        diffs = [tuple(a - b for a, b in zip(v, base)) for v in self.vertices[1:]]
-        return _rank(diffs)
+        return len(self._hull_data().rows)
 
     def edge_difference_vectors(self) -> list[IntVec]:
         """Sign-normalized pairwise vertex differences (a superset of the
@@ -235,67 +367,23 @@ class LatticePolytope:
         """Normal of the affine hull of a 2-dimensional polytope in 3-space."""
         if self.dim != 3 or self.affine_dim() != 2:
             raise ValueError("plane normal needs a 2-dimensional polytope in 3-space")
-        base = self.vertices[0]
-        diffs = [tuple(a - b for a, b in zip(v, base)) for v in self.vertices[1:]]
-        for i in range(len(diffs)):
-            for j in range(i + 1, len(diffs)):
-                w = _cross3(diffs[i], diffs[j])
-                if any(w):
-                    return sign_normalized(w)
-        raise ValueError("degenerate polytope")
+        return sign_normalized(_cross3(*self._hull_data().rows))
+
+    def _facets(self) -> tuple:
+        if self.affine_dim() != self.dim:
+            raise ValueError("facet normals need a full-dimensional polytope")
+        if self.dim > 3:
+            raise ValueError("facet enumeration implemented for dimension <= 3 only")
+        return self._hull_data().facets
 
     def facet_normals(self) -> list[IntVec]:
         """Primitive outer normals of all facets (full-dimensional polytopes,
-        ambient dimension at most three)."""
-        n = self.dim
-        if self.affine_dim() != n:
-            raise ValueError("facet normals need a full-dimensional polytope")
-        if n == 1:
-            return [(-1,), (1,)]
-        if n == 2:
-            hull = _ccw_hull(self.vertices)
-            normals = []
-            for a, b in zip(hull, hull[1:] + hull[:1]):
-                d = (b[0] - a[0], b[1] - a[1])
-                normals.append(primitive((d[1], -d[0])))
-            return sorted(set(normals))
-        if n == 3:
-            return self._facet_normals_3d()
-        raise ValueError("facet enumeration implemented for dimension <= 3 only")
-
-    def _facet_normals_3d(self) -> list[IntVec]:
-        verts = self.vertices
-        normals = set()
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                for k in range(j + 1, len(verts)):
-                    a, b, c = verts[i], verts[j], verts[k]
-                    w = _cross3(tuple(x - y for x, y in zip(b, a)),
-                                tuple(x - y for x, y in zip(c, a)))
-                    if not any(w):
-                        continue
-                    level = sum(x * y for x, y in zip(w, a))
-                    top = max(sum(x * y for x, y in zip(w, v)) for v in verts)
-                    bottom = min(sum(x * y for x, y in zip(w, v)) for v in verts)
-                    if top == level:
-                        normals.add(primitive(w))
-                    if bottom == level:
-                        normals.add(primitive(tuple(-x for x in w)))
-        return sorted(normals)
+        ambient dimension at most three), sorted."""
+        return [w for w, _ in self._facets()]
 
     def vertex_facet_count(self, vertex: IntVec) -> int:
         """Number of facets through a vertex of a full-dimensional polytope."""
-        n = self.dim
-        if n == 1:
-            return 1
-        if n == 2:
-            return 2
-        count = 0
-        for w in self.facet_normals():
-            level = self.support_value(w)
-            if sum(a * b for a, b in zip(w, vertex)) == level:
-                count += 1
-        return count
+        return sum(1 for w, level in self._facets() if _dot(w, vertex) == level)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticePolytope)
@@ -333,14 +421,29 @@ def _ccw_hull(points: Sequence[IntVec]) -> list[IntVec]:
 def strict_support_direction(polytope: LatticePolytope, vertex: IntVec,
                              dominated: Sequence[IntVec] = ()) -> IntVec | None:
     """Integer u with <u, vertex> strictly above every other vertex and
-    weakly above every dominated point, or None if no such u exists."""
+    weakly above every dominated point, or None if no such u exists.
+
+    The first candidate is the primitive sum of the outer normals of the
+    facets through the vertex, which lies inside its normal cone; an exact
+    LP decides when that sum misses a dominated point, when the polytope
+    is a single vertex, and for affine dimension four and up.
+    """
     vertex = tuple(int(c) for c in vertex)
     if vertex not in polytope.vertices:
         raise ValueError(f"{vertex} is not a vertex")
     n = polytope.dim
+    weak = [tuple(v - y for v, y in zip(vertex, p)) for p in dominated]
+    facets = polytope._hull_data().facets
+    if facets is not None and len(polytope.vertices) > 1:
+        total = [0] * n
+        for w, level in facets:
+            if _dot(w, vertex) == level:
+                total = [a + b for a, b in zip(total, w)]
+        u = primitive(total)
+        if all(_dot(u, d) >= 0 for d in weak):
+            return u
     strict = [tuple(v - x for v, x in zip(vertex, other))
               for other in polytope.vertices if other != vertex]
-    weak = [tuple(v - y for v, y in zip(vertex, p)) for p in dominated]
     if strict:
         return _direction_lp(n, strict, weak)
     # single-vertex polytope: any nonzero member of the weak cone works

@@ -17,7 +17,7 @@ from .field import FieldElement, FieldMismatchError
 from .linalg import determinant, solve_linear
 from .multipoly import MultiPoly
 from .polytope import (LatticePolytope, sign_normalized,
-                       strict_support_direction, _cross3)
+                       strict_support_direction, _cross3, _dot)
 
 
 def newton_polytope(f: MultiPoly) -> LatticePolytope:
@@ -169,10 +169,6 @@ def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
                 f"support halfspace assumption violated at vertex {v}")
         (zero if shifted.contains(v) else plus).append(v)
     return VertexSplit(v_plus=tuple(plus), v_zero=tuple(zero))
-
-
-def _dot(u, m) -> int:
-    return sum(a * b for a, b in zip(u, m))
 
 
 def _trunc_mul(a: dict, b: dict, u, floor: int) -> dict:

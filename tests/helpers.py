@@ -1,7 +1,8 @@
 """Seeded random generators shared across the test modules."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 from random import Random
 
 from gridres import Field, MultiPoly, grid_weights
@@ -86,3 +87,34 @@ def pointwise_grid_sum(f: MultiPoly, nodes):
             w = w * wi[xi]
         total = total + f.evaluate(x) * w
     return total
+
+
+def facet_normals_by_enumeration(vertices):
+    """Oracle: primitive outer facet normals of a full-dimensional polytope
+    in dimension 2 or 3, from every pair (2-D) or triple (3-D) of vertices
+    whose hyperplane has all vertices on one side.  O(V^4) in 3-D.
+    """
+    dim = len(vertices[0])
+    normals = set()
+    for combo in combinations(vertices, dim):
+        a = combo[0]
+        d = [tuple(x - y for x, y in zip(v, a)) for v in combo[1:]]
+        if dim == 2:
+            w = (d[0][1], -d[0][0])
+        else:
+            u, v = d
+            w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                 u[0] * v[1] - u[1] * v[0])
+        if not any(w):
+            continue
+        g = 0
+        for c in w:
+            g = gcd(g, c)
+        w = tuple(c // g for c in w)
+        values = [sum(x * y for x, y in zip(w, v)) for v in vertices]
+        level = sum(x * y for x, y in zip(w, a))
+        if max(values) == level:
+            normals.add(w)
+        if min(values) == level:
+            normals.add(tuple(-c for c in w))
+    return sorted(normals)

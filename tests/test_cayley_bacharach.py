@@ -81,6 +81,18 @@ def test_verify_cb_matches_pointwise_oracle(field):
         nonzero += not residual.is_zero()
     assert nonzero >= 20
 
+def test_verify_cb_from_system_matches_relation():
+    rng = Random(12)
+    for field in (Q, F7):
+        for _ in range(10):
+            n = rng.randint(1, 3)
+            sizes = [rng.randint(1, 4) for _ in range(n)]
+            system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+            assert system.degree_bound == sum(sizes) - n - 1
+            f = random_poly(rng, field, n, 5, 6)
+            assert verify_cb(f, system) == verify_cb(f, cb_coefficients(system))
+
+
 def test_forced_value_examples():
     rel = cb_coefficients(SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]]))
     target = (Q(2), Q(2))

@@ -74,6 +74,20 @@ def test_cb_verify(capsys, tmp_path):
     assert report["result"]["within_bound"] is False
 
 
+def test_cb_verify_builds_no_relation(capsys, tmp_path, monkeypatch):
+    from gridres import cli
+
+    def refuse(system):
+        raise AssertionError("per-point relation built")
+    monkeypatch.setattr(cli.cb, "cb_coefficients", refuse)
+    code, report, _ = run(capsys, tmp_path, "cb-verify", {
+        "field": F7, "vars": ["x", "y", "z"], "poly": "x^2*y*z + 3*y^2",
+        "grids": [["1", "2", "3"], ["0", "4"], ["2", "5", "6"]]})
+    assert code == 0
+    assert report["result"] == {"residual": "0", "degree_bound": 4,
+                                "total_degree": 4, "within_bound": True}
+
+
 def test_cb_forced(capsys, tmp_path):
     values = [{"point": [str(a), str(b)], "value": "0"}
               for a in (0, 1, 2) for b in (0, 1, 2) if (a, b) != (2, 2)]
@@ -121,6 +135,36 @@ def test_newton(capsys, tmp_path):
     })
     assert code == 0
     assert report["result"]["vertices"] == [[0, 0], [1, 1], [2, 1]]
+
+
+def test_newton_affine_dimension_four(capsys, tmp_path):
+    code, report, _ = run(capsys, tmp_path, "newton", {
+        "field": RATIONALS, "vars": ["z1", "z2", "z3", "z4"],
+        "poly": "z1*z2 + z3^2*z4 + 1 + z1^2 + z4^3 + z1*z2*z3*z4",
+    })
+    assert code == 0
+    assert report["result"] == {
+        "vertices": [[0, 0, 0, 0], [0, 0, 0, 3], [0, 0, 2, 1], [1, 1, 0, 0],
+                     [1, 1, 1, 1], [2, 0, 0, 0]],
+        "support": [[0, 0, 0, 0], [1, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3],
+                    [0, 0, 2, 1], [1, 1, 1, 1]],
+        "affine_dim": 4,
+    }
+
+
+def test_newton_planar_support_in_3d(capsys, tmp_path):
+    # every exponent lies in the plane c = a + b; (1, 0, 1) and (1, 1, 2) are not vertices
+    code, report, _ = run(capsys, tmp_path, "newton", {
+        "field": RATIONALS, "vars": ["x", "y", "z"],
+        "poly": "1 + x*z + y*z + x*y*z^2 + x^2*y*z^3 + 3*x*y^2*z^3 + x^2*z^2",
+    })
+    assert code == 0
+    assert report["result"] == {
+        "vertices": [[0, 0, 0], [0, 1, 1], [1, 2, 3], [2, 0, 2], [2, 1, 3]],
+        "support": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 2], [2, 0, 2],
+                    [1, 2, 3], [2, 1, 3]],
+        "affine_dim": 2,
+    }
 
 
 def test_unfolded(capsys, tmp_path):

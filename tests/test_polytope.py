@@ -7,6 +7,8 @@ from gridres.polytope import (point_in_hull, solve_nonnegative,
                               strict_support_direction)
 from gridres.toric import face_in_direction, minkowski_sum, newton_polytope
 
+from helpers import facet_normals_by_enumeration
+
 Q = Field.rationals()
 
 
@@ -142,3 +144,126 @@ def test_extreme_points_against_monotone_chain():
         pts1 = [(rng.randint(-9, 9),) for _ in range(rng.randint(1, 8))]
         expected = sorted({min(pts1), max(pts1)})
         assert extreme_points(pts1) == expected
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _random_sets():
+    """Seeded point sets: random 2-D and 3-D, coplanar and collinear in 3-D,
+    heavy duplicates, and lattice points on the paraboloid z = x^2 + y^2."""
+    rng = Random(2024)
+    for _ in range(25):
+        yield [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 14))]
+    for _ in range(25):
+        yield [tuple(rng.randint(-3, 3) for _ in range(3))
+               for _ in range(rng.randint(1, 16))]
+    for _ in range(12):
+        # an integer affine image of a planar set: affine dimension <= 2 in 3-D
+        u, v = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2)]
+        o = tuple(rng.randint(-3, 3) for _ in range(3))
+        yield [tuple(o[i] + a * u[i] + b * v[i] for i in range(3))
+               for a, b in ((rng.randint(-3, 3), rng.randint(-3, 3))
+                            for _ in range(rng.randint(3, 10)))]
+    for dim in (2, 3):
+        for _ in range(6):
+            d = tuple(rng.randint(-2, 2) for _ in range(dim))
+            o = tuple(rng.randint(-3, 3) for _ in range(dim))
+            yield [tuple(o[i] + t * d[i] for i in range(dim))
+                   for t in (rng.randint(-4, 4) for _ in range(rng.randint(1, 6)))]
+    for _ in range(6):
+        pool = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(5)]
+        yield [rng.choice(pool) for _ in range(12)]
+    for r in (1, 2):
+        yield [(x, y, x * x + y * y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
+    yield [(x, y, x * x + y * y) for x in range(-2, 3) for y in range(-2, 3)
+           if x * x + y * y <= 5]
+    # a cube with every lattice point of its boundary and interior
+    yield [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+
+
+def test_hull_matches_lp_oracles():
+    rng = Random(91)
+    for pts in _random_sets():
+        p = poly(pts)
+        distinct = sorted(set(pts))
+        lp_vertices = [q for i, q in enumerate(distinct)
+                       if not point_in_hull(q, distinct[:i] + distinct[i + 1:])]
+        assert list(p.vertices) == (distinct if len(distinct) == 1 else lp_vertices)
+        if p.affine_dim() == p.dim:
+            assert p.facet_normals() == facet_normals_by_enumeration(p.vertices)
+        lo = [min(q[i] for q in distinct) - 1 for i in range(p.dim)]
+        hi = [max(q[i] for q in distinct) + 1 for i in range(p.dim)]
+        queries = distinct + [tuple(rng.randint(a, b) for a, b in zip(lo, hi))
+                              for _ in range(12)]
+        for q in queries:
+            assert p.contains(q) == point_in_hull(q, p.vertices), (pts, q)
+
+
+def test_support_directions_are_certificates():
+    for pts in _random_sets():
+        p = poly(pts)
+        if len(p.vertices) < 2:
+            continue
+        for v in p.vertices:
+            u = strict_support_direction(p, v, dominated=pts)
+            assert u is not None
+            top = _dot(u, v)
+            assert all(_dot(u, w) < top for w in p.vertices if w != v)
+            assert all(_dot(u, q) <= top for q in pts)
+
+
+def test_support_direction_falls_back_to_lp(monkeypatch):
+    import gridres.polytope as polytope
+    calls = []
+    original = polytope._direction_lp
+    monkeypatch.setattr(polytope, "_direction_lp",
+                        lambda *a: calls.append(a) or original(*a))
+    box = poly([(0, 0), (2, 0), (0, 1), (2, 1)])
+    # the normal-cone sum (1, 1) puts (4, 0) above (2, 1); (1, 3) does not
+    u = strict_support_direction(box, (2, 1), dominated=[(4, 0)])
+    assert len(calls) == 1
+    assert _dot(u, (2, 1)) >= _dot(u, (4, 0))
+    assert all(_dot(u, w) < _dot(u, (2, 1)) for w in box.vertices if w != (2, 1))
+    # a triangle in the plane z = 0: the certificate must leave the plane
+    tri = poly([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    u = strict_support_direction(tri, (1, 0, 0), dominated=[(2, 0, 1)])
+    assert len(calls) == 2 and u[2] != 0
+    assert _dot(u, (1, 0, 0)) >= _dot(u, (2, 0, 1))
+    assert all(_dot(u, w) < _dot(u, (1, 0, 0)) for w in tri.vertices if w != (1, 0, 0))
+
+
+def test_hull_runs_no_lp_up_to_dimension_three(monkeypatch):
+    import gridres.polytope as polytope
+
+    def refuse(*args):
+        raise AssertionError("LP solved")
+    monkeypatch.setattr(polytope, "solve_nonnegative", refuse)
+    for pts in _random_sets():
+        p = poly(pts)
+        p.contains(pts[0])
+        p.affine_dim()
+        if len(p.vertices) > 1:
+            for v in p.vertices:
+                strict_support_direction(p, v, dominated=pts)
+        if p.affine_dim() == p.dim:
+            p.facet_normals()
+
+
+def test_affine_dimension_four_uses_lp():
+    rng = Random(4)
+    for _ in range(5):
+        pts = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(9)]
+        p = poly(pts)
+        distinct = sorted(set(pts))
+        assert p.affine_dim() == 4
+        assert list(p.vertices) == [q for i, q in enumerate(distinct)
+                                    if not point_in_hull(q, distinct[:i] + distinct[i + 1:])]
+        for q in distinct + [(3, 0, 0, 0), (0, 0, 0, 0)]:
+            assert p.contains(q) == point_in_hull(q, p.vertices)
+        for v in p.vertices:
+            u = strict_support_direction(p, v)
+            assert all(_dot(u, w) < _dot(u, v) for w in p.vertices if w != v)
+        with pytest.raises(ValueError, match="dimension <= 3"):
+            p.facet_normals()
