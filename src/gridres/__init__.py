@@ -19,8 +19,8 @@ from .nullstellensatz import (GridSystem, check_classical_degree,
                               find_nonvanishing_witness, grid_weights)
 from .polytope import LatticePolytope
 from .projective import ProjLine, ProjPoint, line_through, meet
-from .toric import (NewtonSystem, ToricForm, VertexCoefficients, VertexSplit,
-                    default_samples, face_in_direction, is_unfolded,
+from .toric import (NewtonSystem, SimpleZeros, ToricForm, VertexCoefficients,
+                    VertexSplit, default_samples, face_in_direction, is_unfolded,
                     minkowski_sum, newton_polytope, residue_sum_over_zeros,
                     solve_vertex_coefficients, vertex_residue, vertex_split,
                     weighted_vertex_combination)

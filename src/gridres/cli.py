@@ -4,9 +4,14 @@ One subcommand per public operation, each driven by a JSON job document:
 
     gridres <subcommand> --input job.json [--summary] [--budget N]
 
+One flat argparse parser, built per call, takes the subcommand as a
+positional choice, so the options may stand before or after it.
 Documents carry a "field" object ({"kind": "prime-field", "modulus": "7"}
 or {"kind": "rationals"}) plus subcommand-specific sections; numbers are
 decimal strings ("a/b" for rationals) to avoid integer-width ambiguity.
+List sections (system, samples, zeros, values, target) must be JSON lists.
+Polynomials are parsed on raw ints/Fractions (see gridres.expr); field
+elements appear only in the parsed terms.
 Reports are JSON on stdout; --summary adds human-readable lines on
 stderr.  Exit codes: 0 success/verified, 1 verdict negative, 2 invalid
 input, 3 search budget exceeded.
@@ -40,6 +45,13 @@ def _require(doc: dict, key: str, kind: str):
     if key not in doc:
         raise InputError(f"missing {key!r} section ({kind})")
     return doc[key]
+
+
+def _require_list(doc: dict, key: str, kind: str) -> list:
+    raw = _require(doc, key, kind)
+    if not isinstance(raw, list):
+        raise InputError(f'"{key}" must be a list ({kind})')
+    return raw
 
 
 def _decode_field(doc: dict) -> Field:
@@ -199,9 +211,9 @@ def _cmd_cb_forced(doc, args):
     field = _decode_field(doc)
     system = cb.SeparableSystem(field, _decode_grids(field, doc))
     relation = cb.cb_coefficients(system)
-    target_raw = _require(doc, "target", "grid point")
+    target_raw = _require_list(doc, "target", "grid point")
     target = tuple(field(str(v)) for v in target_raw)
-    raw_values = _require(doc, "values", "list of {point, value} records")
+    raw_values = _require_list(doc, "values", "list of {point, value} records")
     values = {}
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
@@ -236,7 +248,7 @@ def _cmd_cover_bound(doc, args):
 def _cmd_hyper_verify(doc, args):
     field = _decode_field(doc)
     names = _decode_names(doc)
-    raw_system = _require(doc, "system", "list of expression strings")
+    raw_system = _require_list(doc, "system", "list of expression strings")
     polys = [_decode_poly(field, names, g) for g in raw_system]
     system = cb.HypersurfaceSystem(field, polys)
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
@@ -278,7 +290,7 @@ def _cmd_newton(doc, args):
 def _cmd_unfolded(doc, args):
     field = _decode_field(doc)
     names = _decode_names(doc)
-    raw_system = _require(doc, "system", "list of expression strings")
+    raw_system = _require_list(doc, "system", "list of expression strings")
     system = toric.NewtonSystem([_decode_poly(field, names, g) for g in raw_system])
     flag, witness = toric.is_unfolded(system)
     result = {"unfolded": flag,
@@ -304,9 +316,9 @@ def _cmd_toric_verify(doc, args):
         zeros = list(grid.points())
     else:
         names = _decode_names(doc)
-        raw_system = _require(doc, "system", "list of expression strings")
+        raw_system = _require_list(doc, "system", "list of expression strings")
         system = toric.NewtonSystem([_decode_poly(field, names, g) for g in raw_system])
-        zeros_raw = _require(doc, "zeros", "list of points")
+        zeros_raw = _require_list(doc, "zeros", "list of points")
         zeros = [tuple(field(str(c)) for c in z) for z in zeros_raw]
         grid = None
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
@@ -314,9 +326,11 @@ def _cmd_toric_verify(doc, args):
     if not flag:
         raise InputError(f"system is not unfolded (witness direction {list(witness)})")
     if "samples" in doc:
-        samples = [_decode_poly(field, names, s) for s in doc["samples"]]
+        samples = [_decode_poly(field, names, s) for s in
+                   _require_list(doc, "samples", "list of expression strings")]
     else:
         samples = toric.default_samples(system)
+    zeros = toric.SimpleZeros(system, zeros)
     weights = toric.solve_vertex_coefficients(system, zeros, samples)
     form = toric.ToricForm(f, system)
     lhs = toric.residue_sum_over_zeros(form, zeros)
@@ -441,15 +455,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridres",
         description="exact grid, dependence, residue, and line-configuration checks")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True,
-                       help="job document (JSON file, or - for stdin)")
-        p.add_argument("--summary", action="store_true",
-                       help="also print a human-readable summary on stderr")
-        p.add_argument("--budget", type=int, default=None,
-                       help="node budget for backtracking searches")
+    parser.add_argument("subcommand", choices=_HANDLERS)
+    parser.add_argument("--input", required=True,
+                        help="job document (JSON file, or - for stdin)")
+    parser.add_argument("--summary", action="store_true",
+                        help="also print a human-readable summary on stderr")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="node budget for backtracking searches")
     return parser
 
 

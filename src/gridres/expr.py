@@ -12,14 +12,26 @@ integers, optionally written as a fraction a/b so that canonical output
 over the rationals reparses.  Negative exponents build Laurent monomials;
 they are only legal on single-term bases.  Errors carry the offset of the
 offending character.
+
+The rules work on raw coefficients: each returns a dict from exponent
+tuples to nonzero ints mod p (over F_p) or ints/Fractions (over Q).
+Products and powers of single terms are computed on the exponent tuple
+and the coefficient directly; sums in parentheses go through one small
+multiply, which repeated squaring uses too.  Each surviving term becomes a
+FieldElement once, when the MultiPoly is built.  Exponents are checked as
+MultiPoly checks them: a product out of the signed 32-bit range raises
+OverflowError, a literal exponent out of it raises ParseError.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import add
 from typing import Sequence
 
-from .field import Field
-from .multipoly import MAX_EXPONENT, MultiPoly, default_names, format_poly
+from .field import Field, FieldElement
+from .multipoly import (MAX_EXPONENT, MIN_EXPONENT, MultiPoly, default_names,
+                        format_poly, monomial_product)
 
 __all__ = ["ParseError", "parse_poly", "poly_to_string", "default_names"]
 
@@ -30,24 +42,39 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _in_range(m: tuple) -> bool:
+    return not m or (MIN_EXPONENT <= min(m) and max(m) <= MAX_EXPONENT)
+
+
+def _product_exponents(a: tuple, b: tuple) -> tuple:
+    m = tuple(map(add, a, b))
+    if not _in_range(m):
+        monomial_product(a, b)  # raises the OverflowError MultiPoly raises
+    return m
+
+
 class _Parser:
     def __init__(self, text: str, field: Field, names: Sequence[str]):
         self.text = text
         self.field = field
+        self.p = field.modulus  # None over Q: no reduction
         self.names = list(names)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.nvars = len(self.names)
+        self.origin = (0,) * self.nvars
+        self.units = [tuple(int(i == k) for i in range(self.nvars))
+                      for k in range(self.nvars)]
         self.pos = 0
 
     # -- scanning ----------------------------------------------------------
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """Skip whitespace; the next character, or "" at the end."""
+        text, pos = self.text, self.pos
+        while text[pos:pos + 1].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos:pos + 1]
 
     def take(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -60,37 +87,82 @@ class _Parser:
             raise ParseError(f"expected {ch!r}", self.pos)
 
     def _integer(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        self.peek()
+        text, start = self.text, self.pos
+        pos = start
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        if pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        self.pos = pos
+        return int(text[start:pos])
 
     def _identifier(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
+        self.peek()
+        text, start = self.text, self.pos
+        pos = start
+        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            pos += 1
+        self.pos = pos
+        return text[start:pos]
+
+    # -- raw arithmetic ------------------------------------------------------
+
+    def _mul(self, a: dict, b: dict) -> dict:
+        """Product of term maps, in MultiPoly.__mul__'s order of terms."""
+        p = self.p
+        if len(a) == 1 and len(b) == 1:
+            (m1, c1), = a.items()
+            (m2, c2), = b.items()
+            c = c1 * c2
+            return {_product_exponents(m1, m2): c % p if p else c}
+        out: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = _product_exponents(m1, m2)
+                c = c1 * c2
+                s = out.get(m)
+                if s is not None:
+                    c += s
+                if p:
+                    c %= p
+                if c:
+                    out[m] = c
+                else:
+                    out.pop(m, None)
+        return out
+
+    def _power(self, poly: dict, e: int) -> dict:
+        """poly^e for e >= 0 by repeated squaring, as MultiPoly.__pow__."""
+        result = {self.origin: 1}
+        while e:
+            if e & 1:
+                result = self._mul(result, poly)
+            e >>= 1
+            if e:
+                poly = self._mul(poly, poly)
+        return result
 
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> MultiPoly:
-        poly = self.expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
+        terms = self.expr()
+        if self.peek():
             raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return poly
+        field = self.field
+        if self.p is None:
+            terms = {m: FieldElement(field, c if type(c) is Fraction else Fraction(c))
+                     for m, c in terms.items()}
+        else:
+            terms = {m: FieldElement(field, c) for m, c in terms.items()}
+        return MultiPoly(field, self.nvars, terms)
 
-    def expr(self) -> MultiPoly:
-        # one dict for all terms; zero coefficients are dropped once, at the end
+    def expr(self) -> dict:
+        # one dict for all terms; reduced, and zeros dropped, once at the end
         terms: dict = {}
         negate = self.take("-")
         while True:
-            for m, c in self.term().terms.items():
+            for m, c in self.term().items():
                 if negate:
                     c = -c
                 s = terms.get(m)
@@ -100,47 +172,68 @@ class _Parser:
             elif self.take("-"):
                 negate = True
             else:
-                return MultiPoly(self.field, self.nvars,
-                                 {m: c for m, c in terms.items() if not c.is_zero()})
+                p = self.p
+                if p:
+                    return {m: c % p for m, c in terms.items() if c % p}
+                return {m: c for m, c in terms.items() if c}
 
-    def term(self) -> MultiPoly:
+    def term(self) -> dict:
         poly = self.factor()
         while self.take("*"):
-            poly = poly * self.factor()
+            poly = self._mul(poly, self.factor())
         return poly
 
-    def factor(self) -> MultiPoly:
+    def factor(self) -> dict:
         poly = self.base()
-        if self.take("^"):
-            sign = -1 if self.take("-") else 1
-            at = self.pos
-            e = sign * self._integer()
-            if abs(e) > MAX_EXPONENT:
-                raise ParseError(f"exponent {e} overflows 32 bits", at)
-            try:
-                return poly ** e
-            except ValueError as err:
-                raise ParseError(str(err), at) from None
-        return poly
+        if not self.take("^"):
+            return poly
+        sign = -1 if self.take("-") else 1
+        at = self.pos
+        e = sign * self._integer()
+        if abs(e) > MAX_EXPONENT:
+            raise ParseError(f"exponent {e} overflows 32 bits", at)
+        if len(poly) != 1:
+            if e < 0:
+                raise ParseError("negative power of a non-monomial", at)
+            return self._power(poly, e)
+        (m, c), = poly.items()
+        expo = tuple(x * e for x in m)
+        if not _in_range(expo):
+            # raise the OverflowError MultiPoly raises: first bad exponent
+            # for a negative power, first bad square or product otherwise
+            if e < 0:
+                monomial_product(expo, self.origin)
+            self._power(poly, e)
+        p = self.p
+        if p:
+            return {expo: pow(c, e, p)}
+        return {expo: Fraction(c) ** e if e < 0 else c ** e}
 
-    def base(self) -> MultiPoly:
+    def base(self) -> dict:
         ch = self.peek()
         if ch == "(":
-            self.take("(")
+            self.pos += 1
             poly = self.expr()
             self.expect(")")
             return poly
+        p = self.p
         if ch.isdigit():
-            num = self._integer()
+            value = self._integer()
             if self.peek() == "/":
-                self.take("/")
+                self.pos += 1
                 at = self.pos
                 den = self._integer()
                 if den == 0:
                     raise ParseError("zero denominator", at)
-                value = self.field(num) * self.field(den).inv()
-                return MultiPoly.constant(self.field, self.nvars, value)
-            return MultiPoly.constant(self.field, self.nvars, num)
+                if p is None:
+                    value = Fraction(value, den)
+                elif den % p:
+                    value = value * pow(den, -1, p)
+                else:
+                    raise ZeroDivisionError("inversion of zero field element")
+            if p:
+                value %= p
+            return {self.origin: value} if value else {}
         if ch.isalpha():
             at = self.pos
             name = self._identifier()
@@ -149,7 +242,7 @@ class _Parser:
                 index = self._aliased(name)
             if index is None:
                 raise ParseError(f"unknown variable {name!r}", at)
-            return MultiPoly.variable(self.field, self.nvars, index)
+            return {self.units[index]: 1}
         raise ParseError("expected a variable, literal, or parenthesis", self.pos)
 
     def _aliased(self, name: str):

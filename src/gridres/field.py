@@ -94,7 +94,10 @@ class Field:
                 raise FieldMismatchError(f"element of {value.field} used in {self}")
             return value
         if isinstance(value, str):
-            value = Fraction(value)
+            # plain ASCII integers skip the Fraction parser; every other
+            # string takes it, so what is accepted does not change
+            body = value[1:] if value[:1] == "-" else value
+            value = int(value) if body.isascii() and body.isdigit() else Fraction(value)
         if isinstance(value, Fraction) and value.denominator == 1:
             value = value.numerator
         if isinstance(value, int):

@@ -11,6 +11,7 @@ from sample numerators by exact linear solving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .field import FieldElement, FieldMismatchError
@@ -266,37 +267,71 @@ def vertex_residue(form: ToricForm, vertex: Sequence[int],
     return constant * lead_product.inv()
 
 
+class SimpleZeros:
+    """Common zeros of a system in the torus, each simple, weighted by 1/det J.
+
+    Holds the points as given.  The checks (arity, repeats, all
+    coordinates nonzero, a zero of every g_i, nonzero Jacobian
+    determinant) and the determinants run once, on the first read of
+    ``weighted``: a caller summing several numerators over the same zeros
+    pays for them once, and an invalid zero raises where the first residue
+    sum would.
+    """
+
+    def __init__(self, system: NewtonSystem, points: Sequence[Sequence]):
+        self.system = system
+        self.points = points
+
+    @cached_property
+    def weighted(self) -> list[tuple]:
+        """(point, 1/det J(point)) per zero, in the given order."""
+        system = self.system
+        field = system.field
+        n = system.nvars
+        jacobian = [[g.partial_derivative(j) for j in range(n)] for g in system.polys]
+        out = []
+        seen = set()
+        for raw in self.points:
+            point = tuple(field(c) for c in raw)
+            if len(point) != n:
+                raise ValueError("zero of wrong arity")
+            if point in seen:
+                raise ValueError(f"repeated zero {tuple(map(str, point))}")
+            seen.add(point)
+            if any(c.is_zero() for c in point):
+                raise ValueError(f"point {tuple(map(str, point))} has a zero coordinate")
+            for i, g in enumerate(system.polys):
+                if not g.evaluate(point).is_zero():
+                    raise ValueError(
+                        f"point {tuple(map(str, point))} is not a zero of g_{i + 1}")
+            rows = [[entry.evaluate(point) for entry in row] for row in jacobian]
+            det = determinant(rows, field)
+            if det.is_zero():
+                raise ValueError(
+                    f"singular Jacobian at {tuple(map(str, point))}: zero is not simple")
+            out.append((point, det.inv()))
+        return out
+
+
+def _simple_zeros(system: NewtonSystem, zeros) -> SimpleZeros:
+    if not isinstance(zeros, SimpleZeros):
+        return SimpleZeros(system, zeros)
+    if zeros.system is not system:
+        raise ValueError("zeros were checked against another system")
+    return zeros
+
+
 def residue_sum_over_zeros(form: ToricForm, zeros: Sequence[Sequence]) -> FieldElement:
     """Sum of f(z)/det(Jacobian of g)(z) over simple common zeros.
 
     Each point must be a common zero with nonzero Jacobian determinant and
-    all coordinates nonzero (the zeros live in the torus).
+    all coordinates nonzero (the zeros live in the torus).  zeros may be a
+    SimpleZeros of the form's system, whose checks then run at most once.
     """
-    system = form.system
-    field = system.field
-    n = system.nvars
-    jacobian = [[g.partial_derivative(j) for j in range(n)] for g in system.polys]
-    total = field.zero
-    seen = set()
-    for raw in zeros:
-        point = tuple(field(c) for c in raw)
-        if len(point) != n:
-            raise ValueError("zero of wrong arity")
-        if point in seen:
-            raise ValueError(f"repeated zero {tuple(map(str, point))}")
-        seen.add(point)
-        if any(c.is_zero() for c in point):
-            raise ValueError(f"point {tuple(map(str, point))} has a zero coordinate")
-        for i, g in enumerate(system.polys):
-            if not g.evaluate(point).is_zero():
-                raise ValueError(
-                    f"point {tuple(map(str, point))} is not a zero of g_{i + 1}")
-        rows = [[entry.evaluate(point) for entry in row] for row in jacobian]
-        det = determinant(rows, field)
-        if det.is_zero():
-            raise ValueError(
-                f"singular Jacobian at {tuple(map(str, point))}: zero is not simple")
-        total = total + form.numerator.evaluate(point) * det.inv()
+    f = form.numerator
+    total = form.system.field.zero
+    for point, weight in _simple_zeros(form.system, zeros).weighted:
+        total = total + f.evaluate(point) * weight
     return total
 
 
@@ -322,10 +357,13 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
     prime field they are lifted to the symmetric range.  A vertex of a
     full-dimensional sum polytope on the zero side of some split, meeting
     exactly n facets, with recovered weight zero is flagged as an anomaly.
+    The zeros are checked, and their Jacobians computed, once for all
+    samples.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("underdetermined: no sample numerators given")
+    zeros = _simple_zeros(system, zeros)
     field = system.field
     n = system.nvars
     total = system.sum_polytope

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gridres.cli import main
 
 
@@ -302,3 +304,87 @@ def test_missing_section(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "coeff", {"field": RATIONALS})
     assert code == 2
     assert "missing" in report["error"]["message"]
+
+
+def test_help_names_every_subcommand(capsys):
+    from gridres.cli import _HANDLERS
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert len(_HANDLERS) == 13
+    for name in _HANDLERS:
+        assert name in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command", "--input", "job.json"],
+    ["coeff"],
+    ["--summary", "coeff"],
+    ["--input", "job.json"],
+])
+def test_front_end_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_options_before_and_after_subcommand(capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime-field", "modulus": "5"},
+        "red": [["1", "0", str(-c)] for c in range(5)],
+        "blue": [["0", "1", str(-c)] for c in range(5)]}))
+    for argv in (["--summary", "--budget", "20", "lines-search", "--input", str(path)],
+                 ["lines-search", "--input", str(path), "--budget", "20", "--summary"],
+                 ["--budget", "20", "lines-search", "--summary", "--input", str(path)]):
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert json.loads(out.out)["error"]["type"] == "BudgetExceededError"
+        assert "[lines-search]" in out.err and "(exit 3)" in out.err
+
+
+TORIC_ZEROS_DOC = {
+    "field": RATIONALS, "vars": ["x", "y"], "system": ["x^2 - 1", "y^2 - 4"],
+    "zeros": [["1", "2"], ["1", "-2"], ["-1", "2"], ["-1", "-2"]], "poly": "x*y"}
+
+
+@pytest.mark.parametrize("subcommand, doc, key", [
+    ("hyper-verify", {"field": F7, "vars": ["x", "y"], "system": "xy", "poly": "x*y"},
+     "system"),
+    ("unfolded", {"field": RATIONALS, "vars": ["x", "y"], "system": "xy"}, "system"),
+    ("toric-verify", dict(TORIC_ZEROS_DOC, samples="xy"), "samples"),
+    ("toric-verify", dict(TORIC_ZEROS_DOC, zeros={"1": "2"}), "zeros"),
+    ("cb-forced", {"field": RATIONALS, "grids": [["0", "1"], ["0", "1"]],
+                   "target": ["1", "1"], "values": {"point": ["0", "0"], "value": "1"}},
+     "values"),
+    ("cb-forced", {"field": RATIONALS, "grids": [["0", "1"], ["0", "1"]],
+                   "target": "11", "values": []}, "target"),
+])
+def test_non_list_section_is_input_error(capsys, tmp_path, subcommand, doc, key):
+    code, report, _ = run(capsys, tmp_path, subcommand, doc)
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+    assert f'"{key}" must be a list' in report["error"]["message"]
+
+
+def test_toric_verify_checks_each_zero_once(capsys, tmp_path, monkeypatch):
+    from gridres import toric
+    calls, original = [], toric.determinant
+
+    def counted(rows, field):
+        calls.append(len(rows))
+        return original(rows, field)
+    monkeypatch.setattr(toric, "determinant", counted)
+    code, report, _ = run(capsys, tmp_path, "toric-verify", TORIC_ZEROS_DOC)
+    assert code == 0 and report["result"]["agree"] is True
+    # default samples: one per vertex of the sum polytope (4 here), plus f
+    assert len(calls) == len(TORIC_ZEROS_DOC["zeros"])
+
+    calls.clear()
+    code, report, _ = run(capsys, tmp_path, "toric-verify", {
+        "field": RATIONALS, "vars": ["x", "y"], "poly": "3*x^2*y + x*y - 2",
+        "grids": [["1", "2", "3"], ["1", "2"]]})
+    assert code == 0 and report["result"]["agree"] is True
+    assert len(calls) == 6

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -126,3 +127,169 @@ def test_round_trip_randomized():
                 f = random_poly(rng, field, nvars, 4, 6)
                 text = poly_to_string(f)
                 assert parse_poly(text, field, nvars) == f
+
+
+# -- differential test against MultiPoly arithmetic ------------------------------
+#
+# Trees are ("var", i), ("int", k), ("frac", a, b), ("sum", [(negated, tree)]),
+# ("prod", [tree]) and ("pow", tree, e).  Each renders to text through the
+# grammar levels and evaluates with MultiPoly + - * **, the slow oracle.
+
+NAMES = ["x", "y", "z"]
+
+
+def _monomial_tree(rng, nvars):
+    """A single nonzero term, so that negative powers are legal."""
+    factors = [("int", rng.randint(1, 6)) if rng.random() < 0.5
+               else ("frac", rng.randint(1, 6), rng.randint(1, 6))]
+    factors += [("var", rng.randrange(nvars)) for _ in range(rng.randint(0, 2))]
+    tree = factors[0] if len(factors) == 1 else ("prod", factors)
+    return ("pow", tree, rng.randint(-3, 3)) if rng.random() < 0.5 else tree
+
+
+def _random_tree(rng, nvars, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return ("int", rng.randint(0, 12))
+        if kind == 1:
+            return ("frac", rng.randint(0, 12), rng.randint(1, 6))
+        return ("var", rng.randrange(nvars))
+    if roll < 0.5:
+        terms = [(rng.random() < 0.4, _random_tree(rng, nvars, depth - 1))
+                 for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:  # a cancelling pair
+            negated, tree = rng.choice(terms)
+            terms.append((not negated, tree))
+        return ("sum", terms)
+    if roll < 0.75:
+        return ("prod", [_random_tree(rng, nvars, depth - 1)
+                         for _ in range(rng.randint(2, 3))])
+    if roll < 0.88:
+        return ("pow", _random_tree(rng, nvars, depth - 1), rng.randint(0, 3))
+    return _monomial_tree(rng, nvars)
+
+
+def _space(rng):
+    return rng.choice(("", "", " ", "  "))
+
+
+def _render_base(rng, tree):
+    kind = tree[0]
+    if kind == "var":
+        return NAMES[tree[1]]
+    if kind == "int":
+        return str(tree[1])
+    if kind == "frac":
+        return f"{tree[1]}/{tree[2]}"
+    return "(" + _space(rng) + _render_expr(rng, tree) + _space(rng) + ")"
+
+
+def _render_factor(rng, tree):
+    if tree[0] == "pow":
+        sign = "-" + _space(rng) if tree[2] < 0 else ""
+        return (_render_base(rng, tree[1]) + _space(rng) + "^" + _space(rng)
+                + sign + str(abs(tree[2])))
+    return _render_base(rng, tree)
+
+
+def _render_term(rng, tree):
+    if tree[0] == "prod":
+        glue = _space(rng) + "*" + _space(rng)
+        return glue.join(_render_factor(rng, t) for t in tree[1])
+    return _render_factor(rng, tree)
+
+
+def _render_expr(rng, tree):
+    if tree[0] != "sum":
+        return _render_term(rng, tree)
+    out = ""
+    for i, (negated, term) in enumerate(tree[1]):
+        if i:
+            out += _space(rng) + ("-" if negated else "+") + _space(rng)
+        elif negated:
+            out += "-" + _space(rng)
+        out += _render_term(rng, term)
+    return out
+
+
+def _oracle(tree, field, nvars):
+    kind = tree[0]
+    if kind == "var":
+        return MultiPoly.variable(field, nvars, tree[1])
+    if kind == "int":
+        return MultiPoly.constant(field, nvars, tree[1])
+    if kind == "frac":
+        return MultiPoly.constant(field, nvars, field(tree[1]) * field(tree[2]).inv())
+    if kind == "sum":
+        total = MultiPoly.zero(field, nvars)
+        for negated, term in tree[1]:
+            value = _oracle(term, field, nvars)
+            total = total - value if negated else total + value
+        return total
+    if kind == "prod":
+        product = MultiPoly.constant(field, nvars, 1)
+        for factor in tree[1]:
+            product = product * _oracle(factor, field, nvars)
+        return product
+    return _oracle(tree[1], field, nvars) ** tree[2]
+
+
+@pytest.mark.parametrize("field", [Q, F7, Field.prime(10007)], ids=str)
+def test_parser_matches_multipoly_oracle(field):
+    rng = Random(f"parser-oracle-{field}")
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        tree = ("sum", [(rng.random() < 0.4, _random_tree(rng, nvars, 3))
+                        for _ in range(rng.randint(1, 4))])
+        text = _render_expr(rng, tree)
+        expected = _oracle(tree, field, nvars)
+        parsed = parse_poly(text, field, nvars)
+        assert parsed == expected, text
+        kind = Fraction if field == Q else int
+        assert all(type(c.value) is kind for c in parsed.terms.values()), text
+        if field.is_prime_field:
+            assert all(0 < c.value < field.modulus for c in parsed.terms.values()), text
+
+
+@pytest.mark.parametrize("text, error, detail", [
+    ("x + 3/0*y", ParseError, 6),
+    ("1/ 0", ParseError, 2),
+    ("0^-1", ParseError, 3),
+    ("(x - x)^-2", ParseError, 9),
+    ("(x + 1)^-1", ParseError, 9),
+    ("y*(x + y)^ -3", ParseError, 12),
+    ("x^2147483648", ParseError, 2),
+    ("x^- 99999999999", ParseError, 3),
+    ("x^-2147483648", ParseError, 3),
+    ("x^2000000000*x^2000000000", OverflowError, 4000000000),
+    ("x^-2000000000*y*x^-2000000000", OverflowError, -4000000000),
+    ("(x + y^1500000000)^2", OverflowError, 3000000000),
+    ("(x^-3)^-1000000000", OverflowError, 3000000000),
+    # the first square of y^5 out of range, 5 * 2^29, as repeated squaring meets it
+    ("(x*y^5)^900000000", OverflowError, 2684354560),
+])
+@pytest.mark.parametrize("field", [Q, F7, Field.prime(10007)], ids=str)
+def test_error_parity(field, text, error, detail):
+    with pytest.raises(error) as err:
+        parse_poly(text, field, 2)
+    if error is ParseError:
+        assert err.value.position == detail
+    else:
+        assert str(err.value) == f"exponent {detail} exceeds signed 32-bit range"
+
+
+# 7/14 fails over F_7: the raw denominator is inverted, not that of 1/2
+@pytest.mark.parametrize("text, field", [
+    ("x + 1/7", F7), ("7/14*y", F7), ("2/10007*x", Field.prime(10007))])
+def test_denominator_vanishing_mod_p(text, field):
+    with pytest.raises(ZeroDivisionError, match="inversion of zero field element"):
+        parse_poly(text, field, 2)
+
+
+def test_zero_literal_power_over_prime_field():
+    with pytest.raises(ParseError, match="non-monomial") as err:
+        parse_poly("7^-1", F7, 1)
+    assert err.value.position == 3
+    assert parse_poly("7^-1", Field.prime(10007), 1) == parse_poly("7148", Field.prime(10007), 1)

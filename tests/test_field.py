@@ -125,3 +125,28 @@ def test_pow_negative_exponent():
     assert Q(2) ** -2 == Q("1/4")
     with pytest.raises(ZeroDivisionError):
         F7(0) ** -1
+
+
+def _outcome(thunk):
+    try:
+        element = thunk()
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err), str(err)
+    return element.field, type(element.value), element.value
+
+
+DECODED_STRINGS = [
+    "0", "-0", "12", "-12", "007", "-007", "10007", "-10008", "1" * 40, "-" + "9" * 40,
+    "9" * 4301,
+    "+5", " 5", "5 ", "\t-3\n", "1_000", "-1_0", "_1", "1/2", "-3/6", "4/2", "2/0", "1/7",
+    "14/7", "٣", "-٣", "１２", "²", "", "-", "--1", "1e3", "1.5",
+    "- 1", "0x10", "1 2", "−5",
+]
+
+
+@pytest.mark.parametrize("field", [Q, F7, Field.prime(10007)])
+def test_string_decoding_matches_fraction(field):
+    # plain integers skip Fraction; the value, its type and every error must not change
+    for text in DECODED_STRINGS:
+        expected = _outcome(lambda: field(Fraction(text)))
+        assert _outcome(lambda: field(text)) == expected, text

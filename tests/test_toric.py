@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from gridres import (Field, MultiPoly, NewtonSystem, SeparableSystem,
-                     ToricForm, coefficient_via_grid, default_samples,
+                     SimpleZeros, ToricForm, coefficient_via_grid, default_samples,
                      is_unfolded, parse_poly, residue_sum_over_zeros,
                      solve_vertex_coefficients, vertex_residue, vertex_split,
                      weighted_vertex_combination)
@@ -136,6 +136,27 @@ def test_residue_sum_singular_jacobian():
     form = ToricForm(parse_poly("x", Q, 1), system)
     with pytest.raises(ValueError, match="singular"):
         residue_sum_over_zeros(form, [(Q(1),)])
+
+
+def test_simple_zeros_checked_once_and_tied_to_their_system():
+    sep, system, points = separable_system(Q, [[1, 2], [1, 3]])
+    zeros = SimpleZeros(system, points)
+    samples = default_samples(system)
+    assert (solve_vertex_coefficients(system, zeros, samples)
+            == solve_vertex_coefficients(system, points, samples))
+    checked = zeros.weighted
+    f = parse_poly("x*y - 2", Q, 2)
+    assert residue_sum_over_zeros(ToricForm(f, system), zeros) \
+        == coefficient_via_grid(f, sep.grid())
+    assert zeros.weighted is checked
+
+    other = NewtonSystem(sep.polys_multivariate())
+    with pytest.raises(ValueError, match="another system"):
+        residue_sum_over_zeros(ToricForm(f, other), zeros)
+    # nothing is checked until a residue sum needs the zeros
+    bad = SimpleZeros(system, [(Q(1), Q(1)), (Q(1), Q(1))])
+    with pytest.raises(ValueError, match="repeated zero"):
+        residue_sum_over_zeros(ToricForm(f, system), bad)
 
 
 def test_solve_vertex_coefficients_worked():
