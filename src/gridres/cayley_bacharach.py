@@ -141,10 +141,7 @@ def min_cover_size(points: Sequence, excluded, field: Field,
     Planar instances only; candidates are restricted to lines through two
     or more points plus singleton lines, which preserves the minimum.
     """
-    proj_points = []
-    for pt in points:
-        x, y = pt
-        proj_points.append(ProjPoint.affine(field, x, y))
+    proj_points = [ProjPoint.affine(field, x, y) for x, y in points]
     ex, ey = excluded
     size, _ = min_line_cover(proj_points, ProjPoint.affine(field, ex, ey),
                              field, budget=budget)

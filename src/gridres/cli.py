@@ -9,7 +9,8 @@ positional choice, so the options may stand before or after it.
 Documents carry a "field" object ({"kind": "prime-field", "modulus": "7"}
 or {"kind": "rationals"}) plus subcommand-specific sections; numbers are
 decimal strings ("a/b" for rationals) to avoid integer-width ambiguity.
-List sections (system, samples, zeros, values, target) must be JSON lists.
+List sections (system, samples, zeros, values, target) must be JSON lists,
+and so must each zero and each value record's point.
 Polynomials are parsed on raw ints/Fractions (see gridres.expr); field
 elements appear only in the parsed terms.
 Reports are JSON on stdout; --summary adds human-readable lines on
@@ -52,6 +53,12 @@ def _require_list(doc: dict, key: str, kind: str) -> list:
     if not isinstance(raw, list):
         raise InputError(f'"{key}" must be a list ({kind})')
     return raw
+
+
+def _decode_coords(field: Field, raw, what: str) -> tuple:
+    if not isinstance(raw, list):
+        raise InputError(f"{what} must be a list of coordinates, got {raw!r}")
+    return tuple(field(str(v)) for v in raw)
 
 
 def _decode_field(doc: dict) -> Field:
@@ -141,12 +148,6 @@ def _line_out(line: ProjLine) -> list[str]:
     return [str(c) for c in line.coords]
 
 
-def _field_out(field: Field) -> dict:
-    if field.is_prime_field:
-        return {"kind": field.kind, "modulus": str(field.modulus)}
-    return {"kind": field.kind}
-
-
 # -- handlers ----------------------------------------------------------------
 
 def _cmd_coeff(doc, args):
@@ -211,14 +212,13 @@ def _cmd_cb_forced(doc, args):
     field = _decode_field(doc)
     system = cb.SeparableSystem(field, _decode_grids(field, doc))
     relation = cb.cb_coefficients(system)
-    target_raw = _require_list(doc, "target", "grid point")
-    target = tuple(field(str(v)) for v in target_raw)
+    target = _decode_coords(field, _require(doc, "target", "grid point"), '"target"')
     raw_values = _require_list(doc, "values", "list of {point, value} records")
     values = {}
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
             raise InputError("each value record needs point and value")
-        values[tuple(field(str(v)) for v in rec["point"])] = field(str(rec["value"]))
+        values[_decode_coords(field, rec["point"], "a value point")] = field(str(rec["value"]))
     forced = cb.forced_value(values, relation, target)
     result = {"target": _point_out(target), "forced_value": str(forced)}
     return result, 0, f"value at {_point_out(target)} forced to {forced}"
@@ -319,7 +319,7 @@ def _cmd_toric_verify(doc, args):
         raw_system = _require_list(doc, "system", "list of expression strings")
         system = toric.NewtonSystem([_decode_poly(field, names, g) for g in raw_system])
         zeros_raw = _require_list(doc, "zeros", "list of points")
-        zeros = [tuple(field(str(c)) for c in z) for z in zeros_raw]
+        zeros = [_decode_coords(field, z, "a zero") for z in zeros_raw]
         grid = None
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
     flag, witness = toric.is_unfolded(system)

@@ -5,10 +5,13 @@ points (not through the forbidden point, never the infinity line) plus
 one singleton line per point; any minimal cover can be rewritten inside
 this family, so the search space stays finite over the rationals.  The
 search is branch and bound on the uncovered point with fewest candidates,
-tie-broken canonically, with a configurable node budget.
+tie-broken by index, with a configurable node budget.  A candidate
+through an uncovered point always covers that point, so each point's
+branch count is fixed for the whole search and the points are ranked once.
 
 `lines_through_pairs` is the one source of candidate lines: the green
-cover search in `lines` draws its candidates from it as well.
+cover search in `lines` draws its candidates from it as well.  A trace
+is the union of its pairs, so no incidence test is needed to find it.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ def _singleton_line(field: Field, point: ProjPoint, excluded: ProjPoint) -> Proj
 
 def lines_through_pairs(points: Sequence[ProjPoint]) -> dict:
     """Map each line through two or more of the points -> frozenset of the
-    indices of the points on it; each distinct line's trace is computed once."""
-    traces: dict[ProjLine, frozenset] = {}
+    indices of the points on it.  A trace is the union of its pairs, since
+    each point on such a line pairs with another one on it."""
+    traces: dict[ProjLine, set] = {}
     for i, j in combinations(range(len(points)), 2):
-        line = line_through(points[i], points[j])
-        if line not in traces:
-            traces[line] = frozenset(k for k, p in enumerate(points) if line.contains(p))
-    return traces
+        traces.setdefault(line_through(points[i], points[j]), set()).update((i, j))
+    return {line: frozenset(trace) for line, trace in traces.items()}
 
 
 def candidate_traces(points: Sequence[ProjPoint], excluded: ProjPoint,
@@ -59,7 +61,11 @@ def candidate_traces(points: Sequence[ProjPoint], excluded: ProjPoint,
 
 def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
                    field: Field, budget: int | None = None):
-    """(size, lines) of a minimum cover of the points avoiding excluded."""
+    """(size, lines) of a minimum cover of the points avoiding excluded.
+
+    Branches on the uncovered point with the fewest candidates, then the
+    lowest index.  A candidate through an uncovered point contains it, so
+    that count is fixed for the whole search and is ranked once."""
     points = list(points)
     if len(set(points)) != len(points):
         raise ValueError("cover points must be distinct")
@@ -71,6 +77,7 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
     # deterministic candidate order: big traces first, then by line
     order = sorted(traces, key=lambda t: (-len(t), sorted(t)))
     containing = {i: [t for t in order if i in t] for i in range(len(points))}
+    by_rank = sorted(containing, key=lambda i: (len(containing[i]), i))
     max_trace = max(len(t) for t in order)
     all_idx = frozenset(range(len(points)))
 
@@ -91,8 +98,7 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
         # lower bound: each remaining line covers at most max_trace points
         if len(chosen) + (len(uncovered) + max_trace - 1) // max_trace >= best_size:
             return
-        pick = min(uncovered,
-                   key=lambda i: (sum(1 for t in containing[i] if t & uncovered), i))
+        pick = next(i for i in by_rank if i in uncovered)
         for t in containing[pick]:
             search(uncovered - t, chosen + [t])
 

@@ -90,7 +90,8 @@ class _Parser:
         self.peek()
         text, start = self.text, self.pos
         pos = start
-        while pos < len(text) and text[pos].isdigit():
+        # ASCII digits only: str.isdigit also accepts digits such as '²' and '١'
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise ParseError("expected an integer", start)
@@ -217,7 +218,7 @@ class _Parser:
             self.expect(")")
             return poly
         p = self.p
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             value = self._integer()
             if self.peek() == "/":
                 self.pos += 1
@@ -247,7 +248,7 @@ class _Parser:
 
     def _aliased(self, name: str):
         # z1..zn always work; x, y, z address low arities unambiguously
-        if name.startswith("z") and name[1:].isdigit():
+        if name.startswith("z") and name[1:].isascii() and name[1:].isdigit():
             k = int(name[1:])
             if 1 <= k <= self.nvars:
                 return k - 1

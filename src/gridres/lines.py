@@ -73,10 +73,9 @@ def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> Gri
 
 def concurrency_point(lines: Iterable[ProjLine]):
     """Common projective point of all the lines, or None."""
-    lines = list(lines)
-    if len(set(lines)) < 2:
-        raise ValueError("concurrency needs at least two distinct lines")
     lines = list(dict.fromkeys(lines))
+    if len(lines) < 2:
+        raise ValueError("concurrency needs at least two distinct lines")
     candidate = meet(lines[0], lines[1])
     if all(l.contains(candidate) for l in lines[2:]):
         return candidate
@@ -159,12 +158,11 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
     candidates = sorted(((line, trace) for line, trace in traces.items()
                          if len(trace) == n and line not in forbidden),
                         key=lambda c: c[0].sort_key())
-    containing: dict[int, list] = {i: [] for i in range(len(points))}
-    for line, trace in candidates:
-        for i in trace:
-            containing[i].append((line, trace))
+    containing = {i: [c for c in candidates if i in c[1]] for i in range(len(points))}
 
-    solutions: set = set()
+    # the branches at a node take distinct lines through the pick point and
+    # an exact cover holds exactly one of them, so each cover is found once
+    solutions: list = []
     nodes = 0
 
     def search(uncovered: frozenset, chosen: tuple):
@@ -173,9 +171,7 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
         if budget is not None and nodes > budget:
             raise BudgetExceededError(budget)
         if not uncovered:
-            solutions.add(frozenset(chosen))
-            return
-        if len(chosen) == n:
+            solutions.append(chosen)
             return
         pick = min(uncovered,
                    key=lambda i: (sum(1 for _, t in containing[i] if t <= uncovered), i))

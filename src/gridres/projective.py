@@ -34,9 +34,6 @@ class _Homogeneous:
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self.coords == other.coords
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.coords))
 
@@ -58,11 +55,6 @@ class ProjPoint(_Homogeneous):
 
     def is_infinite(self) -> bool:
         return self.coords[2].is_zero()
-
-    def affine_xy(self) -> tuple:
-        if self.is_infinite():
-            raise ValueError(f"{self} lies on the infinity line")
-        return (self.coords[0], self.coords[1])
 
     def __repr__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"

@@ -118,3 +118,23 @@ def facet_normals_by_enumeration(vertices):
         if min(values) == level:
             normals.add(tuple(-c for c in w))
     return sorted(normals)
+
+
+def _det3(u, v, w):
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def collinear(p, q, r) -> bool:
+    """Whether three projective points lie on one line (their determinant
+    vanishes)."""
+    return _det3(p.coords, q.coords, r.coords).is_zero()
+
+
+def traces_by_incidence_scan(points):
+    """Oracle: for each line through two of the points, the frozenset of
+    the indices of all points on it, found by scanning every point for
+    every pair.  Returns the set of distinct traces."""
+    return {frozenset(k for k, r in enumerate(points) if collinear(points[i], points[j], r))
+            for i, j in combinations(range(len(points)), 2)}

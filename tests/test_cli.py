@@ -119,6 +119,17 @@ def test_cover_bound_budget(capsys, tmp_path):
     assert "budget" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("budget, exit_code", [("80", 0), ("79", 3)])
+def test_cover_bound_budget_pins_node_count(capsys, tmp_path, budget, exit_code):
+    code, report, _ = run(capsys, tmp_path, "cover-bound", {
+        "field": RATIONALS, "grid": [["0", "1", "2"], ["0", "1", "2"]],
+        "excluded": ["0", "0"],
+    }, "--budget", budget)
+    assert code == exit_code
+    if exit_code == 0:
+        assert report["result"] == {"min_cover": 4, "bound": 4, "meets_bound": True}
+
+
 def test_hyper_verify(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "hyper-verify", {
         "field": {"kind": "prime-field", "modulus": "5"},
@@ -367,6 +378,23 @@ def test_non_list_section_is_input_error(capsys, tmp_path, subcommand, doc, key)
     assert code == 2
     assert report["error"]["type"] == "InputError"
     assert f'"{key}" must be a list' in report["error"]["message"]
+
+
+@pytest.mark.parametrize("subcommand, doc, what", [
+    ("toric-verify", {"field": RATIONALS, "vars": ["x", "y"], "system": ["x - 1", "y - 2"],
+                      "zeros": ["12"], "poly": "x*y"}, "a zero"),
+    ("cb-forced", {"field": RATIONALS, "grids": [["0", "1"], ["0", "1"]],
+                   "target": ["1", "1"],
+                   "values": [{"point": "00", "value": "1"},
+                              {"point": ["0", "1"], "value": "1"},
+                              {"point": ["1", "0"], "value": "1"}]}, "a value point"),
+])
+def test_string_point_is_input_error(capsys, tmp_path, subcommand, doc, what):
+    # a string is not read character by character as coordinates
+    code, report, _ = run(capsys, tmp_path, subcommand, doc)
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+    assert f"{what} must be a list" in report["error"]["message"]
 
 
 def test_toric_verify_checks_each_zero_once(capsys, tmp_path, monkeypatch):

@@ -269,6 +269,12 @@ def test_parser_matches_multipoly_oracle(field):
     ("(x^-3)^-1000000000", OverflowError, 3000000000),
     # the first square of y^5 out of range, 5 * 2^29, as repeated squaring meets it
     ("(x*y^5)^900000000", OverflowError, 2684354560),
+    # digits are ASCII 0-9 only
+    ("x^\u00b2", ParseError, 2),
+    ("\u00b2", ParseError, 0),
+    ("1/\u00b2", ParseError, 2),
+    ("x + z\u00b2", ParseError, 4),
+    ("z\u0661*x", ParseError, 0),
 ])
 @pytest.mark.parametrize("field", [Q, F7, Field.prime(10007)], ids=str)
 def test_error_parity(field, text, error, detail):
@@ -278,6 +284,12 @@ def test_error_parity(field, text, error, detail):
         assert err.value.position == detail
     else:
         assert str(err.value) == f"exponent {detail} exceeds signed 32-bit range"
+
+
+@pytest.mark.parametrize("text", ["z\u00b2", "z\u0661"])
+def test_non_ascii_digits_are_not_aliases(text):
+    with pytest.raises(ParseError, match=re.escape(f"unknown variable {text!r}")):
+        parse_poly(text, Q, 2)
 
 
 # 7/14 fails over F_7: the raw denominator is inverted, not that of 1/2
