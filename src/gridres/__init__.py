@@ -1,9 +1,8 @@
 """Exact engine for grid coefficient formulas, value dependences on full
 intersections, support-polytope residues, and finite-plane line covers."""
 
-from .cayley_bacharach import (CBRelation, HypersurfaceSystem,
-                               HypersurfaceVerdict, SeparableSystem,
-                               cb_coefficients, forced_value, min_cover_size,
+from .cayley_bacharach import (HypersurfaceSystem, HypersurfaceVerdict,
+                               SeparableSystem, forced_value, min_cover_size,
                                verify_cb, verify_hypersurface_theorem)
 from .errors import BudgetExceededError, CounterexampleError
 from .expr import ParseError, parse_poly, poly_to_string

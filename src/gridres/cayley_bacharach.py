@@ -4,49 +4,49 @@ When n hypersurfaces of degrees k_1..k_n meet in exactly k_1*...*k_n
 points, the values of any polynomial of total degree at most
 sum(k_i) - n - 1 on those points satisfy one linear dependence with all
 coefficients nonzero.  For separable systems (each g_i univariate in its
-own variable) the coefficients are products of reciprocal derivative
-values and everything is computed in closed form; the general statement
-over F_p is checked by exhaustive enumeration.
+own variable) the zeros form a grid and the Jacobian is diagonal, so the
+coefficient at x is alpha_x = prod_i w_i(x_i) with one weight
+w_i = 1/g_i'(x_i) per axis (nullstellensatz.grid_weights).  The
+dependence is never stored point by point: the residual is the factorized
+grid sum and a forced value multiplies the per-axis weights on raw
+values.  The general statement over F_p is checked by exhaustive
+enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .cover import min_line_cover
 from .errors import CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .multipoly import MultiPoly, vanishing_poly_from_nodes
-from .nullstellensatz import (GridSystem, _grid_point_tables, _term_sum,
-                              _weighted_grid_sum, grid_weights)
+from .nullstellensatz import (GridSystem, _grid_point_tables, _require_compatible,
+                              _require_polynomial, _term_sum, _weighted_grid_sum,
+                              grid_weights)
 from .projective import ProjPoint
 
 
-class SeparableSystem:
-    """System g_1(z_1), ..., g_n(z_n) with all roots rational and distinct."""
+class SeparableSystem(GridSystem):
+    """System g_1(z_1), ..., g_n(z_n) with all roots rational and distinct.
 
-    __slots__ = ("field", "nodes", "sizes", "polys")
+    g_i is the monic polynomial vanishing on node set A_i, so the common
+    zeros are exactly the grid points.
+    """
+
+    __slots__ = ("polys",)
 
     def __init__(self, field: Field, node_sets: Sequence[Iterable]):
-        grid = GridSystem(field, node_sets)
-        self.field = field
-        self.nodes = grid.nodes
-        self.sizes = grid.sizes
+        super().__init__(field, node_sets)
         self.polys = tuple(vanishing_poly_from_nodes(ns) for ns in self.nodes)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.nodes)
 
     @property
     def degree_bound(self) -> int:
         """Largest total degree whose values the dependence annihilates."""
         return sum(self.sizes) - self.nvars - 1
-
-    def grid(self) -> GridSystem:
-        return GridSystem(self.field, self.nodes)
 
     def polys_multivariate(self) -> tuple:
         """g_i lifted into the full n-variable ring, g_i depending on z_i."""
@@ -61,77 +61,59 @@ class SeparableSystem:
         return tuple(out)
 
 
-class CBRelation:
-    """The dependence: coefficients alpha_x, one per grid point, all nonzero."""
-
-    __slots__ = ("field", "nodes", "sizes", "points", "coefficients")
-
-    def __init__(self, field: Field, nodes, points, coefficients):
-        self.field = field
-        self.nodes = nodes
-        self.sizes = tuple(len(ns) for ns in nodes)
-        self.points = points
-        self.coefficients = coefficients
-
-    @property
-    def nvars(self) -> int:
-        return len(self.nodes)
-
-
-def cb_coefficients(system: SeparableSystem) -> CBRelation:
-    """Dependence coefficients alpha_x = prod_i 1/g_i'(x_i), all nonzero."""
-    weights = [grid_weights(ns) for ns in system.nodes]
-    points = tuple(product(*system.nodes))
-    coeffs = {}
-    for pt in points:
-        acc = system.field.one
-        for i, x in enumerate(pt):
-            acc = acc * weights[i][x]
-        coeffs[pt] = acc
-    return CBRelation(system.field, system.nodes, points, coeffs)
-
-
-def verify_cb(f: MultiPoly, system: SeparableSystem | CBRelation) -> FieldElement:
+def verify_cb(f: MultiPoly, system: SeparableSystem) -> FieldElement:
     """Residual sum alpha_x * f(x) over the grid, reported unconditionally.
 
-    Only the node sets are read, so the per-point relation need not be
-    built.  The dependence guarantees a zero residual whenever
-    total_degree(f) is at most SeparableSystem.degree_bound.
+    The dependence guarantees a zero residual whenever total_degree(f) is
+    at most system.degree_bound.
     """
-    if f.field != system.field:
-        raise FieldMismatchError(f"polynomial over {f.field}, system over {system.field}")
-    if f.nvars != system.nvars:
-        raise ValueError(f"arity mismatch: polynomial {f.nvars}, system {system.nvars}")
-    if f.is_laurent():
-        raise ValueError("dependence applies to polynomials (nonnegative exponents)")
+    _require_compatible(f, system)
+    _require_polynomial(f)
     return _weighted_grid_sum(f, system.nodes)
 
 
-def forced_value(values: Mapping[tuple, object], relation: CBRelation,
+def forced_value(values: Mapping[tuple, object], system: SeparableSystem,
                  target: tuple) -> FieldElement:
-    """Value at target forced by values on every other grid point.
+    """Value at target forced by values on every other grid point, each once.
 
     For any polynomial within the degree bound the dependence pins its
-    last value; in particular all-zero inputs force zero.
+    last value: v_t = -(sum over x != t of alpha_x v_x) / alpha_t, summed
+    on raw ints/Fractions with alpha_x taken from one raw weight map per
+    axis, then reduced and inverted once.  All-zero inputs force zero.
     """
-    field = relation.field
-    target = tuple(field(x) for x in target)
-    if target not in relation.coefficients:
+    field = system.field
+
+    def raw(pt) -> tuple:
+        return tuple(field(x).value for x in pt)
+
+    axes = [{a.value: w.value for a, w in grid_weights(ns).items()} for ns in system.nodes]
+
+    def on_grid(pt) -> bool:
+        return len(pt) == len(axes) and all(x in w for x, w in zip(pt, axes))
+
+    target = raw(target)
+    if not on_grid(target):
         raise ValueError(f"target {tuple(map(str, target))} is not a grid point")
-    given = {tuple(field(x) for x in pt): field(v) for pt, v in values.items()}
-    expected = set(relation.points) - {target}
-    missing = expected - set(given)
-    extra = set(given) - expected
-    if missing:
+    given = {}
+    for pt, v in values.items():
+        pt = raw(pt)
+        if pt in given:
+            raise ValueError(f"point {tuple(map(str, pt))} is given twice")
+        given[pt] = field(v).value
+    extra = [pt for pt in given if pt == target or not on_grid(pt)]
+    if len(given) - len(extra) < prod(system.sizes) - 1:
+        missing = [pt for pt in product(*(sorted(w) for w in axes))
+                   if pt != target and pt not in given]
         raise ValueError(f"values missing for {len(missing)} grid points, "
-                         f"e.g. {tuple(map(str, sorted(missing)[0]))}")
+                         f"e.g. {tuple(map(str, missing[0]))}")
     if extra:
         raise ValueError(f"unexpected points in values, "
-                         f"e.g. {tuple(map(str, sorted(extra)[0]))}")
-    acc = field.zero
-    for pt, v in given.items():
-        acc = acc + relation.coefficients[pt] * v
-    return -relation.coefficients[target].inv() * acc
+                         f"e.g. {tuple(map(str, min(extra)))}")
+
+    def alpha(pt):
+        return prod(w[x] for x, w in zip(pt, axes))
+    acc = sum(v * alpha(pt) for pt, v in given.items())
+    return -field(acc) * field(alpha(target)).inv()
 
 
 def min_cover_size(points: Sequence, excluded, field: Field,

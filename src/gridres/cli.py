@@ -10,7 +10,9 @@ Documents carry a "field" object ({"kind": "prime-field", "modulus": "7"}
 or {"kind": "rationals"}) plus subcommand-specific sections; numbers are
 decimal strings ("a/b" for rationals) to avoid integer-width ambiguity.
 List sections (system, samples, zeros, values, target) must be JSON lists,
-and so must each zero and each value record's point.
+and so must each zero and each value record's point; a repeated value
+point is invalid input.  Separable grids decode to one SeparableSystem,
+which is itself the GridSystem the sums run over.
 Polynomials are parsed on raw ints/Fractions (see gridres.expr); field
 elements appear only in the parsed terms.
 Reports are JSON on stdout; --summary adds human-readable lines on
@@ -211,15 +213,17 @@ def _cmd_cb_verify(doc, args):
 def _cmd_cb_forced(doc, args):
     field = _decode_field(doc)
     system = cb.SeparableSystem(field, _decode_grids(field, doc))
-    relation = cb.cb_coefficients(system)
     target = _decode_coords(field, _require(doc, "target", "grid point"), '"target"')
     raw_values = _require_list(doc, "values", "list of {point, value} records")
     values = {}
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
             raise InputError("each value record needs point and value")
-        values[_decode_coords(field, rec["point"], "a value point")] = field(str(rec["value"]))
-    forced = cb.forced_value(values, relation, target)
+        point = _decode_coords(field, rec["point"], "a value point")
+        if point in values:
+            raise InputError(f"value point {_point_out(point)} is given twice")
+        values[point] = field(str(rec["value"]))
+    forced = cb.forced_value(values, system, target)
     result = {"target": _point_out(target), "forced_value": str(forced)}
     return result, 0, f"value at {_point_out(target)} forced to {forced}"
 
@@ -310,9 +314,8 @@ def _cmd_toric_verify(doc, args):
                     f"node set {i} contains 0; translate the grid so the "
                     "zeros lie in the torus")
         names = _decode_names(doc, default_arity=len(nodes))
-        separable = cb.SeparableSystem(field, nodes)
-        system = toric.NewtonSystem(separable.polys_multivariate())
-        grid = separable.grid()
+        grid = cb.SeparableSystem(field, nodes)
+        system = toric.NewtonSystem(grid.polys_multivariate())
         zeros = list(grid.points())
     else:
         names = _decode_names(doc)

@@ -90,7 +90,7 @@ class Field:
     def __call__(self, value) -> "FieldElement":
         """Coerce an int, Fraction, decimal/'a/b' string, or element."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"element of {value.field} used in {self}")
             return value
         if isinstance(value, str):
@@ -156,7 +156,7 @@ class FieldElement:
 
     def _check(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"mixed fields: {self.field} and {other.field}")
             return other
@@ -239,7 +239,8 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
+            return ((self.field is other.field or self.field == other.field)
+                    and self.value == other.value)
         if isinstance(other, (int, Fraction)):
             return self == self.field(other)
         return NotImplemented

@@ -85,13 +85,14 @@ def concurrency_point(lines: Iterable[ProjLine]):
 class LineConfiguration:
     """Red, blue, green families; lines within each family are distinct."""
 
-    __slots__ = ("field", "red", "blue", "green")
+    __slots__ = ("field", "red", "blue", "green", "_validation")
 
     def __init__(self, field: Field, red, blue, green):
         self.field = field
         self.red = tuple(red)
         self.blue = tuple(blue)
         self.green = tuple(green)
+        self._validation = None
         for name, family in (("red", self.red), ("blue", self.blue),
                              ("green", self.green)):
             if len(set(family)) != len(family):
@@ -107,7 +108,12 @@ class LineConfiguration:
 
 def validate_green_cover(config: LineConfiguration):
     """(ok, diagnostics): every grid point on a green line, greens distinct
-    from reds and blues.  Diagnostics partition the grid by covering line."""
+    from reds and blues.  Diagnostics partition the grid by covering line.
+    The families never change, so the result is computed once per
+    configuration and shared by later calls; do not modify it.
+    """
+    if config._validation is not None:
+        return config._validation
     grid = grid_intersections(config.red, config.blue)
     diagnostics: dict = {"grid_size": len(grid)}
     clashes = sorted(set(config.green) & (set(config.red) | set(config.blue)))
@@ -124,7 +130,8 @@ def validate_green_cover(config: LineConfiguration):
     diagnostics["points_per_green"] = tuple(counts)
     ok = not clashes and not uncovered and \
         len(config.green) == len(config.red) == len(config.blue)
-    return ok, diagnostics
+    config._validation = ok, diagnostics
+    return config._validation
 
 
 def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],

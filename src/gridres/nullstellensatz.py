@@ -62,7 +62,7 @@ class GridSystem:
 
     def __repr__(self) -> str:
         sets = ", ".join("{" + ", ".join(map(str, ns)) + "}" for ns in self.nodes)
-        return f"GridSystem({self.field!r}, [{sets}])"
+        return f"{type(self).__name__}({self.field!r}, [{sets}])"
 
 
 def grid_weights(nodes: Sequence[FieldElement]) -> dict:

@@ -5,7 +5,7 @@ from itertools import combinations, product
 from math import gcd
 from random import Random
 
-from gridres import Field, MultiPoly, grid_weights
+from gridres import Field, MultiPoly, grid_weights, vanishing_poly_from_nodes
 
 
 def random_element(rng: Random, field: Field, nonzero: bool = False):
@@ -87,6 +87,22 @@ def pointwise_grid_sum(f: MultiPoly, nodes):
             w = w * wi[xi]
         total = total + f.evaluate(x) * w
     return total
+
+
+def pointwise_alpha(nodes) -> dict:
+    """Oracle: {grid point x: alpha_x = prod_i 1/phi_i'(x_i)}.
+
+    phi_i' is the derivative of the vanishing polynomial of A_i, evaluated
+    at each node; grid_weights is not used.
+    """
+    derivs = [vanishing_poly_from_nodes(ns).partial_derivative(0) for ns in nodes]
+    out = {}
+    for x in product(*nodes):
+        d = x[0].field.one
+        for g, xi in zip(derivs, x):
+            d = d * g.evaluate((xi,))
+        out[x] = d.inv()
+    return out
 
 
 def facet_normals_by_enumeration(vertices):

@@ -11,7 +11,7 @@ from random import Random
 
 from gridres import (Field, GridSystem, HypersurfaceSystem, MultiPoly,
                      NewtonSystem, SeparableSystem, ToricForm,
-                     cb_coefficients, check_classical_degree,
+                     check_classical_degree,
                      check_relaxed_support, coefficient_via_grid,
                      default_samples, forced_value, grid_intersections,
                      is_unfolded, min_cover_size, normalize_biconcurrent,
@@ -94,19 +94,18 @@ def test_criterion_3_value_dependence():
             sizes = [rng.randint(2, 4) for _ in range(n)]
             bound = sum(sizes) - n - 1
             system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
-            relation = cb_coefficients(system)
             f = random_bounded_poly(rng, field, n, bound)
-            assert verify_cb(f, relation).is_zero()
+            assert verify_cb(f, system).is_zero()
         grid3 = SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]])
-        relation3 = cb_coefficients(grid3)
-        assert verify_cb(parse_poly("x^3*y^3", Q, 2), relation3) == Q(9)
+        assert verify_cb(parse_poly("x^3*y^3", Q, 2), grid3) == Q(9)
         for field in (Q, F7):
             for sizes in ((2, 2), (3, 2), (3, 3), (2, 2, 2)):
                 nodes = [random_nodes(rng, field, k) for k in sizes]
-                relation = cb_coefficients(SeparableSystem(field, nodes))
-                target = relation.points[-1]
-                zeros = {pt: field.zero for pt in relation.points if pt != target}
-                assert forced_value(zeros, relation, target).is_zero()
+                system = SeparableSystem(field, nodes)
+                points = list(system.points())
+                target = points[-1]
+                zeros = {pt: field.zero for pt in points if pt != target}
+                assert forced_value(zeros, system, target).is_zero()
 
 
 def test_criterion_4_cover_bound():
@@ -192,7 +191,7 @@ def test_criterion_6_toric_three_way_agreement():
                 field, [random_nodes(rng, field, k, avoid_zero=True) for k in sizes])
             system = NewtonSystem(sep.polys_multivariate())
             zeros = list(product(*sep.nodes))
-            f = random_relaxed_poly(rng, field, sep.grid().target_exponent)
+            f = random_relaxed_poly(rng, field, sep.target_exponent)
             if f.is_zero():
                 continue
             samples = default_samples(system)
@@ -201,7 +200,7 @@ def test_criterion_6_toric_three_way_agreement():
             assert all(isinstance(k, int) for k in weights.values.values())
             form = ToricForm(f, system)
             lhs = residue_sum_over_zeros(form, zeros)
-            direct = coefficient_via_grid(f, sep.grid())
+            direct = coefficient_via_grid(f, sep)
             combo = weighted_vertex_combination(form, weights)
             assert lhs == direct == combo
             for sample in samples:

@@ -1,28 +1,41 @@
 from itertools import product
+from math import prod
 from random import Random
 
 import pytest
 
-from gridres import (Field, HypersurfaceSystem, MultiPoly,
-                     SeparableSystem, cb_coefficients, forced_value,
+from gridres import (Field, GridSystem, HypersurfaceSystem, MultiPoly,
+                     SeparableSystem, forced_value, grid_weights,
                      min_cover_size, parse_poly, verify_cb,
                      verify_hypersurface_theorem)
 
-from helpers import (pointwise_grid_sum, random_bounded_poly, random_element,
-                     random_nodes, random_poly)
+from helpers import (pointwise_alpha, pointwise_grid_sum, random_bounded_poly,
+                     random_element, random_nodes, random_poly)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
 F7 = Field.prime(7)
 
 
+def alpha_from_weights(nodes, x):
+    weights = [grid_weights(ns) for ns in nodes]
+    out = x[0].field.one
+    for w, xi in zip(weights, x):
+        out = out * w[xi]
+    return out
+
+
 def test_cb_coefficients_examples():
-    rel = cb_coefficients(SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]]))
-    assert rel.coefficients[(Q(1), Q(1))] == Q(1)
-    assert rel.coefficients[(Q(0), Q(0))] == Q("1/4")
-    rel1 = cb_coefficients(SeparableSystem(Q, [[0, 1]]))
-    assert rel1.coefficients[(Q(0),)] == Q(-1)
-    assert rel1.coefficients[(Q(1),)] == Q(1)
+    nodes = SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]]).nodes
+    alpha = pointwise_alpha(nodes)
+    for x, expected in (((Q(1), Q(1)), Q(1)), ((Q(0), Q(0)), Q("1/4"))):
+        assert alpha[x] == expected
+        assert alpha_from_weights(nodes, x) == expected
+    nodes1 = SeparableSystem(Q, [[0, 1]]).nodes
+    alpha1 = pointwise_alpha(nodes1)
+    for x, expected in (((Q(0),), Q(-1)), ((Q(1),), Q(1))):
+        assert alpha1[x] == expected
+        assert alpha_from_weights(nodes1, x) == expected
     with pytest.raises(ValueError, match="duplicate"):
         SeparableSystem(Q, [[0, 0, 1]])
 
@@ -33,17 +46,37 @@ def test_all_coefficients_nonzero():
         for _ in range(10):
             n = rng.randint(1, 3)
             sizes = [rng.randint(1, 4) for _ in range(n)]
-            rel = cb_coefficients(SeparableSystem(
-                field, [random_nodes(rng, field, k) for k in sizes]))
-            assert all(not c.is_zero() for c in rel.coefficients.values())
-            assert len(rel.points) == len(rel.coefficients)
+            system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+            alpha = pointwise_alpha(system.nodes)
+            assert len(alpha) == prod(sizes)
+            for x, a in alpha.items():
+                assert not a.is_zero()
+                assert a == alpha_from_weights(system.nodes, x)
+
+
+def test_separable_system_is_a_grid():
+    system = SeparableSystem(F7, [[3, 1], [2]])
+    assert isinstance(system, GridSystem)
+    assert system.nodes == ((F7(1), F7(3)), (F7(2),))
+    assert system.sizes == (2, 1) and system.nvars == 2
+    assert system.target_exponent == (1, 0) and system.degree_bound == 0
+    assert list(system.points()) == [(F7(1), F7(2)), (F7(3), F7(2))]
+    assert [str(g) for g in system.polys] == [str(parse_poly("x^2 + 3*x + 3", F7, 1)),
+                                              str(parse_poly("x + 5", F7, 1))]
+    assert repr(system) == "SeparableSystem(F_7, [{1, 3}, {2}])"
+    with pytest.raises(AttributeError):
+        system.extra = 1
 
 
 def test_verify_cb_examples():
-    rel = cb_coefficients(SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]]))
-    assert verify_cb(parse_poly("x + y", Q, 2), rel) == Q(0)
-    assert verify_cb(parse_poly("x^3*y^3", Q, 2), rel) == Q(9)
-    assert verify_cb(parse_poly("1", Q, 2), rel) == Q(0)
+    system = SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]])
+    assert verify_cb(parse_poly("x + y", Q, 2), system) == Q(0)
+    assert verify_cb(parse_poly("x^3*y^3", Q, 2), system) == Q(9)
+    assert verify_cb(parse_poly("1", Q, 2), system) == Q(0)
+    with pytest.raises(ValueError, match="arity"):
+        verify_cb(parse_poly("x", Q, 1), system)
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_cb(parse_poly("x^-1", Q, 2), system)
 
 
 def test_verify_cb_randomized_zero_residual():
@@ -55,10 +88,9 @@ def test_verify_cb_randomized_zero_residual():
             bound = sum(sizes) - n - 1
             if bound < 0:
                 continue
-            rel = cb_coefficients(SeparableSystem(
-                field, [random_nodes(rng, field, k) for k in sizes]))
+            system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
             f = random_bounded_poly(rng, field, n, bound)
-            assert verify_cb(f, rel).is_zero()
+            assert verify_cb(f, system).is_zero()
 
 
 
@@ -73,15 +105,15 @@ def test_verify_cb_matches_pointwise_oracle(field):
         sizes = [rng.randint(1, 5) for _ in range(n)]
         if case % 3 == 0:
             sizes[rng.randrange(n)] = 1
-        rel = cb_coefficients(SeparableSystem(
-            field, [random_nodes(rng, field, k) for k in sizes]))
+        system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
         f = random_poly(rng, field, n, 6, 8)
-        residual = verify_cb(f, rel)
-        assert residual == pointwise_grid_sum(f, rel.nodes)
+        residual = verify_cb(f, system)
+        assert residual == pointwise_grid_sum(f, system.nodes)
         nonzero += not residual.is_zero()
     assert nonzero >= 20
 
 def test_verify_cb_from_system_matches_relation():
+    # the residual is sum alpha_x f(x) with alpha from the derivative oracle
     rng = Random(12)
     for field in (Q, F7):
         for _ in range(10):
@@ -90,56 +122,88 @@ def test_verify_cb_from_system_matches_relation():
             system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
             assert system.degree_bound == sum(sizes) - n - 1
             f = random_poly(rng, field, n, 5, 6)
-            assert verify_cb(f, system) == verify_cb(f, cb_coefficients(system))
+            expected = sum((a * f.evaluate(x) for x, a in pointwise_alpha(system.nodes).items()),
+                           field.zero)
+            assert verify_cb(f, system) == expected
 
 
 def test_forced_value_examples():
-    rel = cb_coefficients(SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]]))
+    system = SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]])
     target = (Q(2), Q(2))
-    zeros = {pt: Q(0) for pt in rel.points if pt != target}
-    assert forced_value(zeros, rel, target) == Q(0)
+    zeros = {pt: Q(0) for pt in system.points() if pt != target}
+    assert forced_value(zeros, system, target) == Q(0)
     f = parse_poly("x + y", Q, 2)
-    values = {pt: f.evaluate(pt) for pt in rel.points if pt != target}
-    assert forced_value(values, rel, target) == Q(4)
+    values = {pt: f.evaluate(pt) for pt in system.points() if pt != target}
+    assert forced_value(values, system, target) == Q(4)
 
-    rel1 = cb_coefficients(SeparableSystem(Q, [[0, 1]]))
-    assert forced_value({(Q(0),): Q(5)}, rel1, (Q(1),)) == Q(5)
+    system1 = SeparableSystem(Q, [[0, 1]])
+    assert forced_value({(Q(0),): Q(5)}, system1, (Q(1),)) == Q(5)
+    # raw coordinates and values are coerced into the field
+    assert forced_value({(0,): 5}, system1, (1,)) == Q(5)
 
 
 def test_forced_value_validation():
-    rel = cb_coefficients(SeparableSystem(Q, [[0, 1], [0, 1]]))
+    system = SeparableSystem(Q, [[0, 1], [0, 1]])
     target = (Q(1), Q(1))
-    with pytest.raises(ValueError, match="missing"):
-        forced_value({(Q(0), Q(0)): Q(0)}, rel, target)
-    bad = {pt: Q(0) for pt in rel.points}
-    with pytest.raises(ValueError, match="unexpected"):
-        forced_value(bad, rel, target)
+    with pytest.raises(ValueError, match=r"values missing for 2 grid points, e\.g\. \('0', '1'\)"):
+        forced_value({(Q(0), Q(0)): Q(0)}, system, target)
+    bad = {pt: Q(0) for pt in system.points()}
+    with pytest.raises(ValueError, match=r"unexpected points in values, e\.g\. \('1', '1'\)"):
+        forced_value(bad, system, target)
+    off = {pt: Q(0) for pt in system.points() if pt != target}
+    off[(Q(5), Q(0))] = Q(1)
+    off[(Q(0),)] = Q(1)
+    with pytest.raises(ValueError, match=r"unexpected points in values, e\.g\. \('0',\)"):
+        forced_value(off, system, target)
     with pytest.raises(ValueError, match="not a grid point"):
-        forced_value({}, rel, (Q(9), Q(9)))
+        forced_value({}, system, (Q(9), Q(9)))
+    with pytest.raises(ValueError, match="not a grid point"):
+        forced_value({}, system, (Q(1),))
+    # 9 and 2 are the same point of F_7
+    system7 = SeparableSystem(F7, [[0, 2]])
+    with pytest.raises(ValueError, match=r"point \('2',\) is given twice"):
+        forced_value({(2,): 1, (9,): 1}, system7, (0,))
 
 
 def test_forced_value_consistency_randomized():
     rng = Random(47)
     for _ in range(20):
         sizes = [rng.randint(2, 4), rng.randint(2, 4)]
-        rel = cb_coefficients(SeparableSystem(
-            Q, [random_nodes(rng, Q, k) for k in sizes]))
+        system = SeparableSystem(Q, [random_nodes(rng, Q, k) for k in sizes])
+        points = list(system.points())
         bound = sum(sizes) - 2 - 1
         f = random_bounded_poly(rng, Q, 2, bound)
-        target = rel.points[rng.randrange(len(rel.points))]
-        values = {pt: f.evaluate(pt) for pt in rel.points if pt != target}
-        assert forced_value(values, rel, target) == f.evaluate(target)
+        target = points[rng.randrange(len(points))]
+        values = {pt: f.evaluate(pt) for pt in points if pt != target}
+        assert forced_value(values, system, target) == f.evaluate(target)
+
+
+@pytest.mark.parametrize("field", [Q, F7, Field.prime(101)])
+def test_forced_value_matches_pointwise_oracle(field):
+    # unconstrained values: the forced value is -sum alpha_x v_x / alpha_t
+    rng = Random(7 * (field.modulus or 1) + 5)
+    for case in range(30):
+        n = rng.randint(1, 4)
+        sizes = [rng.randint(1, 4) for _ in range(n)]
+        if case % 3 == 0:
+            sizes[rng.randrange(n)] = 1
+        system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+        alpha = pointwise_alpha(system.nodes)
+        target = rng.choice(list(alpha))
+        values = {x: random_element(rng, field) for x in alpha if x != target}
+        expected = -sum((alpha[x] * v for x, v in values.items()), field.zero) / alpha[target]
+        assert forced_value(values, system, target) == expected
 
 
 def test_forced_value_linearity():
-    rel = cb_coefficients(SeparableSystem(Q, [[0, 1, 2], [0, 1]]))
+    system = SeparableSystem(Q, [[0, 1, 2], [0, 1]])
     target = (Q(2), Q(1))
     rng = Random(3)
-    base = {pt: random_element(rng, Q) for pt in rel.points if pt != target}
-    other = {pt: random_element(rng, Q) for pt in rel.points if pt != target}
+    base = {pt: random_element(rng, Q) for pt in system.points() if pt != target}
+    other = {pt: random_element(rng, Q) for pt in system.points() if pt != target}
     combined = {pt: base[pt] + other[pt] for pt in base}
-    assert (forced_value(combined, rel, target)
-            == forced_value(base, rel, target) + forced_value(other, rel, target))
+    assert (forced_value(combined, system, target)
+            == forced_value(base, system, target) + forced_value(other, system, target))
 
 
 def test_min_cover_size_examples():

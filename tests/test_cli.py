@@ -76,12 +76,7 @@ def test_cb_verify(capsys, tmp_path):
     assert report["result"]["within_bound"] is False
 
 
-def test_cb_verify_builds_no_relation(capsys, tmp_path, monkeypatch):
-    from gridres import cli
-
-    def refuse(system):
-        raise AssertionError("per-point relation built")
-    monkeypatch.setattr(cli.cb, "cb_coefficients", refuse)
+def test_cb_verify_builds_no_relation(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "cb-verify", {
         "field": F7, "vars": ["x", "y", "z"], "poly": "x^2*y*z + 3*y^2",
         "grids": [["1", "2", "3"], ["0", "4"], ["2", "5", "6"]]})
@@ -99,6 +94,20 @@ def test_cb_forced(capsys, tmp_path):
     })
     assert code == 0
     assert report["result"]["forced_value"] == "0"
+
+
+def test_cb_forced_repeated_point(capsys, tmp_path):
+    # a conflicting second record for (0, 0) must not replace the first
+    values = [{"point": ["0", "0"], "value": "0"}, {"point": ["0", "0"], "value": "5"},
+              {"point": ["0", "1"], "value": "0"}, {"point": ["1", "0"], "value": "0"}]
+    code, report, _ = run(capsys, tmp_path, "cb-forced", {
+        "field": RATIONALS, "grids": [["0", "1"], ["0", "1"]],
+        "target": ["1", "1"], "values": values,
+    })
+    assert code == 2
+    assert "result" not in report
+    assert report["error"] == {"type": "InputError",
+                               "message": "value point ['0', '0'] is given twice"}
 
 
 def test_cover_bound(capsys, tmp_path):
@@ -268,6 +277,27 @@ def test_lines_check(capsys, tmp_path):
     assert code == 0
     assert report["result"]["valid_cover"] is True
     assert report["result"]["product_dependence"] == ["1", "1", "1"]
+
+
+def test_lines_check_validates_once(capsys, tmp_path, monkeypatch):
+    from gridres import lines
+
+    calls = []
+    original = lines.grid_intersections
+
+    def counting(red, blue):
+        calls.append(1)
+        return original(red, blue)
+    monkeypatch.setattr(lines, "grid_intersections", counting)
+    code, report, _ = run(capsys, tmp_path, "lines-check", {
+        "field": F7,
+        "red": [["0", "1", "-1"], ["0", "1", "-2"], ["0", "1", "-4"]],
+        "blue": [["1", "-1", "0"], ["1", "-2", "0"], ["1", "-4", "0"]],
+        "green": [["1", "0", "-1"], ["1", "0", "-2"], ["1", "0", "-4"]],
+    })
+    assert code == 0
+    assert report["result"]["greens_concurrent_at"] == ["0", "1", "0"]
+    assert len(calls) == 1
 
 
 def test_lines_classify(capsys, tmp_path):

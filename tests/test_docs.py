@@ -1,0 +1,30 @@
+"""The README's export table names only what its modules define."""
+
+import importlib
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+ROW = re.compile(r"^\| `(gridres\.\w+)` \| (.+) \|$")
+
+
+def export_rows():
+    rows = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        match = ROW.match(line)
+        if match:
+            rows.append((match.group(1), re.findall(r"`(\w+)`", match.group(2))))
+    return rows
+
+
+def test_export_table_names_exist():
+    rows = export_rows()
+    assert len(rows) >= 7
+    for module_name, names in rows:
+        module = importlib.import_module(module_name)
+        assert names, module_name
+        for name in names:
+            assert hasattr(module, name), f"{module_name} has no {name}"
+            obj = getattr(module, name)
+            if hasattr(obj, "__module__"):
+                assert obj.__module__ == module_name, f"{name} is defined in {obj.__module__}"
