@@ -5,7 +5,7 @@ from .cayley_bacharach import (HypersurfaceSystem, HypersurfaceVerdict,
                                SeparableSystem, forced_value, min_cover_size,
                                verify_cb, verify_hypersurface_theorem)
 from .errors import BudgetExceededError, CounterexampleError
-from .expr import ParseError, parse_poly, poly_to_string
+from .expr import ParseError, parse_poly
 from .field import Field, FieldElement, FieldMismatchError, batch_inverse, is_prime
 from .lines import (GridPoints, LineConfiguration, NormalizationReport,
                     check_problem1_bound, concurrency_point, grid_intersections,
@@ -19,9 +19,8 @@ from .nullstellensatz import (GridSystem, check_classical_degree,
 from .polytope import LatticePolytope
 from .projective import ProjLine, ProjPoint, line_through, meet
 from .toric import (NewtonSystem, SimpleZeros, ToricForm, VertexCoefficients,
-                    VertexSplit, default_samples, face_in_direction, is_unfolded,
-                    minkowski_sum, newton_polytope, residue_sum_over_zeros,
-                    solve_vertex_coefficients, vertex_residue, vertex_split,
-                    weighted_vertex_combination)
+                    VertexSplit, default_samples, is_unfolded, newton_polytope,
+                    residue_sum_over_zeros, solve_vertex_coefficients,
+                    vertex_residue, vertex_split, weighted_vertex_combination)
 
 __version__ = "0.1.0"

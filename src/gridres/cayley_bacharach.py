@@ -7,10 +7,10 @@ coefficients nonzero.  For separable systems (each g_i univariate in its
 own variable) the zeros form a grid and the Jacobian is diagonal, so the
 coefficient at x is alpha_x = prod_i w_i(x_i) with one weight
 w_i = 1/g_i'(x_i) per axis (nullstellensatz.grid_weights).  The
-dependence is never stored point by point: the residual is the factorized
-grid sum and a forced value multiplies the per-axis weights on raw
-values.  The general statement over F_p is checked by exhaustive
-enumeration.
+dependence is never stored point by point, and the g_i themselves are
+never built for it: the residual is the factorized grid sum and a forced
+value multiplies the per-axis weights on raw values.  The general
+statement over F_p is checked by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cover import min_line_cover
 from .errors import CounterexampleError
@@ -37,11 +37,13 @@ class SeparableSystem(GridSystem):
     zeros are exactly the grid points.
     """
 
-    __slots__ = ("polys",)
+    __slots__ = ()
 
-    def __init__(self, field: Field, node_sets: Sequence[Iterable]):
-        super().__init__(field, node_sets)
-        self.polys = tuple(vanishing_poly_from_nodes(ns) for ns in self.nodes)
+    @property
+    def polys(self) -> tuple:
+        """The univariate g_i, built from the nodes on each read; the
+        dependence itself needs only the per-axis weights."""
+        return tuple(vanishing_poly_from_nodes(ns) for ns in self.nodes)
 
     @property
     def degree_bound(self) -> int:
@@ -192,7 +194,8 @@ class HypersurfaceSystem:
 
 @dataclass(frozen=True)
 class HypersurfaceVerdict:
-    """Outcome of checking the nonvanishing statement on one system."""
+    """Outcome of checking the nonvanishing statement on one system; the
+    witness is set exactly when the statement applies."""
 
     solutions: tuple
     expected_count: int
@@ -200,7 +203,6 @@ class HypersurfaceVerdict:
     degree_ok: bool
     target_exponent: tuple
     target_coefficient: FieldElement
-    applicable: bool
     witness: tuple | None
     witness_value: FieldElement | None
 
@@ -228,10 +230,9 @@ def verify_hypersurface_theorem(system: HypersurfaceSystem,
     degree_ok = f.total_degree() <= sum(system.degrees) - system.nvars
     target = tuple(k - 1 for k in system.degrees)
     coeff = f.coefficient(target)
-    applicable = hypothesis_ok and degree_ok and not coeff.is_zero()
     witness = None
     value = None
-    if applicable:
+    if hypothesis_ok and degree_ok and not coeff.is_zero():
         for pt in sols:
             v = f.evaluate(pt)
             if not v.is_zero():
@@ -244,4 +245,4 @@ def verify_hypersurface_theorem(system: HypersurfaceSystem,
     return HypersurfaceVerdict(
         solutions=sols, expected_count=expected, hypothesis_ok=hypothesis_ok,
         degree_ok=degree_ok, target_exponent=target, target_coefficient=coeff,
-        applicable=applicable, witness=witness, witness_value=value)
+        witness=witness, witness_value=value)

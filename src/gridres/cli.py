@@ -57,10 +57,14 @@ def _require_list(doc: dict, key: str, kind: str) -> list:
     return raw
 
 
-def _decode_coords(field: Field, raw, what: str) -> tuple:
-    if not isinstance(raw, list):
-        raise InputError(f"{what} must be a list of coordinates, got {raw!r}")
-    return tuple(field(str(v)) for v in raw)
+def _decode_coords(field: Field, raw, error: str,
+                   lengths: tuple[int, ...] | None = None) -> tuple:
+    """The scalars of a JSON list.  Anything else, or a list whose length
+    is not in lengths, raises error formatted with {raw}."""
+    if not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths):
+        raise InputError(error.format(raw=raw))
+    # a list, not a generator: one generator per cb-forced record raised peak RSS
+    return tuple([field(str(v)) for v in raw])
 
 
 def _decode_field(doc: dict) -> Field:
@@ -101,32 +105,38 @@ def _decode_poly(field: Field, names, text) -> MultiPoly:
     return parse_poly(text, field, names)
 
 
-def _decode_grids(field: Field, doc: dict, key: str = "grids") -> list[list]:
+def _decode_system(field: Field, names, doc: dict) -> list[MultiPoly]:
+    raw = _require_list(doc, "system", "list of expression strings")
+    return [_decode_poly(field, names, g) for g in raw]
+
+
+def _decode_grids(field: Field, doc: dict, key: str = "grids") -> list[tuple]:
     raw = _require(doc, key, "list of node lists")
+    error = f'"{key}" must be a list of node lists'
     if not isinstance(raw, list) or not raw or not all(isinstance(g, list) for g in raw):
-        raise InputError(f'"{key}" must be a list of node lists')
-    return [[field(str(v)) for v in g] for g in raw]
-
-
-def _decode_line(field: Field, raw) -> ProjLine:
-    if not isinstance(raw, list) or len(raw) != 3:
-        raise InputError(f"a line is a coefficient triple [a, b, c], got {raw!r}")
-    return ProjLine(field, tuple(field(str(v)) for v in raw))
+        raise InputError(error)
+    return [_decode_coords(field, g, error) for g in raw]
 
 
 def _decode_lines(field: Field, doc: dict, key: str) -> list[ProjLine]:
     raw = _require(doc, key, "list of coefficient triples")
     if not isinstance(raw, list) or not raw:
         raise InputError(f'"{key}" must be a nonempty list of lines')
-    return [_decode_line(field, l) for l in raw]
+    return [ProjLine(field, _decode_coords(
+        field, l, "a line is a coefficient triple [a, b, c], got {raw!r}", (3,)))
+        for l in raw]
+
+
+def _decode_config(field: Field, doc: dict) -> ln.LineConfiguration:
+    return ln.LineConfiguration(field, *(_decode_lines(field, doc, key)
+                                         for key in ("red", "blue", "green")))
 
 
 def _decode_point(field: Field, raw) -> ProjPoint:
-    if isinstance(raw, list) and len(raw) == 2:
-        return ProjPoint.affine(field, field(str(raw[0])), field(str(raw[1])))
-    if isinstance(raw, list) and len(raw) == 3:
-        return ProjPoint(field, tuple(field(str(v)) for v in raw))
-    raise InputError(f"a point is [x, y] or [x, y, z], got {raw!r}")
+    coords = _decode_coords(field, raw, "a point is [x, y] or [x, y, z], got {raw!r}", (2, 3))
+    if len(coords) == 2:
+        return ProjPoint.affine(field, *coords)
+    return ProjPoint(field, coords)
 
 
 def _budget(doc: dict, args) -> int | None:
@@ -213,16 +223,18 @@ def _cmd_cb_verify(doc, args):
 def _cmd_cb_forced(doc, args):
     field = _decode_field(doc)
     system = cb.SeparableSystem(field, _decode_grids(field, doc))
-    target = _decode_coords(field, _require(doc, "target", "grid point"), '"target"')
+    target = _decode_coords(field, _require(doc, "target", "grid point"),
+                            '"target" must be a list of coordinates, got {raw!r}')
     raw_values = _require_list(doc, "values", "list of {point, value} records")
     values = {}
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
             raise InputError("each value record needs point and value")
-        point = _decode_coords(field, rec["point"], "a value point")
+        point = _decode_coords(field, rec["point"],
+                               "a value point must be a list of coordinates, got {raw!r}")
         if point in values:
             raise InputError(f"value point {_point_out(point)} is given twice")
-        values[point] = field(str(rec["value"]))
+        (values[point],) = _decode_coords(field, [rec["value"]], "a value is a scalar")
     forced = cb.forced_value(values, system, target)
     result = {"target": _point_out(target), "forced_value": str(forced)}
     return result, 0, f"value at {_point_out(target)} forced to {forced}"
@@ -233,10 +245,8 @@ def _cmd_cover_bound(doc, args):
     grids = _decode_grids(field, doc, key="grid")
     if len(grids) != 2:
         raise InputError("cover-bound handles planar grids (two node lists)")
-    excluded_raw = _require(doc, "excluded", "affine point [x, y]")
-    if not isinstance(excluded_raw, list) or len(excluded_raw) != 2:
-        raise InputError("excluded must be an affine point [x, y]")
-    excluded = (field(str(excluded_raw[0])), field(str(excluded_raw[1])))
+    excluded = _decode_coords(field, _require(doc, "excluded", "affine point [x, y]"),
+                              "excluded must be an affine point [x, y]", (2,))
     if excluded[0] not in grids[0] or excluded[1] not in grids[1]:
         raise InputError("excluded point is not a grid point")
     points = [(a, b) for a in grids[0] for b in grids[1]
@@ -252,9 +262,7 @@ def _cmd_cover_bound(doc, args):
 def _cmd_hyper_verify(doc, args):
     field = _decode_field(doc)
     names = _decode_names(doc)
-    raw_system = _require_list(doc, "system", "list of expression strings")
-    polys = [_decode_poly(field, names, g) for g in raw_system]
-    system = cb.HypersurfaceSystem(field, polys)
+    system = cb.HypersurfaceSystem(field, _decode_system(field, names, doc))
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
     verdict = cb.verify_hypersurface_theorem(system, f)
     result = {
@@ -294,8 +302,7 @@ def _cmd_newton(doc, args):
 def _cmd_unfolded(doc, args):
     field = _decode_field(doc)
     names = _decode_names(doc)
-    raw_system = _require_list(doc, "system", "list of expression strings")
-    system = toric.NewtonSystem([_decode_poly(field, names, g) for g in raw_system])
+    system = toric.NewtonSystem(_decode_system(field, names, doc))
     flag, witness = toric.is_unfolded(system)
     result = {"unfolded": flag,
               "witness_direction": list(witness) if witness else None}
@@ -319,10 +326,9 @@ def _cmd_toric_verify(doc, args):
         zeros = list(grid.points())
     else:
         names = _decode_names(doc)
-        raw_system = _require_list(doc, "system", "list of expression strings")
-        system = toric.NewtonSystem([_decode_poly(field, names, g) for g in raw_system])
-        zeros_raw = _require_list(doc, "zeros", "list of points")
-        zeros = [_decode_coords(field, z, "a zero") for z in zeros_raw]
+        system = toric.NewtonSystem(_decode_system(field, names, doc))
+        zeros = [_decode_coords(field, z, "a zero must be a list of coordinates, got {raw!r}")
+                 for z in _require_list(doc, "zeros", "list of points")]
         grid = None
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
     flag, witness = toric.is_unfolded(system)
@@ -374,11 +380,7 @@ def _cmd_lines_search(doc, args):
 
 def _cmd_lines_check(doc, args):
     field = _decode_field(doc)
-    config = ln.LineConfiguration(
-        field,
-        _decode_lines(field, doc, "red"),
-        _decode_lines(field, doc, "blue"),
-        _decode_lines(field, doc, "green"))
+    config = _decode_config(field, doc)
     ok, diagnostics = ln.validate_green_cover(config)
     result = {
         "valid_cover": ok,
@@ -400,11 +402,7 @@ def _cmd_lines_check(doc, args):
 
 def _cmd_lines_classify(doc, args):
     field = _decode_field(doc)
-    config = ln.LineConfiguration(
-        field,
-        _decode_lines(field, doc, "red"),
-        _decode_lines(field, doc, "blue"),
-        _decode_lines(field, doc, "green"))
+    config = _decode_config(field, doc)
     normalized, report = ln.normalize_biconcurrent(config)
     result = {
         "u_set": [str(u) for u in report.u_set],

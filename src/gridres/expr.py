@@ -31,9 +31,9 @@ from typing import Sequence
 
 from .field import Field, FieldElement
 from .multipoly import (MAX_EXPONENT, MIN_EXPONENT, MultiPoly, default_names,
-                        format_poly, monomial_product)
+                        monomial_product)
 
-__all__ = ["ParseError", "parse_poly", "poly_to_string", "default_names"]
+__all__ = ["ParseError", "parse_poly", "default_names"]
 
 
 class ParseError(ValueError):
@@ -268,8 +268,3 @@ def parse_poly(text: str, field: Field, names) -> MultiPoly:
     if isinstance(names, int):
         names = default_names(names)
     return _Parser(text, field, names).parse()
-
-
-def poly_to_string(f: MultiPoly, names: Sequence[str] | None = None) -> str:
-    """Canonical text form; reparsing yields an equal polynomial."""
-    return format_poly(f, names)

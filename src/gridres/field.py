@@ -134,9 +134,6 @@ class Field:
         return (isinstance(other, Field)
                 and self.kind == other.kind and self.modulus == other.modulus)
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return hash((self.kind, self.modulus))
 
@@ -244,10 +241,6 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return self == self.field(other)
         return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         return hash((self.field, self.value))

@@ -23,17 +23,15 @@ from .projective import (ProjLine, ProjPoint, affine_candidate_points,
 
 
 class GridPoints:
-    """All red-blue intersection points, each tagged with its parent pair."""
+    """The sorted intersection points of a red-blue grid."""
 
-    __slots__ = ("field", "entries", "points")
+    __slots__ = ("points",)
 
-    def __init__(self, field: Field, entries):
-        self.field = field
-        self.entries = tuple(entries)  # (point, red_index, blue_index)
-        self.points = tuple(sorted((e[0] for e in self.entries)))
+    def __init__(self, points):
+        self.points = tuple(sorted(points))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.points)
 
     def __iter__(self):
         return iter(self.points)
@@ -48,7 +46,6 @@ def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> Gri
     red, blue = list(red), list(blue)
     if not red or not blue:
         raise ValueError("both families must be nonempty")
-    field = red[0].field
     if len(set(red)) != len(red):
         raise ValueError("repeated red line")
     if len(set(blue)) != len(blue):
@@ -57,7 +54,6 @@ def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> Gri
     if shared:
         raise ValueError(f"line {sorted(shared)[0]} is both red and blue")
     seen: dict[ProjPoint, tuple] = {}
-    entries = []
     for i, r in enumerate(red):
         for j, b in enumerate(blue):
             p = meet(r, b)
@@ -67,8 +63,7 @@ def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> Gri
                     f"intersections coincide at {p}: red {pi} x blue {pj} "
                     f"and red {i} x blue {j} (grid is not transversal)")
             seen[p] = (i, j)
-            entries.append((p, i, j))
-    return GridPoints(field, entries)
+    return GridPoints(seen)
 
 
 def concurrency_point(lines: Iterable[ProjLine]):
@@ -266,27 +261,15 @@ def verify_product_dependence(config: LineConfiguration):
 
 
 def _multiplicative_subgroup(field: Field, n: int) -> list[FieldElement]:
-    """The unique order-n subgroup of F_p^*; requires n | p - 1."""
+    """The order-n subgroup of F_p^*, the (p-1)/n-th powers; requires n | p - 1."""
     p = field.modulus
     if (p - 1) % n != 0:
         raise ValueError(f"{n} does not divide {p} - 1")
-    exponent = (p - 1) // n
-    for a in range(2, p):
-        b = pow(a, exponent, p)
-        order = 1
-        acc = b
-        while acc != 1:
-            acc = acc * b % p
-            order += 1
-        if order == n:
-            out = []
-            acc = 1
-            for _ in range(n):
-                out.append(field(acc))
-                acc = acc * b % p
-            return sorted(out)
-    if n == 1:
-        return [field.one]
+    step = (p - 1) // n
+    for a in range(1, p):
+        powers = {pow(a, k * step, p) for k in range(n)}
+        if len(powers) == n:
+            return [field(x) for x in sorted(powers)]
     raise ValueError(f"no subgroup of order {n} found")  # unreachable for prime p
 
 

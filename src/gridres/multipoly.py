@@ -178,10 +178,6 @@ class MultiPoly:
         return (self.field == other.field and self.nvars == other.nvars
                 and self.terms == other.terms)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:

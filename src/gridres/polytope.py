@@ -329,9 +329,6 @@ class LatticePolytope:
         face = tuple(v for v, s in zip(self.vertices, scores) if s == top)
         return LatticePolytope(self.dim, face, face)
 
-    def support_value(self, direction: Sequence[int]) -> int:
-        return max(sum(a * b for a, b in zip(direction, v)) for v in self.vertices)
-
     def translate(self, offset: Sequence[int]) -> "LatticePolytope":
         off = tuple(int(c) for c in offset)
         move = lambda p: tuple(a + b for a, b in zip(p, off))
@@ -388,9 +385,6 @@ class LatticePolytope:
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticePolytope)
                 and self.dim == other.dim and self.vertices == other.vertices)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash((self.dim, self.vertices))

@@ -40,7 +40,7 @@ class _Homogeneous:
     def __lt__(self, other) -> bool:
         if type(self) is not type(other):
             raise TypeError("cannot order different projective carriers")
-        return tuple(c.value for c in self.coords) < tuple(c.value for c in other.coords)
+        return self.sort_key() < other.sort_key()
 
     def sort_key(self):
         return tuple(c.value for c in self.coords)

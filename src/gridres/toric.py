@@ -28,14 +28,6 @@ def newton_polytope(f: MultiPoly) -> LatticePolytope:
     return LatticePolytope.from_points(f.terms.keys())
 
 
-def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
-    return p.minkowski_sum(q)
-
-
-def face_in_direction(p: LatticePolytope, direction: Sequence[int]) -> LatticePolytope:
-    return p.face_in_direction(direction)
-
-
 class NewtonSystem:
     """n Laurent polynomials in n variables with their support polytopes."""
 
@@ -343,7 +335,6 @@ class VertexCoefficients:
     unconstrained: tuple
     rank: int
     anomalies: tuple
-    sign: int
 
 
 def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
@@ -406,8 +397,7 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
             if k == 0 and v in zero_side and total.vertex_facet_count(v) == n:
                 anomalies.append(v)
     return VertexCoefficients(values=values, unconstrained=unconstrained,
-                              rank=solution.rank, anomalies=tuple(anomalies),
-                              sign=-1 if n % 2 else 1)
+                              rank=solution.rank, anomalies=tuple(anomalies))
 
 
 def default_samples(system: NewtonSystem) -> list[MultiPoly]:

@@ -446,3 +446,27 @@ def test_toric_verify_checks_each_zero_once(capsys, tmp_path, monkeypatch):
         "grids": [["1", "2", "3"], ["1", "2"]]})
     assert code == 0 and report["result"]["agree"] is True
     assert len(calls) == 6
+
+
+def test_vanishing_polys_built_only_for_toric_grid_route(capsys, tmp_path, monkeypatch):
+    # the dependence needs one weight per node, never the g_i
+    from gridres import cayley_bacharach as cb
+    calls, original = [], cb.vanishing_poly_from_nodes
+
+    def counted(nodes):
+        calls.append(1)
+        return original(nodes)
+    monkeypatch.setattr(cb, "vanishing_poly_from_nodes", counted)
+    grids = [["1", "2", "3"], ["1", "2"]]
+    values = [{"point": [a, b], "value": "0"} for a in grids[0] for b in grids[1]
+              if [a, b] != ["3", "2"]]
+    for subcommand, doc, built in [
+            ("cb-verify", {"field": RATIONALS, "vars": ["x", "y"], "poly": "x + y",
+                           "grids": grids}, 0),
+            ("cb-forced", {"field": RATIONALS, "grids": grids, "target": ["3", "2"],
+                           "values": values}, 0),
+            ("toric-verify", {"field": RATIONALS, "vars": ["x", "y"], "poly": "x*y",
+                              "grids": grids}, len(grids))]:
+        calls.clear()
+        code, _, _ = run(capsys, tmp_path, subcommand, doc)
+        assert code == 0 and len(calls) == built, subcommand

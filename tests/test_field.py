@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from gridres import Field, FieldMismatchError, batch_inverse, is_prime
+from gridres import (Field, FieldMismatchError, LatticePolytope, MultiPoly,
+                     batch_inverse, is_prime, parse_poly)
 
 from helpers import random_element
 
@@ -22,6 +23,23 @@ def test_rational_ops():
     assert Q("1/2") + Q("1/3") == Q("5/6")
     assert Q(Fraction(-3, 5)).inv() == Q("-5/3")
     assert Q(2) * Q("1/2") == Q.one
+
+
+def test_not_equal_is_the_negated_equality():
+    F5 = Field.prime(5)
+    assert not (F7 != Field.prime(7))
+    assert F7 != F5 and F7 != Q
+    assert not (Q(1) != Q(1)) and not (Q(1) != 1) and not (1 != Q(1))
+    assert Q(1) != Q(2) and Q(1) != 2 and F7(1) != F5(1)
+    f = parse_poly("x + 1", Q, 1)
+    assert not (f != parse_poly("1 + x", Q, 1)) and f != parse_poly("x", Q, 1)
+    assert not (MultiPoly.constant(Q, 1, 1) != 1) and MultiPoly.constant(Q, 1, 1) != 2
+    assert parse_poly("x", F7, 1) != parse_poly("x", F5, 1)
+    box = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert not (box != LatticePolytope.from_points([(1, 1), (0, 0), (0, 1), (1, 0)]))
+    assert box != LatticePolytope.from_points([(0, 0), (1, 1)])
+    for value in (F7, F7(1), f, box):
+        assert value != "x" and value != None  # noqa: E711
 
 
 def test_inverse():

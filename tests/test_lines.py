@@ -8,7 +8,9 @@ from gridres import (Field, FieldMismatchError, LineConfiguration, ProjLine,
                      grid_intersections, normalize_biconcurrent, parse_poly,
                      product_form, roots_of_unity_config, search_green_covers,
                      validate_green_cover, verify_product_dependence)
+from gridres.field import is_prime
 from gridres.linalg import determinant
+from gridres.lines import _multiplicative_subgroup
 from gridres.projective import all_lines, all_points, infinity_line, pencil
 
 Q = Field.rationals()
@@ -213,6 +215,18 @@ def test_roots_of_unity_config():
     # all three families are concurrent
     for family in (cfg.red, cfg.blue, cfg.green):
         assert concurrency_point(family) is not None
+
+
+def test_multiplicative_subgroup_matches_oracle():
+    for p in filter(is_prime, range(2, 42)):
+        field = Field.prime(p)
+        for n in range(1, p):
+            if (p - 1) % n:
+                with pytest.raises(ValueError, match="does not divide"):
+                    _multiplicative_subgroup(field, n)
+            else:
+                oracle = [x for x in field.elements() if x ** n == field.one]
+                assert _multiplicative_subgroup(field, n) == oracle, (p, n)
 
 
 def random_projective_map(field, rng):

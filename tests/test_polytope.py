@@ -5,7 +5,7 @@ import pytest
 from gridres import Field, LatticePolytope, parse_poly
 from gridres.polytope import (point_in_hull, solve_nonnegative,
                               strict_support_direction)
-from gridres.toric import face_in_direction, minkowski_sum, newton_polytope
+from gridres.toric import newton_polytope
 
 from helpers import facet_normals_by_enumeration
 
@@ -61,20 +61,20 @@ def test_minkowski_commutative_associative():
         ps = [poly([(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)])
               for _ in range(3)]
         a, b, c = ps
-        assert minkowski_sum(a, b) == minkowski_sum(b, a)
-        assert minkowski_sum(minkowski_sum(a, b), c) == minkowski_sum(a, minkowski_sum(b, c))
+        assert a.minkowski_sum(b) == b.minkowski_sum(a)
+        assert a.minkowski_sum(b).minkowski_sum(c) == a.minkowski_sum(b.minkowski_sum(c))
 
 
 def test_face_in_direction_examples():
     box = poly([(0, 0), (2, 0), (0, 1), (2, 1)])
-    top = face_in_direction(box, (0, 1))
+    top = box.face_in_direction((0, 1))
     assert top.vertices == ((0, 1), (2, 1))
-    corner = face_in_direction(box, (1, 1))
+    corner = box.face_in_direction((1, 1))
     assert corner.vertices == ((2, 1),)
     diag = poly([(0, 0), (2, 2)])
-    assert face_in_direction(diag, (1, -1)).vertices == ((0, 0), (2, 2))
+    assert diag.face_in_direction((1, -1)).vertices == ((0, 0), (2, 2))
     with pytest.raises(ValueError):
-        face_in_direction(box, (0, 0))
+        box.face_in_direction((0, 0))
 
 
 def test_translate_and_contains():
