@@ -7,8 +7,8 @@ from .cayley_bacharach import (HypersurfaceSystem, HypersurfaceVerdict,
 from .errors import BudgetExceededError, CounterexampleError
 from .expr import ParseError, parse_poly
 from .field import Field, FieldElement, FieldMismatchError, batch_inverse, is_prime
-from .lines import (GridPoints, LineConfiguration, NormalizationReport,
-                    check_problem1_bound, concurrency_point, grid_intersections,
+from .lines import (LineConfiguration, NormalizationReport, check_problem1_bound,
+                    concurrency_point, grid_intersections,
                     normalize_biconcurrent, product_form, roots_of_unity_config,
                     search_green_covers, validate_green_cover,
                     verify_product_dependence)

@@ -165,7 +165,7 @@ class HypersurfaceSystem:
                     raise ValueError(
                         f"equation {i}: top-degree part must be the pure power "
                         f"of variable {i}, found monomial {m}")
-            if g.terms.get(lead) != field.one:
+            if g.terms.get(lead) != 1:
                 raise ValueError(f"equation {i}: coefficient at the pure power must be 1")
             degrees.append(k)
         self.field = field

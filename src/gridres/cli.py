@@ -156,10 +156,6 @@ def _point_out(pt) -> list[str]:
     return [str(c) for c in pt]
 
 
-def _line_out(line: ProjLine) -> list[str]:
-    return [str(c) for c in line.coords]
-
-
 # -- handlers ----------------------------------------------------------------
 
 def _cmd_coeff(doc, args):
@@ -371,7 +367,7 @@ def _cmd_lines_search(doc, args):
     covers = ln.search_green_covers(red, blue, field, budget=_budget(doc, args))
     result = {
         "cover_count": len(covers),
-        "covers": [[_line_out(l) for l in cover] for cover in covers],
+        "covers": [[_point_out(l.coords) for l in cover] for cover in covers],
     }
     if covers:
         return result, 0, f"{len(covers)} green cover(s) found"
@@ -387,7 +383,7 @@ def _cmd_lines_check(doc, args):
         "grid_size": diagnostics["grid_size"],
         "points_per_green": list(diagnostics["points_per_green"]),
         "uncovered": [_point_out(p.coords) for p in diagnostics["uncovered"]],
-        "identity_violations": [_line_out(l) for l in diagnostics["identity_violations"]],
+        "identity_violations": [_point_out(l.coords) for l in diagnostics["identity_violations"]],
     }
     summary = "valid green cover" if ok else "not a valid green cover"
     if ok:
@@ -413,9 +409,9 @@ def _cmd_lines_classify(doc, args):
         "slopes_equal_u": report.slopes_equal_u,
         "equivalent_to_subgroup_model": report.success,
         "normalized": {
-            "red": [_line_out(l) for l in normalized.red],
-            "blue": [_line_out(l) for l in normalized.blue],
-            "green": [_line_out(l) for l in normalized.green],
+            "red": [_point_out(l.coords) for l in normalized.red],
+            "blue": [_point_out(l.coords) for l in normalized.blue],
+            "green": [_point_out(l.coords) for l in normalized.green],
         },
     }
     if report.success:
@@ -482,7 +478,6 @@ def main(argv=None) -> int:
             raise InputError(f"invalid JSON: {err}") from None
         if not isinstance(doc, dict):
             raise InputError("job document must be a JSON object")
-        report["inputs"] = doc
         result, code, summary = _HANDLERS[args.subcommand](doc, args)
         report["result"] = result
     except BudgetExceededError as err:

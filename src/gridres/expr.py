@@ -15,23 +15,22 @@ offending character.
 
 The rules work on raw coefficients: each returns a dict from exponent
 tuples to nonzero ints mod p (over F_p) or ints/Fractions (over Q).
-Products and powers of single terms are computed on the exponent tuple
-and the coefficient directly; sums in parentheses go through one small
-multiply, which repeated squaring uses too.  Each surviving term becomes a
-FieldElement once, when the MultiPoly is built.  Exponents are checked as
-MultiPoly checks them: a product out of the signed 32-bit range raises
-OverflowError, a literal exponent out of it raises ParseError.
+Products and powers go through the raw kernels of gridres.multipoly, the
+ones MultiPoly's own ring operations use, so a parsed product is the
+product MultiPoly computes, overflow checks included: a product out of the
+signed 32-bit range raises OverflowError, a literal exponent out of it
+raises ParseError.  Over Q the integer coefficients left at the end
+become Fractions, the raw form MultiPoly stores.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Sequence
 
-from .field import Field, FieldElement
-from .multipoly import (MAX_EXPONENT, MIN_EXPONENT, MultiPoly, default_names,
-                        monomial_product)
+from .field import Field
+from .multipoly import (MAX_EXPONENT, MultiPoly, _mul_terms, _pow_terms,
+                        default_names)
 
 __all__ = ["ParseError", "parse_poly", "default_names"]
 
@@ -40,17 +39,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
         self.position = position
-
-
-def _in_range(m: tuple) -> bool:
-    return not m or (MIN_EXPONENT <= min(m) and max(m) <= MAX_EXPONENT)
-
-
-def _product_exponents(a: tuple, b: tuple) -> tuple:
-    m = tuple(map(add, a, b))
-    if not _in_range(m):
-        monomial_product(a, b)  # raises the OverflowError MultiPoly raises
-    return m
 
 
 class _Parser:
@@ -62,6 +50,7 @@ class _Parser:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.nvars = len(self.names)
         self.origin = (0,) * self.nvars
+        self.unit = {self.origin: 1}
         self.units = [tuple(int(i == k) for i in range(self.nvars))
                       for k in range(self.nvars)]
         self.pos = 0
@@ -107,56 +96,16 @@ class _Parser:
         self.pos = pos
         return text[start:pos]
 
-    # -- raw arithmetic ------------------------------------------------------
-
-    def _mul(self, a: dict, b: dict) -> dict:
-        """Product of term maps, in MultiPoly.__mul__'s order of terms."""
-        p = self.p
-        if len(a) == 1 and len(b) == 1:
-            (m1, c1), = a.items()
-            (m2, c2), = b.items()
-            c = c1 * c2
-            return {_product_exponents(m1, m2): c % p if p else c}
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _product_exponents(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                if s is not None:
-                    c += s
-                if p:
-                    c %= p
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
-        return out
-
-    def _power(self, poly: dict, e: int) -> dict:
-        """poly^e for e >= 0 by repeated squaring, as MultiPoly.__pow__."""
-        result = {self.origin: 1}
-        while e:
-            if e & 1:
-                result = self._mul(result, poly)
-            e >>= 1
-            if e:
-                poly = self._mul(poly, poly)
-        return result
-
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> MultiPoly:
         terms = self.expr()
         if self.peek():
             raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        field = self.field
         if self.p is None:
-            terms = {m: FieldElement(field, c if type(c) is Fraction else Fraction(c))
+            terms = {m: c if type(c) is Fraction else Fraction(c)
                      for m, c in terms.items()}
-        else:
-            terms = {m: FieldElement(field, c) for m, c in terms.items()}
-        return MultiPoly(field, self.nvars, terms)
+        return MultiPoly(self.field, self.nvars, terms)
 
     def expr(self) -> dict:
         # one dict for all terms; reduced, and zeros dropped, once at the end
@@ -181,7 +130,7 @@ class _Parser:
     def term(self) -> dict:
         poly = self.factor()
         while self.take("*"):
-            poly = self._mul(poly, self.factor())
+            poly = _mul_terms(poly, self.factor(), self.p)
         return poly
 
     def factor(self) -> dict:
@@ -193,22 +142,9 @@ class _Parser:
         e = sign * self._integer()
         if abs(e) > MAX_EXPONENT:
             raise ParseError(f"exponent {e} overflows 32 bits", at)
-        if len(poly) != 1:
-            if e < 0:
-                raise ParseError("negative power of a non-monomial", at)
-            return self._power(poly, e)
-        (m, c), = poly.items()
-        expo = tuple(x * e for x in m)
-        if not _in_range(expo):
-            # raise the OverflowError MultiPoly raises: first bad exponent
-            # for a negative power, first bad square or product otherwise
-            if e < 0:
-                monomial_product(expo, self.origin)
-            self._power(poly, e)
-        p = self.p
-        if p:
-            return {expo: pow(c, e, p)}
-        return {expo: Fraction(c) ** e if e < 0 else c ** e}
+        if e < 0 and len(poly) != 1:
+            raise ParseError("negative power of a non-monomial", at)
+        return _pow_terms(poly, e, self.p, self.unit)
 
     def base(self) -> dict:
         ch = self.peek()

@@ -22,23 +22,9 @@ from .projective import (ProjLine, ProjPoint, affine_candidate_points,
                          infinity_line, line_through, meet, pencil)
 
 
-class GridPoints:
-    """The sorted intersection points of a red-blue grid."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        self.points = tuple(sorted(points))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> GridPoints:
-    """The |red|*|blue| pairwise intersections, verified pairwise distinct.
+def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> tuple:
+    """The |red|*|blue| pairwise intersections, sorted and verified pairwise
+    distinct.
 
     Points at infinity are allowed; coincident intersections (or a shared
     red/blue line) are reported with the colliding parent pairs.
@@ -63,7 +49,7 @@ def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> Gri
                     f"intersections coincide at {p}: red {pi} x blue {pj} "
                     f"and red {i} x blue {j} (grid is not transversal)")
             seen[p] = (i, j)
-    return GridPoints(seen)
+    return tuple(sorted(seen))
 
 
 def concurrency_point(lines: Iterable[ProjLine]):
@@ -113,13 +99,13 @@ def validate_green_cover(config: LineConfiguration):
     diagnostics: dict = {"grid_size": len(grid)}
     clashes = sorted(set(config.green) & (set(config.red) | set(config.blue)))
     diagnostics["identity_violations"] = tuple(clashes)
-    coverage = {g: tuple(sorted(p for p in grid.points if g.contains(p)))
+    coverage = {g: tuple(sorted(p for p in grid if g.contains(p)))
                 for g in config.green}
     diagnostics["covered_by_green"] = coverage
     covered = set()
     for pts in coverage.values():
         covered.update(pts)
-    uncovered = tuple(sorted(set(grid.points) - covered))
+    uncovered = tuple(sorted(set(grid) - covered))
     diagnostics["uncovered"] = uncovered
     counts = sorted(len(v) for v in coverage.values())
     diagnostics["points_per_green"] = tuple(counts)
@@ -148,8 +134,7 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
     n = len(red)
     if len(blue) != n:
         raise ValueError("need equally many red and blue lines")
-    grid = grid_intersections(red, blue)
-    points = grid.points
+    points = grid_intersections(red, blue)
     if n == 1:
         if not field.is_prime_field:
             raise ValueError("a one-point grid has infinitely many cover lines over Q")
@@ -436,9 +421,9 @@ def check_problem1_bound(red: Sequence[ProjLine], blue: Sequence[ProjLine],
     """(minimum green count, n+m-2, verdict) for covering the grid minus
     one point with lines avoiding that point."""
     grid = grid_intersections(red, blue)
-    if excluded not in grid.points:
+    if excluded not in grid:
         raise ValueError(f"excluded point {excluded} is not a grid point")
-    rest = [p for p in grid.points if p != excluded]
+    rest = [p for p in grid if p != excluded]
     size, _ = min_line_cover(rest, excluded, field, budget=budget)
     bound = len(red) + len(blue) - 2
     return size, bound, size >= bound

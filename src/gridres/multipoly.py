@@ -1,7 +1,11 @@
 """Sparse multivariate Laurent polynomials over an exact field.
 
-A polynomial is a map from integer exponent vectors to nonzero field
-elements.  Exponents are signed (Laurent terms are first-class) and must
+A polynomial is a map from integer exponent vectors to raw canonical
+coefficients: ints in [1, p) over F_p, nonzero Fractions over Q.  The
+ring operations run on those raw values through the kernels below, which
+the parser and the vertex residues share; FieldElements appear only at
+the API (coefficient, evaluate, coerced constructor input and scalar
+operands).  Exponents are signed (Laurent terms are first-class) and must
 fit a signed 32-bit integer; products are overflow-checked.  Canonical
 iteration order is graded lexicographic, so printing and reports are
 reproducible.  The zero polynomial is the empty map and has total degree
@@ -10,6 +14,8 @@ reproducible.  The zero polynomial is the empty map and has total degree
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .field import Field, FieldElement, FieldMismatchError
@@ -35,14 +41,100 @@ def monomial_product(a: Monomial, b: Monomial) -> Monomial:
     return tuple(_check_exponent(x + y) for x, y in zip(a, b))
 
 
+def _in_range(m: Monomial) -> bool:
+    return not m or (MIN_EXPONENT <= min(m) and max(m) <= MAX_EXPONENT)
+
+
+# -- raw kernels ---------------------------------------------------------------
+# Term maps hold nonzero raw coefficients; p is the modulus, or None over Q.
+# Over Q the parser passes ints as well as Fractions.
+
+def _add_terms(a: dict, b: dict, p) -> dict:
+    """a + b, zeros dropped; a's terms keep their order."""
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is not None:
+            c += s
+            if p:
+                c %= p
+            if not c:
+                del out[m]
+                continue
+        out[m] = c
+    return out
+
+
+def _mul_terms(a: dict, b: dict, p) -> dict:
+    """a * b, term pairs taken in order, zeros dropped.
+
+    An exponent out of the signed 32-bit range raises the OverflowError of
+    monomial_product for the first pair that leaves it.
+    """
+    if len(a) == 1 and len(b) == 1:
+        (m1, c1), = a.items()
+        (m2, c2), = b.items()
+        m = tuple(map(add, m1, m2))
+        if not _in_range(m):
+            monomial_product(m1, m2)
+        c = c1 * c2
+        return {m: c % p if p else c}
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            if not _in_range(m):
+                monomial_product(m1, m2)
+            c = c1 * c2
+            s = out.get(m)
+            if s is not None:
+                c += s
+            if p:
+                c %= p
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _pow_terms(terms: dict, e: int, p, unit: dict) -> dict:
+    """terms^e by repeated squaring; unit is the term map of 1.
+
+    A single term is raised directly, and only it takes e < 0.  When its
+    exponents leave the 32-bit range the error is the first bad exponent
+    (e < 0) or the one repeated squaring of the bare monomial meets (e > 0).
+    """
+    if len(terms) == 1:
+        (m, c), = terms.items()
+        expo = tuple(x * e for x in m)
+        if _in_range(expo):
+            if p:
+                return {expo: pow(c, e, p)}
+            return {expo: c ** e if e >= 0 else Fraction(c) ** e}
+        if e < 0:
+            for x in expo:
+                _check_exponent(x)
+        terms = {m: 1}  # the squaring below raises; only exponents matter
+    result = unit
+    while e:
+        if e & 1:
+            result = _mul_terms(result, terms, p)
+        e >>= 1
+        if e:
+            terms = _mul_terms(terms, terms, p)
+    return result
+
+
 class MultiPoly:
     """Immutable sparse polynomial; all ring operations are pure."""
 
     __slots__ = ("field", "nvars", "terms")
 
-    def __init__(self, field: Field, nvars: int, terms: Mapping[Monomial, FieldElement]):
-        # terms are assumed clean (no zero coefficients, correct arity);
-        # use the constructors below for unvalidated data
+    def __init__(self, field: Field, nvars: int, terms: Mapping[Monomial, object]):
+        # terms are assumed clean: correct arity, raw canonical nonzero
+        # coefficients (ints mod p, Fractions over Q); use the constructors
+        # below for unvalidated data
         self.field = field
         self.nvars = nvars
         self.terms = dict(terms)
@@ -55,8 +147,8 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field: Field, nvars: int, value) -> "MultiPoly":
-        c = field(value)
-        if c.is_zero():
+        c = field(value).value
+        if not c:
             return cls.zero(field, nvars)
         return cls(field, nvars, {(0,) * nvars: c})
 
@@ -65,20 +157,20 @@ class MultiPoly:
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
         expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(field, nvars, {expo: field.one})
+        return cls(field, nvars, {expo: field.one.value})
 
     @classmethod
     def from_terms(cls, field: Field, nvars: int,
                    terms: Mapping[Monomial, object]) -> "MultiPoly":
-        clean: dict[Monomial, FieldElement] = {}
+        clean: dict = {}
         for m, c in terms.items():
             m = tuple(int(e) for e in m)
             if len(m) != nvars:
                 raise ValueError(f"monomial {m} has arity {len(m)}, expected {nvars}")
             for e in m:
                 _check_exponent(e)
-            coeff = field(c)
-            if not coeff.is_zero():
+            coeff = field(c).value
+            if coeff:
                 clean[m] = coeff
         return cls(field, nvars, clean)
 
@@ -99,20 +191,15 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return MultiPoly(self.field, self.nvars, terms)
+        return MultiPoly(self.field, self.nvars,
+                         _add_terms(self.terms, other.terms, self.field.modulus))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
+        p = self.field.modulus
+        return MultiPoly(self.field, self.nvars,
+                         {m: -c % p if p else -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -127,48 +214,28 @@ class MultiPoly:
         return other - self
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement) or isinstance(other, int):
-            scalar = self.field(other)
-            if scalar.is_zero():
+        p = self.field.modulus
+        if isinstance(other, (int, FieldElement)):
+            s = self.field(other).value
+            if not s:
                 return MultiPoly.zero(self.field, self.nvars)
             return MultiPoly(self.field, self.nvars,
-                             {m: c * scalar for m, c in self.terms.items()})
+                             {m: c * s % p if p else c * s for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, FieldElement] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_product(m1, m2)
-                c = c1 * c2
-                s = terms.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return MultiPoly(self.field, self.nvars, terms)
+        return MultiPoly(self.field, self.nvars, _mul_terms(self.terms, other.terms, p))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0:
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial")
-            (m, c), = self.terms.items()
-            expo = tuple(_check_exponent(x * e) for x in m)
-            return MultiPoly(self.field, self.nvars, {expo: c.inv() ** (-e)})
-        result = MultiPoly.constant(self.field, self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if e < 0 and len(self.terms) != 1:
+            raise ValueError("negative power of a non-monomial")
+        unit = {(0,) * self.nvars: self.field.one.value}
+        return MultiPoly(self.field, self.nvars,
+                         _pow_terms(self.terms, e, self.field.modulus, unit))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, FieldElement)):
@@ -188,11 +255,12 @@ class MultiPoly:
         return any(e < 0 for m in self.terms for e in m)
 
     def coefficient(self, m: Sequence[int]) -> FieldElement:
-        """Stored coefficient of the monomial, or zero if absent."""
+        """Coefficient of the monomial as a field element, zero if absent."""
         m = tuple(int(e) for e in m)
         if len(m) != self.nvars:
             raise ValueError(f"monomial {m} has arity {len(m)}, expected {self.nvars}")
-        return self.terms.get(m, self.field.zero)
+        c = self.terms.get(m)
+        return self.field.zero if c is None else FieldElement(self.field, c)
 
     def total_degree(self) -> int:
         """Max exponent sum; -1 for the zero polynomial; Laurent input rejected."""
@@ -208,40 +276,36 @@ class MultiPoly:
 
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
         """Exact value at the point; zero coordinates reject negative powers."""
-        point = [self.field(x) for x in point]
+        field = self.field
+        point = [field(x).value for x in point]
         if len(point) != self.nvars:
             raise ValueError(f"point has arity {len(point)}, expected {self.nvars}")
-        total = self.field.zero
+        p = field.modulus
+        total = field.zero.value
         for m, c in self.terms.items():
-            v = c
             for x, e in zip(point, m):
                 if e == 0:
                     continue
-                if e < 0 and x.is_zero():
+                if e < 0 and not x:
                     raise ZeroDivisionError("zero coordinate raised to a negative power")
-                v = v * x ** e
-            total = total + v
-        return total
+                c *= pow(x, e, p) if p else x ** e
+            total += c
+        return FieldElement(field, total % p if p else total)
 
     def partial_derivative(self, index: int) -> "MultiPoly":
         """Formal derivative in one variable (Laurent terms included)."""
         if not 0 <= index < self.nvars:
             raise IndexError(f"variable index {index} out of range for {self.nvars} variables")
-        terms: dict[Monomial, FieldElement] = {}
+        p = self.field.modulus
+        terms: dict = {}
+        # m -> m - e_index is injective, so no two terms meet
         for m, c in self.terms.items():
             e = m[index]
             if e == 0:
                 continue
-            coeff = c * e
-            if coeff.is_zero():
-                continue
-            dm = m[:index] + (e - 1,) + m[index + 1:]
-            s = terms.get(dm)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                terms.pop(dm, None)
-            else:
-                terms[dm] = s
+            c = c * e % p if p else c * e
+            if c:
+                terms[m[:index] + (e - 1,) + m[index + 1:]] = c
         return MultiPoly(self.field, self.nvars, terms)
 
     def shift(self, offset: Sequence[int]) -> "MultiPoly":
@@ -279,7 +343,7 @@ def format_poly(f: MultiPoly, names: Sequence[str] | None = None) -> str:
     pieces = []
     for m in sorted(f.terms, key=grade_key, reverse=True):
         c = f.terms[m]
-        sign = "-" if (not f.field.is_prime_field and c.value < 0) else "+"
+        sign = "-" if c < 0 else "+"  # only over Q: residues mod p are >= 0
         mag = -c if sign == "-" else c
         factors = []
         for name, e in zip(names, m):
@@ -288,7 +352,7 @@ def format_poly(f: MultiPoly, names: Sequence[str] | None = None) -> str:
             factors.append(name if e == 1 else f"{name}^{e}")
         if not factors:
             factors = [str(mag)]
-        elif mag != f.field.one:
+        elif mag != 1:
             factors.insert(0, str(mag))
         pieces.append((sign, "*".join(factors)))
     head_sign, head = pieces[0]

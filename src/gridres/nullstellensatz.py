@@ -115,10 +115,9 @@ def _term_sum(f: MultiPoly, tables):
     p = f.field.modulus
     total = 0
     for m, c in f.terms.items():
-        v = c.value
         for t, e in zip(tables, m):
-            v *= t[e]
-        total += v
+            c *= t[e]
+        total += c
     return total % p if p else total
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .field import FieldElement, FieldMismatchError
 from .linalg import determinant, solve_linear
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _add_terms, _mul_terms
 from .polytope import (LatticePolytope, sign_normalized,
                        strict_support_direction, _cross3, _dot)
 
@@ -164,25 +164,6 @@ def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
     return VertexSplit(v_plus=tuple(plus), v_zero=tuple(zero))
 
 
-def _trunc_mul(a: dict, b: dict, u, floor: int) -> dict:
-    """Product of sparse term maps keeping only terms with weight >= floor."""
-    out: dict = {}
-    for m1, c1 in a.items():
-        w1 = _dot(u, m1)
-        for m2, c2 in b.items():
-            if w1 + _dot(u, m2) < floor:
-                continue
-            m = tuple(x + y for x, y in zip(m1, m2))
-            c = c1 * c2
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
-
-
 def vertex_residue(form: ToricForm, vertex: Sequence[int],
                    direction: Sequence[int]) -> FieldElement:
     """Constant term of the prescribed expansion at an unfolded vertex.
@@ -194,9 +175,12 @@ def vertex_residue(form: ToricForm, vertex: Sequence[int],
     The truncation keeps every term of weight at least -T where T is the
     largest direction weight over the support of f * z^{(1,...,1) - v};
     omitted terms sit strictly below weight zero and cannot contribute.
+    The series are raw term maps multiplied by multipoly's sparse product
+    and truncated after each product.
     """
     system = form.system
     field = system.field
+    p = field.modulus
     n = system.nvars
     u = tuple(int(c) for c in direction)
     if len(u) != n or not any(u):
@@ -215,14 +199,15 @@ def vertex_residue(form: ToricForm, vertex: Sequence[int],
             raise ValueError(
                 f"direction {u} does not strictly support the support of g_{i + 1}")
         v_i = leaders[0]
-        c_i = g.terms[v_i]
+        c_i = FieldElement(field, g.terms[v_i])
         lead_product = lead_product * c_i
-        inv_c = c_i.inv()
-        rest = {tuple(x - y for x, y in zip(m, v_i)): -(c * inv_c)
+        minus_inv = (-c_i.inv()).value
+        rest = {tuple(x - y for x, y in zip(m, v_i)):
+                c * minus_inv % p if p else c * minus_inv
                 for m, c in g.terms.items() if m != v_i}
         parts.append((v_i, rest))
 
-    if tuple(sum(vs) for vs in zip(*(p[0] for p in parts))) != vertex:
+    if tuple(sum(vs) for vs in zip(*(v_i for v_i, _ in parts))) != vertex:
         raise ValueError(
             f"{vertex} is not the sum-polytope vertex selected by direction {u}")
 
@@ -233,30 +218,26 @@ def vertex_residue(form: ToricForm, vertex: Sequence[int],
         return field.zero
     floor = -bound
 
-    series_product = {(0,) * n: field.one}
+    def truncated_product(a, b):
+        return {m: c for m, c in _mul_terms(a, b, p).items() if _dot(u, m) >= floor}
+
+    unit = {(0,) * n: field.one.value}
+    series_product = unit
     for _, neg_h in parts:
-        series = {(0,) * n: field.one}
-        power = {(0,) * n: field.one}
+        series = power = unit
         for _ in range(bound):
-            power = _trunc_mul(power, neg_h, u, floor)
+            power = truncated_product(power, neg_h)
             if not power:
                 break
-            for m, c in power.items():
-                s = series.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    series.pop(m, None)
-                else:
-                    series[m] = s
-        series_product = _trunc_mul(series_product, series, u, floor)
+            series = _add_terms(series, power, p)
+        series_product = truncated_product(series_product, series)
 
-    constant = field.zero
+    constant = field.zero.value
     for m, c in series_product.items():
-        neg = tuple(-x for x in m)
-        other = shifted.terms.get(neg)
+        other = shifted.terms.get(tuple(-x for x in m))
         if other is not None:
-            constant = constant + c * other
-    return constant * lead_product.inv()
+            constant += c * other
+    return field(constant) * lead_product.inv()
 
 
 class SimpleZeros:

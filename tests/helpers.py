@@ -73,6 +73,97 @@ def random_bounded_poly(rng: Random, field: Field, nvars: int,
     return MultiPoly.from_terms(field, nvars, terms)
 
 
+def random_laurent_poly(rng: Random, field: Field, nvars: int, max_terms: int = 6) -> MultiPoly:
+    """Random Laurent polynomial with exponents in [-3, 7] (7 = p over F_7,
+    so derivatives there drop terms)."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mono = tuple(rng.choice((-3, -1, 0, 0, 1, 2, 7)) for _ in range(nvars))
+        terms[mono] = random_element(rng, field)
+    return MultiPoly.from_terms(field, nvars, terms)
+
+
+def assert_raw_canonical(f: MultiPoly):
+    """Stored terms: int exponent tuples of the right arity mapped to ints
+    in (0, p) over F_p, or to nonzero Fractions over Q."""
+    p = f.field.modulus
+    for m, c in f.terms.items():
+        assert type(m) is tuple and len(m) == f.nvars, m
+        assert all(type(e) is int for e in m), m
+        if p:
+            assert type(c) is int and 0 < c < p, (m, c)
+        else:
+            assert type(c) is Fraction and c != 0, (m, c)
+
+
+# Oracles for the raw ring kernels of gridres.multipoly: term maps
+# {exponent: FieldElement}, built term by term in field elements.
+
+def element_terms(f: MultiPoly) -> dict:
+    """f's terms as field elements."""
+    return {m: f.field(c) for m, c in f.terms.items()}
+
+
+def _accumulate(out: dict, m, c):
+    s = out.get(m)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(m, None)
+    else:
+        out[m] = s
+
+
+def oracle_sum(a: dict, b: dict, negate_b: bool = False) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        _accumulate(out, m, -c if negate_b else c)
+    return out
+
+
+def oracle_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            _accumulate(out, tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+    return out
+
+
+def oracle_power(a: dict, e: int, field: Field, nvars: int) -> dict:
+    """a^e by e-fold multiplication; e < 0 for a single term only."""
+    if e < 0:
+        (m, c), = a.items()
+        return {tuple(x * e for x in m): c.inv() ** (-e)}
+    out = {(0,) * nvars: field.one}
+    for _ in range(e):
+        out = oracle_product(out, a)
+    return out
+
+
+def oracle_derivative(a: dict, index: int) -> dict:
+    out: dict = {}
+    for m, c in a.items():
+        coeff = c * m[index]
+        if not coeff.is_zero():
+            _accumulate(out, m[:index] + (m[index] - 1,) + m[index + 1:], coeff)
+    return out
+
+
+def oracle_shift(a: dict, offset) -> dict:
+    return {tuple(x + y for x, y in zip(m, offset)): c for m, c in a.items()}
+
+
+def oracle_evaluate(a: dict, field: Field, point):
+    total = field.zero
+    for m, c in a.items():
+        v = c
+        for x, e in zip(point, m):
+            if e < 0 and x.is_zero():
+                raise ZeroDivisionError("zero coordinate raised to a negative power")
+            v = v * x ** e
+        total = total + v
+    return total
+
+
 def pointwise_grid_sum(f: MultiPoly, nodes):
     """Oracle: sum over the grid of f(x) * prod_i grid_weights(A_i)[x_i].
 

@@ -294,7 +294,7 @@ def test_criterion_8_lines_suite():
                     red = [vertical(field, c) for c in range(n)]
                     blue = [horizontal(field, c) for c in range(m_count)]
                     grid = grid_intersections(red, blue)
-                    for excluded in grid.points:
+                    for excluded in grid:
                         size, bound, holds = check_problem1_bound(
                             red, blue, excluded, field)
                         assert holds and size == bound

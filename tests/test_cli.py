@@ -29,6 +29,19 @@ def test_coeff_worked_example(capsys, tmp_path):
     assert "elapsed_ms" in report
 
 
+def test_report_keys(capsys, tmp_path):
+    """A report holds the subcommand, the result or the error, and the time;
+    the job document is not echoed."""
+    doc = {"field": RATIONALS, "vars": ["x"], "poly": "x^2", "grids": [["0", "1", "2"]]}
+    code, report, _ = run(capsys, tmp_path, "coeff", doc)
+    assert code == 0
+    assert list(report) == ["subcommand", "result", "elapsed_ms"]
+    code, report, _ = run(capsys, tmp_path, "coeff", dict(doc, poly="x +* 1"))
+    assert code == 2
+    assert list(report) == ["subcommand", "error", "elapsed_ms"]
+    assert list(report["error"]) == ["type", "message"]
+
+
 def test_coeff_not_prime_modulus(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "coeff", {
         "field": {"kind": "prime-field", "modulus": "10"},

@@ -6,7 +6,8 @@ import pytest
 
 from gridres import Field, MultiPoly, ParseError, format_poly, parse_poly
 
-from helpers import random_poly
+from helpers import (element_terms, oracle_power, oracle_product, oracle_sum,
+                     random_poly)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -129,11 +130,12 @@ def test_round_trip_randomized():
                 assert parse_poly(text, field, nvars) == f
 
 
-# -- differential test against MultiPoly arithmetic ------------------------------
+# -- differential test against field element arithmetic ---------------------------
 #
 # Trees are ("var", i), ("int", k), ("frac", a, b), ("sum", [(negated, tree)]),
 # ("prod", [tree]) and ("pow", tree, e).  Each renders to text through the
-# grammar levels and evaluates with MultiPoly + - * **, the slow oracle.
+# grammar levels and evaluates with the term-by-term oracles of helpers.py,
+# which share no code with the parser's raw kernels.
 
 NAMES = ["x", "y", "z"]
 
@@ -215,25 +217,24 @@ def _render_expr(rng, tree):
 
 
 def _oracle(tree, field, nvars):
+    """The tree's terms as field elements, from the term-by-term oracles."""
     kind = tree[0]
     if kind == "var":
-        return MultiPoly.variable(field, nvars, tree[1])
-    if kind == "int":
-        return MultiPoly.constant(field, nvars, tree[1])
-    if kind == "frac":
-        return MultiPoly.constant(field, nvars, field(tree[1]) * field(tree[2]).inv())
+        return {tuple(int(i == tree[1]) for i in range(nvars)): field.one}
+    if kind in ("int", "frac"):
+        c = field(tree[1]) if kind == "int" else field(tree[1]) * field(tree[2]).inv()
+        return {} if c.is_zero() else {(0,) * nvars: c}
     if kind == "sum":
-        total = MultiPoly.zero(field, nvars)
+        total = {}
         for negated, term in tree[1]:
-            value = _oracle(term, field, nvars)
-            total = total - value if negated else total + value
+            total = oracle_sum(total, _oracle(term, field, nvars), negate_b=negated)
         return total
     if kind == "prod":
-        product = MultiPoly.constant(field, nvars, 1)
+        product = {(0,) * nvars: field.one}
         for factor in tree[1]:
-            product = product * _oracle(factor, field, nvars)
+            product = oracle_product(product, _oracle(factor, field, nvars))
         return product
-    return _oracle(tree[1], field, nvars) ** tree[2]
+    return oracle_power(_oracle(tree[1], field, nvars), tree[2], field, nvars)
 
 
 @pytest.mark.parametrize("field", [Q, F7, Field.prime(10007)], ids=str)
@@ -244,13 +245,12 @@ def test_parser_matches_multipoly_oracle(field):
         tree = ("sum", [(rng.random() < 0.4, _random_tree(rng, nvars, 3))
                         for _ in range(rng.randint(1, 4))])
         text = _render_expr(rng, tree)
-        expected = _oracle(tree, field, nvars)
         parsed = parse_poly(text, field, nvars)
-        assert parsed == expected, text
+        assert element_terms(parsed) == _oracle(tree, field, nvars), text
         kind = Fraction if field == Q else int
-        assert all(type(c.value) is kind for c in parsed.terms.values()), text
+        assert all(type(c) is kind for c in parsed.terms.values()), text
         if field.is_prime_field:
-            assert all(0 < c.value < field.modulus for c in parsed.terms.values()), text
+            assert all(0 < c < field.modulus for c in parsed.terms.values()), text
 
 
 @pytest.mark.parametrize("text, error, detail", [

@@ -39,13 +39,13 @@ def test_grid_intersections_subgroup_example():
     grid = grid_intersections(cfg.red, cfg.blue)
     subgroup = {F7(1), F7(2), F7(4)}
     expected = {ProjPoint.affine(F7, u * v, v) for u in subgroup for v in subgroup}
-    assert set(grid.points) == expected
+    assert set(grid) == expected
     assert len(grid) == 9
 
 
 def test_grid_intersections_simple_and_errors():
     grid = grid_intersections([vertical(Q, 0)], [horizontal(Q, 0)])
-    assert grid.points == (ProjPoint.affine(Q, 0, 0),)
+    assert grid == (ProjPoint.affine(Q, 0, 0),)
 
     # parallel blue meets both parallel reds at the same infinite point
     with pytest.raises(ValueError, match="coincide"):
@@ -126,7 +126,7 @@ def test_search_slope_configuration_classes():
 def brute_force_covers(red, blue, field):
     """Every n-subset of the plane's lines, other than the red, blue and
     infinity lines, that covers the grid."""
-    points = frozenset(grid_intersections(red, blue).points)
+    points = frozenset(grid_intersections(red, blue))
     forbidden = set(red) | set(blue) | {infinity_line(field)}
     traces = {l: frozenset(p for p in points if l.contains(p))
               for l in all_lines(field) if l not in forbidden}
@@ -299,7 +299,7 @@ def test_problem1_bound_sweep():
                 red = [vertical(field, c) for c in range(n)]
                 blue = [horizontal(field, c) for c in range(m)]
                 grid = grid_intersections(red, blue)
-                for excluded in grid.points:
+                for excluded in grid:
                     size, bound, holds = check_problem1_bound(red, blue, excluded, field)
                     assert holds, (n, m, excluded, size, bound)
 
@@ -310,11 +310,11 @@ def test_cover_partition_invariant():
         grid = grid_intersections(cfg.red, cfg.blue)
         seen = set()
         for line in cover:
-            trace = {p for p in grid.points if line.contains(p)}
+            trace = {p for p in grid if line.contains(p)}
             assert len(trace) == 3
             assert not (trace & seen)
             seen |= trace
-        assert seen == set(grid.points)
+        assert seen == set(grid)
 
 
 def test_dependence_on_every_searched_cover():

@@ -4,11 +4,14 @@ import pytest
 
 from gridres import Field, MultiPoly, parse_poly, vanishing_poly_from_nodes
 
-from helpers import random_element, random_poly
+from helpers import (assert_raw_canonical, element_terms, oracle_derivative,
+                     oracle_evaluate, oracle_power, oracle_product, oracle_shift,
+                     oracle_sum, random_element, random_laurent_poly, random_poly)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
 F7 = Field.prime(7)
+F10007 = Field.prime(10007)
 
 
 def P(text, field=Q, nvars=2):
@@ -128,3 +131,82 @@ def test_pow():
 def test_support_order_is_graded_lex():
     f = P("x^2 + y^2 + x*y + x + 1")
     assert f.support() == [(0, 0), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def _checked(f: MultiPoly) -> dict:
+    assert_raw_canonical(f)
+    return element_terms(f)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F10007], ids=str)
+def test_ring_ops_match_element_oracle(field):
+    """The raw kernels against term-by-term field element arithmetic, on
+    Laurent polynomials whose sums and products cancel."""
+    rng = Random(f"ring-oracle-{field}")
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        f = random_laurent_poly(rng, field, n)
+        g = random_laurent_poly(rng, field, n)
+        # a share of f's terms negated in g, so f + g and f * g cancel
+        g = g + MultiPoly.from_terms(
+            field, n, {m: -c for m, c in f.terms.items() if rng.random() < 0.5})
+        a, b = _checked(f), _checked(g)
+        assert _checked(f + g) == oracle_sum(a, b)
+        assert _checked(f - g) == oracle_sum(a, b, negate_b=True)
+        assert _checked(-f) == oracle_sum({}, a, negate_b=True)
+        assert _checked(f * g) == oracle_product(a, b)
+        scalar = random_element(rng, field)
+        assert _checked(f * scalar) == oracle_product(a, {(0,) * n: scalar})
+        e = rng.randint(0, 3)
+        assert _checked(f ** e) == oracle_power(a, e, field, n)
+        mono = random_laurent_poly(rng, field, n, max_terms=1)
+        if len(mono.terms) == 1:
+            e = rng.choice((-3, -2, -1, 1, 2))
+            assert _checked(mono ** e) == oracle_power(element_terms(mono), e, field, n)
+        i = rng.randrange(n)
+        assert _checked(f.partial_derivative(i)) == oracle_derivative(a, i)
+        offset = tuple(rng.randint(-4, 4) for _ in range(n))
+        assert _checked(f.shift(offset)) == oracle_shift(a, offset)
+        point = [random_element(rng, field) for _ in range(n)]
+        try:
+            expected = oracle_evaluate(a, field, point)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                f.evaluate(point)
+        else:
+            value = f.evaluate(point)
+            assert value == expected and type(value.value) is type(expected.value)
+
+
+B = 1 << 30
+
+
+def _overflow_cases(field):
+    f = MultiPoly.from_terms(field, 2, {(1, 0): 1, (B, -5): 2, (3, -B): 3})
+    g = MultiPoly.from_terms(field, 2, {(0, -B - 7): 5, (0, 1): 1, (B, 0): 4})
+    return [
+        # the first term pair out of range, in the order the factors give
+        (lambda: f * g, 2147483648),
+        (lambda: g * f, -2147483655),
+        (lambda: MultiPoly.from_terms(field, 2, {(B, 1): 1})
+         * MultiPoly.from_terms(field, 2, {(B, 2): 3}), 2147483648),
+        (lambda: MultiPoly.from_terms(field, 2, {(1, 0): 1, (0, 1500000000): 1}) ** 2,
+         3000000000),
+        # the first square out of range, 5 * 2^29, as repeated squaring meets it
+        (lambda: MultiPoly.from_terms(field, 2, {(1, 5): 2}) ** 900000000, 2684354560),
+        (lambda: MultiPoly.from_terms(field, 2, {(-3, 1): 2}) ** -1000000000, 3000000000),
+        (lambda: MultiPoly.from_terms(field, 2, {(3, -5): 2}) ** -1000000000, -3000000000),
+        (lambda: f.shift((B, B)), 2147483648),
+        (lambda: g.shift((-B, -B)), -2147483655),
+        (lambda: parse_poly("(x + y^-1500000000)*(1 + y^-1500000000)", field, 2),
+         -3000000000),
+        (lambda: parse_poly("(x + y)^3*x^2147483645", field, 2), 2147483648),
+    ]
+
+
+@pytest.mark.parametrize("field", [Q, F7, F10007], ids=str)
+def test_exponent_overflow_texts(field):
+    for build, exponent in _overflow_cases(field):
+        with pytest.raises(OverflowError) as err:
+            build()
+        assert str(err.value) == f"exponent {exponent} exceeds signed 32-bit range"
