@@ -13,8 +13,8 @@ List sections (system, samples, zeros, values, target) must be JSON lists,
 and so must each zero and each value record's point; a repeated value
 point is invalid input.  Separable grids decode to one SeparableSystem,
 which is itself the GridSystem the sums run over.
-Polynomials are parsed on raw ints/Fractions (see gridres.expr); field
-elements appear only in the parsed terms.
+Polynomials and lines hold raw ints/Fractions (see gridres.expr and
+gridres.projective); decoded nodes, points and values are field elements.
 Reports are JSON on stdout; --summary adds human-readable lines on
 stderr.  Exit codes: 0 success/verified, 1 verdict negative, 2 invalid
 input, 3 search budget exceeded.
@@ -23,6 +23,7 @@ input, 3 search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -57,10 +58,11 @@ def _require_list(doc: dict, key: str, kind: str) -> list:
     return raw
 
 
-def _decode_coords(field: Field, raw, error: str,
+def _decode_coords(field, raw, error: str,
                    lengths: tuple[int, ...] | None = None) -> tuple:
-    """The scalars of a JSON list.  Anything else, or a list whose length
-    is not in lengths, raises error formatted with {raw}."""
+    """The scalars of a JSON list, read by field (a Field or a memo of one).
+    Anything else, or a list whose length is not in lengths, raises error
+    formatted with {raw}."""
     if not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths):
         raise InputError(error.format(raw=raw))
     # a list, not a generator: one generator per cb-forced record raised peak RSS
@@ -110,7 +112,7 @@ def _decode_system(field: Field, names, doc: dict) -> list[MultiPoly]:
     return [_decode_poly(field, names, g) for g in raw]
 
 
-def _decode_grids(field: Field, doc: dict, key: str = "grids") -> list[tuple]:
+def _decode_grids(field, doc: dict, key: str = "grids") -> list[tuple]:
     raw = _require(doc, key, "list of node lists")
     error = f'"{key}" must be a list of node lists'
     if not isinstance(raw, list) or not raw or not all(isinstance(g, list) for g in raw):
@@ -134,9 +136,7 @@ def _decode_config(field: Field, doc: dict) -> ln.LineConfiguration:
 
 def _decode_point(field: Field, raw) -> ProjPoint:
     coords = _decode_coords(field, raw, "a point is [x, y] or [x, y, z], got {raw!r}", (2, 3))
-    if len(coords) == 2:
-        return ProjPoint.affine(field, *coords)
-    return ProjPoint(field, coords)
+    return ProjPoint(field, coords if len(coords) == 3 else coords + (1,))
 
 
 def _budget(doc: dict, args) -> int | None:
@@ -218,15 +218,17 @@ def _cmd_cb_verify(doc, args):
 
 def _cmd_cb_forced(doc, args):
     field = _decode_field(doc)
-    system = cb.SeparableSystem(field, _decode_grids(field, doc))
-    target = _decode_coords(field, _require(doc, "target", "grid point"),
+    # the points repeat the few node strings of the grid: parse each once
+    parse = functools.cache(field)
+    system = cb.SeparableSystem(field, _decode_grids(parse, doc))
+    target = _decode_coords(parse, _require(doc, "target", "grid point"),
                             '"target" must be a list of coordinates, got {raw!r}')
     raw_values = _require_list(doc, "values", "list of {point, value} records")
     values = {}
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
             raise InputError("each value record needs point and value")
-        point = _decode_coords(field, rec["point"],
+        point = _decode_coords(parse, rec["point"],
                                "a value point must be a list of coordinates, got {raw!r}")
         if point in values:
             raise InputError(f"value point {_point_out(point)} is given twice")

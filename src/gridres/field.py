@@ -1,11 +1,11 @@
 """Exact scalar arithmetic over a prime field F_p or the rationals.
 
-Every value in the package is a FieldElement tied to a shared Field
-descriptor.  Prime-field values are canonical residues in [0, p) with p
-below 2^31 so products fit a double-width machine integer; rational values
-are reduced Fractions with positive denominator.  There is no floating
-point anywhere: equality of elements is structural equality of canonical
-forms.
+A FieldElement, a canonical value tied to a shared Field descriptor, is
+the scalar of the API; polynomial terms and projective coordinates hold
+the bare values.  Prime-field values are residues in [0, p) with p below
+2^31 so products fit a double-width machine integer; rational values are
+reduced Fractions with positive denominator.  There is no floating point
+anywhere: equality of elements is structural equality of canonical forms.
 """
 
 from __future__ import annotations

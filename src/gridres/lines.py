@@ -18,6 +18,7 @@ from .cover import lines_through_pairs, min_line_cover
 from .errors import BudgetExceededError, CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .multipoly import MultiPoly
+from .polytope import _dot
 from .projective import (ProjLine, ProjPoint, affine_candidate_points,
                          infinity_line, line_through, meet, pencil)
 
@@ -102,9 +103,7 @@ def validate_green_cover(config: LineConfiguration):
     coverage = {g: tuple(sorted(p for p in grid if g.contains(p)))
                 for g in config.green}
     diagnostics["covered_by_green"] = coverage
-    covered = set()
-    for pts in coverage.values():
-        covered.update(pts)
+    covered = set().union(*coverage.values())
     uncovered = tuple(sorted(set(grid) - covered))
     diagnostics["uncovered"] = uncovered
     counts = sorted(len(v) for v in coverage.values())
@@ -144,7 +143,7 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
     forbidden = set(red) | set(blue) | {infinity_line(field)}
     candidates = sorted(((line, trace) for line, trace in traces.items()
                          if len(trace) == n and line not in forbidden),
-                        key=lambda c: c[0].sort_key())
+                        key=lambda c: c[0])
     containing = {i: [c for c in candidates if i in c[1]] for i in range(len(points))}
 
     # the branches at a node take distinct lines through the pick point and
@@ -228,11 +227,8 @@ def verify_product_dependence(config: LineConfiguration):
             "green concurrency point lies on a red or blue line of a valid cover")
     alpha, beta = b0, -r0
     mix = alpha * big_r + beta * big_b
-    probe = None
-    for q in affine_candidate_points(field, ()):
-        if not big_g.evaluate(q.coords).is_zero():
-            probe = q
-            break
+    probe = next((q for q in affine_candidate_points(field, ())
+                  if not big_g.evaluate(q.coords).is_zero()), None)
     if probe is None:
         raise ValueError("no probe point off the green family found")
     gamma = mix.evaluate(probe.coords) * big_g.evaluate(probe.coords).inv()
@@ -267,10 +263,9 @@ def roots_of_unity_config(field: Field, n: int) -> LineConfiguration:
     if not field.is_prime_field:
         raise ValueError("subgroup construction needs a prime field")
     subgroup = _multiplicative_subgroup(field, n)
-    one, zero = field.one, field.zero
-    red = [ProjLine(field, (zero, one, -u)) for u in subgroup]
-    blue = [ProjLine(field, (one, -u, zero)) for u in subgroup]
-    green = [ProjLine(field, (one, zero, -u)) for u in subgroup]
+    red = [ProjLine(field, (0, 1, -u)) for u in subgroup]
+    blue = [ProjLine(field, (1, -u, 0)) for u in subgroup]
+    green = [ProjLine(field, (1, 0, -u)) for u in subgroup]
     config = LineConfiguration(field, red, blue, green)
     ok, diagnostics = validate_green_cover(config)
     if not ok:
@@ -340,41 +335,30 @@ def normalize_biconcurrent(config: LineConfiguration):
         raise ValueError("red and blue pencils share their center")
 
     anchor_line = line_through(p_red, p_blue)
-    third = None
-    for q in affine_candidate_points(field, ()):
-        if not anchor_line.contains(q):
-            third = q
-            break
-    basis = [list(p_blue.coords), list(p_red.coords), list(third.coords)]
+    third = next(q for q in affine_candidate_points(field, ())
+                 if not anchor_line.contains(q))
+    basis = (p_blue.coords, p_red.coords, third.coords)
     # S has the three points as columns; the point map is S^{-1}, under
     # which a line with row vector l transports to l.S
-    matrix = [[basis[j][i] for j in range(3)] for i in range(3)]
-
-    def map_line(line: ProjLine) -> ProjLine:
-        a, b, c = line.coords
-        coeffs = [a * matrix[0][j] + b * matrix[1][j] + c * matrix[2][j]
-                  for j in range(3)]
-        return ProjLine(field, coeffs)
-
-    red_t = [map_line(l) for l in config.red]
-    blue_t = [map_line(l) for l in config.blue]
-    green_t = [map_line(l) for l in config.green]
+    red_t, blue_t, green_t = ([ProjLine(field, [_dot(l.coords, b) for b in basis])
+                               for l in family]
+                              for family in (config.red, config.blue, config.green))
 
     u_raw = []
     for line in red_t:
-        a, b, c = line.coords
+        a, b, c = map(field, line.coords)
         if not b.is_zero() or a.is_zero():
             raise CounterexampleError(f"red line failed to normalize: {line}")
         u_raw.append(-c / a)
     v_raw = []
     for line in blue_t:
-        a, b, c = line.coords
+        a, b, c = map(field, line.coords)
         if not a.is_zero() or b.is_zero():
             raise CounterexampleError(f"blue line failed to normalize: {line}")
         v_raw.append(-c / b)
     slopes_raw, intercepts_raw = [], []
     for line in green_t:
-        a, b, c = line.coords
+        a, b, c = map(field, line.coords)
         if b.is_zero() or a.is_zero():
             raise CounterexampleError(f"green line failed to normalize: {line}")
         slopes_raw.append(-a / b)
@@ -406,12 +390,11 @@ def normalize_biconcurrent(config: LineConfiguration):
         v_equals_u=v_set == u_set,
         slopes_equal_u=slopes == u_set)
 
-    one, zero = field.one, field.zero
     normalized = LineConfiguration(
         field,
-        red=[ProjLine(field, (one, zero, -u)) for u in u_set],
-        blue=[ProjLine(field, (zero, one, -v)) for v in v_set],
-        green=[ProjLine(field, (s, -one, zero)) for s in slopes])
+        red=[ProjLine(field, (1, 0, -u)) for u in u_set],
+        blue=[ProjLine(field, (0, 1, -v)) for v in v_set],
+        green=[ProjLine(field, (s, -1, 0)) for s in slopes])
     return normalized, report
 
 

@@ -1,38 +1,63 @@
 """Projective points and lines over an exact field.
 
-Both carriers are homogeneous coordinate triples canonicalized so the
-first nonzero coordinate is one; canonical form makes equality, hashing,
-and sorting structural.  Working projectively means parallel pencils
-(concurrency at infinity) need no special casing anywhere downstream.
+Both carriers store `coords`, the raw canonical homogeneous triple (ints
+in [0, p) over F_p, Fractions over Q, first nonzero coordinate one), so
+equality, hashing, and sorting are structural.  Joins and meets are raw
+cross products, incidence is one raw dot product.  Working projectively
+means parallel pencils (concurrency at infinity) need no special casing
+anywhere downstream.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .field import Field, FieldElement
+from .field import Field, FieldMismatchError
+from .polytope import _cross3, _dot
 
 
-def _canonical(field: Field, coords) -> tuple:
-    vec = tuple(field(c) for c in coords)
-    if len(vec) != 3:
-        raise ValueError("homogeneous triples have three coordinates")
-    lead = next((c for c in vec if not c.is_zero()), None)
-    if lead is None:
-        raise ValueError("all-zero homogeneous triple")
-    inv = lead.inv()
-    return tuple(c * inv for c in vec)
+def _scaled(p, vec) -> tuple:
+    """A raw triple (p is the modulus, or None over Q) over its first
+    nonzero entry."""
+    if p:
+        vec = [x % p for x in vec]
+    for lead in vec:
+        if lead:
+            if p:
+                inv = pow(lead, -1, p)
+                return tuple(x * inv % p for x in vec)
+            return tuple(x / lead for x in vec)
+    raise ValueError("all-zero homogeneous triple")
+
+
+def _same_field(a, b) -> Field:
+    if a.field is not b.field and a.field != b.field:
+        raise FieldMismatchError(f"mixed fields: {a.field} and {b.field}")
+    return a.field
 
 
 class _Homogeneous:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: Field, coords):
+        # API input (elements, strings, ints, Fractions) is coerced once
+        vec = tuple(field(c).value for c in coords)
+        if len(vec) != 3:
+            raise ValueError("homogeneous triples have three coordinates")
         self.field = field
-        self.coords = _canonical(field, coords)
+        self.coords = _scaled(field.modulus, vec)
+
+    @classmethod
+    def _raw(cls, field: Field, vec):
+        """From a raw triple, which is not coerced."""
+        self = object.__new__(cls)
+        self.field = field
+        self.coords = _scaled(field.modulus, vec)
+        return self
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.coords == other.coords
+        return (type(self) is type(other) and self.coords == other.coords
+                and self.field == other.field)
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.coords))
@@ -40,10 +65,7 @@ class _Homogeneous:
     def __lt__(self, other) -> bool:
         if type(self) is not type(other):
             raise TypeError("cannot order different projective carriers")
-        return self.sort_key() < other.sort_key()
-
-    def sort_key(self):
-        return tuple(c.value for c in self.coords)
+        return self.coords < other.coords
 
 
 class ProjPoint(_Homogeneous):
@@ -51,10 +73,10 @@ class ProjPoint(_Homogeneous):
 
     @classmethod
     def affine(cls, field: Field, x, y) -> "ProjPoint":
-        return cls(field, (field(x), field(y), field.one))
+        return cls(field, (x, y, 1))
 
     def is_infinite(self) -> bool:
-        return self.coords[2].is_zero()
+        return not self.coords[2]
 
     def __repr__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -64,69 +86,61 @@ class ProjLine(_Homogeneous):
     """Line a*x + b*y + c*z = 0 with canonical (a, b, c)."""
 
     def contains(self, p: ProjPoint) -> bool:
-        acc = self.field.zero
-        for a, b in zip(self.coords, p.coords):
-            acc = acc + a * b
-        return acc.is_zero()
+        modulus = _same_field(self, p).modulus
+        dot = _dot(self.coords, p.coords)
+        return not (dot % modulus if modulus else dot)
 
     def __repr__(self) -> str:
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
 
 
-def _cross(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> tuple:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     if p == q:
         raise ValueError(f"need two distinct points, got {p} twice")
-    return ProjLine(p.field, _cross(p.coords, q.coords))
+    return ProjLine._raw(_same_field(p, q), _cross3(p.coords, q.coords))
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     if l1 == l2:
         raise ValueError(f"coincident lines {l1} have no unique meet")
-    return ProjPoint(l1.field, _cross(l1.coords, l2.coords))
+    return ProjPoint._raw(_same_field(l1, l2), _cross3(l1.coords, l2.coords))
 
 
 def infinity_line(field: Field) -> ProjLine:
-    return ProjLine(field, (field.zero, field.zero, field.one))
+    return ProjLine(field, (0, 0, 1))
 
 
 def all_points(field: Field) -> Iterator[ProjPoint]:
     """Every projective point over F_p in canonical order."""
-    one = field.one
     for x in field.elements():
         for y in field.elements():
-            yield ProjPoint(field, (x, y, one))
+            yield ProjPoint._raw(field, (x.value, y.value, 1))
     for y in field.elements():
-        yield ProjPoint(field, (one, y, field.zero))
-    yield ProjPoint(field, (field.zero, one, field.zero))
+        yield ProjPoint._raw(field, (1, y.value, 0))
+    yield ProjPoint._raw(field, (0, 1, 0))
 
 
 def all_lines(field: Field) -> Iterator[ProjLine]:
     """Every projective line over F_p (p^2 + p + 1 of them)."""
-    one = field.one
     for b in field.elements():
         for c in field.elements():
-            yield ProjLine(field, (one, b, c))
+            yield ProjLine._raw(field, (1, b.value, c.value))
     for c in field.elements():
-        yield ProjLine(field, (field.zero, one, c))
+        yield ProjLine._raw(field, (0, 1, c.value))
     yield infinity_line(field)
 
 
 def pencil(point: ProjPoint) -> list[ProjLine]:
     """Every line through the point over F_p (p + 1 of them)."""
     field = point.field
-    lead = next(k for k, c in enumerate(point.coords) if not c.is_zero())
+    lead = next(k for k, c in enumerate(point.coords) if c)
     # the point and the two unit vectors other than its leading one are
     # independent, so the lines joining it to them span the pencil
-    u, v = (_cross(point.coords, [field.one if m == k else field.zero for m in range(3)])
+    u, v = (_cross3(point.coords, [int(m == k) for m in range(3)])
             for k in range(3) if k != lead)
-    return ([ProjLine(field, [a + t * b for a, b in zip(u, v)]) for t in field.elements()]
-            + [ProjLine(field, v)])
+    return ([ProjLine._raw(field, [a + t.value * b for a, b in zip(u, v)])
+             for t in field.elements()]
+            + [ProjLine._raw(field, v)])
 
 
 def affine_candidate_points(field: Field, avoid: Iterable[ProjPoint]) -> Iterator[ProjPoint]:

@@ -227,6 +227,47 @@ def facet_normals_by_enumeration(vertices):
     return sorted(normals)
 
 
+# Oracles for the raw projective kernels of gridres.projective: triples of
+# field elements, crossed and scaled in field elements.
+
+def element_cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def element_canonical(field: Field, vec) -> tuple:
+    """vec as field elements, scaled so its first nonzero entry is one."""
+    vec = tuple(field(c) for c in vec)
+    inv = next(c for c in vec if not c.is_zero()).inv()
+    return tuple(c * inv for c in vec)
+
+
+def element_coords(x) -> tuple:
+    """A point's or line's stored coordinates as field elements."""
+    return tuple(x.field(c) for c in x.coords)
+
+
+def element_contains(line, point) -> bool:
+    dot = line.field.zero
+    for a, b in zip(element_coords(line), element_coords(point)):
+        dot = dot + a * b
+    return dot.is_zero()
+
+
+def assert_raw_triple(x):
+    """Stored coords: three ints in [0, p) over F_p, or three Fractions
+    over Q, the first nonzero one equal to 1."""
+    p = x.field.modulus
+    assert type(x.coords) is tuple and len(x.coords) == 3, x.coords
+    for c in x.coords:
+        if p:
+            assert type(c) is int and 0 <= c < p, x.coords
+        else:
+            assert type(c) is Fraction, x.coords
+    assert next(c for c in x.coords if c) == 1, x.coords
+
+
 def _det3(u, v, w):
     return (u[0] * (v[1] * w[2] - v[2] * w[1])
             - u[1] * (v[0] * w[2] - v[2] * w[0])
@@ -236,7 +277,7 @@ def _det3(u, v, w):
 def collinear(p, q, r) -> bool:
     """Whether three projective points lie on one line (their determinant
     vanishes)."""
-    return _det3(p.coords, q.coords, r.coords).is_zero()
+    return _det3(*map(element_coords, (p, q, r))).is_zero()
 
 
 def traces_by_incidence_scan(points):

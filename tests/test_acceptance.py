@@ -267,7 +267,7 @@ def test_criterion_8_lines_suite():
         covers5 = search_green_covers(red5, blue5, F5)
         assert len(covers5) == 4  # one cover per nonzero slope
         for cover in covers5:
-            slopes = {-line.coords[0] / line.coords[1] for line in cover}
+            slopes = {-F5(line.coords[0]) / F5(line.coords[1]) for line in cover}
             assert len(slopes) == 1 and not slopes.pop().is_zero()
 
         rng = Random(888)
@@ -278,7 +278,7 @@ def test_criterion_8_lines_suite():
                 if not determinant(m, F7).is_zero():
                     break
             def tf(line):
-                a, b, c = line.coords
+                a, b, c = map(F7, line.coords)
                 return ProjLine(F7, [a * m[0][j] + b * m[1][j] + c * m[2][j]
                                      for j in range(3)])
             moved = LineConfiguration(F7, [tf(l) for l in config.red],

@@ -123,6 +123,27 @@ def test_cb_forced_repeated_point(capsys, tmp_path):
                                "message": "value point ['0', '0'] is given twice"}
 
 
+def test_cb_forced_parses_each_point_string_once(capsys, tmp_path, monkeypatch):
+    # the points repeat the grid's node strings; values are parsed one by one
+    from gridres.field import Field
+    parsed, original = [], Field.__call__
+
+    def counted(self, value):
+        if isinstance(value, str):
+            parsed.append(value)
+        return original(self, value)
+    monkeypatch.setattr(Field, "__call__", counted)
+    grids = [["0", "1/2", "3"], ["0", "1/2"]]
+    points = [[a, b] for a in grids[0] for b in grids[1] if [a, b] != ["3", "1/2"]]
+    values = [{"point": pt, "value": str(10 + k)} for k, pt in enumerate(points)]
+    for field in (RATIONALS, F7):
+        parsed.clear()
+        code, _, _ = run(capsys, tmp_path, "cb-forced", {
+            "field": field, "grids": grids, "target": ["3", "1/2"], "values": values})
+        assert code == 0
+        assert sorted(parsed) == sorted(["0", "1/2", "3"] + [v["value"] for v in values])
+
+
 def test_cover_bound(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "cover-bound", {
         "field": RATIONALS, "grid": [["0", "1", "2"], ["0", "1"]],

@@ -17,6 +17,15 @@ def export_rows():
     return rows
 
 
+def test_every_exporting_module_has_a_row():
+    init = README.parent / "src" / "gridres" / "__init__.py"
+    modules = re.findall(r"^from \.(\w+) import", init.read_text(encoding="utf-8"), re.M)
+    assert modules
+    rows = {name for name, _ in export_rows()}
+    missing = sorted({f"gridres.{m}" for m in modules} - rows)
+    assert not missing, f"README export table has no row for {missing}"
+
+
 def test_export_table_names_exist():
     rows = export_rows()
     assert len(rows) >= 7

@@ -117,7 +117,7 @@ def test_search_slope_configuration_classes():
     for cover in covers:
         slopes = set()
         for line in cover:
-            a, b, _ = line.coords
+            a, b, _ = map(F5, line.coords)
             assert not b.is_zero() and not a.is_zero()
             slopes.add(-a / b)
         assert len(slopes) == 1  # one parallel class per cover
@@ -239,7 +239,7 @@ def random_projective_map(field, rng):
 def transform(config, m):
     field = config.field
     def tf(line):
-        a, b, c = line.coords
+        a, b, c = map(field, line.coords)
         return ProjLine(field, [a * m[0][j] + b * m[1][j] + c * m[2][j]
                                 for j in range(3)])
     return LineConfiguration(field,
