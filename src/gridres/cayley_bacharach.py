@@ -9,8 +9,11 @@ coefficient at x is alpha_x = prod_i w_i(x_i) with one weight
 w_i = 1/g_i'(x_i) per axis (nullstellensatz.grid_weights).  The
 dependence is never stored point by point, and the g_i themselves are
 never built for it: the residual is the factorized grid sum and a forced
-value multiplies the per-axis weights on raw values.  The general
-statement over F_p is checked by exhaustive enumeration.
+value contracts the value map against the per-axis weights on raw values.
+The general statement over F_p is checked on the common zeros in F_p^n,
+found by walking the grid F_p^n one axis at a time (the walk of
+nullstellensatz): each g_i collapses to its restriction at the next node,
+and a slab is dropped as soon as some g_i is a nonzero constant on it.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from .cover import min_line_cover
 from .errors import CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .multipoly import MultiPoly, vanishing_poly_from_nodes
-from .nullstellensatz import (GridSystem, _grid_point_tables, _require_compatible,
-                              _require_polynomial, _term_sum, _weighted_grid_sum,
-                              grid_weights)
+from .nullstellensatz import (GridSystem, _collapse, _grid_walk, _require_compatible,
+                              _require_polynomial, _weighted_grid_sum, grid_weights)
 from .projective import ProjPoint
 
 
@@ -53,14 +55,9 @@ class SeparableSystem(GridSystem):
     def polys_multivariate(self) -> tuple:
         """g_i lifted into the full n-variable ring, g_i depending on z_i."""
         n = self.nvars
-        out = []
-        for i, g in enumerate(self.polys):
-            terms = {}
-            for (e,), c in g.terms.items():
-                mono = tuple(e if j == i else 0 for j in range(n))
-                terms[mono] = c
-            out.append(MultiPoly(self.field, n, terms))
-        return tuple(out)
+        return tuple(MultiPoly(self.field, n, {(0,) * i + m + (0,) * (n - i - 1): c
+                                               for m, c in g.terms.items()})
+                     for i, g in enumerate(self.polys))
 
 
 def verify_cb(f: MultiPoly, system: SeparableSystem) -> FieldElement:
@@ -79,9 +76,10 @@ def forced_value(values: Mapping[tuple, object], system: SeparableSystem,
     """Value at target forced by values on every other grid point, each once.
 
     For any polynomial within the degree bound the dependence pins its
-    last value: v_t = -(sum over x != t of alpha_x v_x) / alpha_t, summed
-    on raw ints/Fractions with alpha_x taken from one raw weight map per
-    axis, then reduced and inverted once.  All-zero inputs force zero.
+    last value: v_t = -(sum over x != t of alpha_x v_x) / alpha_t.  The
+    value map, keyed by raw points, is contracted one axis at a time
+    against the raw weight map of that axis; alpha_t is the contraction
+    of the indicator of t.  All-zero inputs force zero.
     """
     field = system.field
 
@@ -103,19 +101,22 @@ def forced_value(values: Mapping[tuple, object], system: SeparableSystem,
             raise ValueError(f"point {tuple(map(str, pt))} is given twice")
         given[pt] = field(v).value
     extra = [pt for pt in given if pt == target or not on_grid(pt)]
-    if len(given) - len(extra) < prod(system.sizes) - 1:
-        missing = [pt for pt in product(*(sorted(w) for w in axes))
-                   if pt != target and pt not in given]
-        raise ValueError(f"values missing for {len(missing)} grid points, "
-                         f"e.g. {tuple(map(str, missing[0]))}")
+    short = prod(system.sizes) - 1 - (len(given) - len(extra))
+    if short > 0:
+        # stops at the first gap, after at most len(given) + 2 points
+        first = next(pt for pt in product(*(sorted(w) for w in axes))
+                     if pt != target and pt not in given)
+        raise ValueError(f"values missing for {short} grid points, "
+                         f"e.g. {tuple(map(str, first))}")
     if extra:
         raise ValueError(f"unexpected points in values, "
                          f"e.g. {tuple(map(str, min(extra)))}")
 
-    def alpha(pt):
-        return prod(w[x] for x, w in zip(pt, axes))
-    acc = sum(v * alpha(pt) for pt, v in given.items())
-    return -field(acc) * field(alpha(target)).inv()
+    def contract(vals) -> FieldElement:
+        for w in axes:
+            vals = _collapse(vals, w, field.modulus)
+        return field(vals.get((), 0))
+    return -contract(given) * contract({target: 1}).inv()
 
 
 def min_cover_size(points: Sequence, excluded, field: Field,
@@ -177,19 +178,23 @@ class HypersurfaceSystem:
         return len(self.polys)
 
     def solutions(self) -> list[tuple]:
-        """All common zeros in F_p^n by exhaustive enumeration, sorted.
+        """All common zeros in F_p^n, sorted.
 
-        F_p^n is the grid with every node set equal to F_p, so the points
-        come in row-major (sorted) order from the grid evaluator, and each
-        equation is evaluated on raw residues until one is nonzero.
+        F_p^n is the grid with every node set equal to F_p, walked in
+        row-major (sorted) order.  At each node of the next axis every
+        g_i collapses on raw residues to its restriction there, and the
+        slab behind the node is skipped when some g_i has become a nonzero
+        constant; a dense system still reaches all p^n leaves, hence the
+        cap.
         """
         p = self.field.modulus
         if p ** self.nvars > self.MAX_ENUMERATION:
             raise ValueError(
                 f"enumeration of {p}^{self.nvars} points exceeds the desk-scale cap")
         nodes = [tuple(self.field.elements())] * self.nvars
-        return [pt for pt, tables in _grid_point_tables(self.polys, nodes)
-                if not any(_term_sum(g, tables) for g in self.polys)]
+        return list(_grid_walk([g.terms for g in self.polys], nodes, p,
+                               lambda maps: any(len(g) == 1 and not any(next(iter(g)))
+                                                for g in maps)))
 
 
 @dataclass(frozen=True)
@@ -223,9 +228,7 @@ def verify_hypersurface_theorem(system: HypersurfaceSystem,
     if f.is_laurent():
         raise ValueError("polynomial must have nonnegative exponents")
     sols = tuple(system.solutions())
-    expected = 1
-    for k in system.degrees:
-        expected *= k
+    expected = prod(system.degrees)
     hypothesis_ok = len(sols) == expected
     degree_ok = f.total_degree() <= sum(system.degrees) - system.nvars
     target = tuple(k - 1 for k in system.degrees)

@@ -60,9 +60,10 @@ def _require_list(doc: dict, key: str, kind: str) -> list:
 
 def _decode_coords(field, raw, error: str,
                    lengths: tuple[int, ...] | None = None) -> tuple:
-    """The scalars of a JSON list, read by field (a Field or a memo of one).
-    Anything else, or a list whose length is not in lengths, raises error
-    formatted with {raw}."""
+    """The scalars of a JSON list, read by field (a Field, a memo of one,
+    or str for a constructor that coerces them itself).  Anything else, or
+    a list whose length is not in lengths, raises error formatted with
+    {raw}."""
     if not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths):
         raise InputError(error.format(raw=raw))
     # a list, not a generator: one generator per cb-forced record raised peak RSS
@@ -125,7 +126,7 @@ def _decode_lines(field: Field, doc: dict, key: str) -> list[ProjLine]:
     if not isinstance(raw, list) or not raw:
         raise InputError(f'"{key}" must be a nonempty list of lines')
     return [ProjLine(field, _decode_coords(
-        field, l, "a line is a coefficient triple [a, b, c], got {raw!r}", (3,)))
+        str, l, "a line is a coefficient triple [a, b, c], got {raw!r}", (3,)))
         for l in raw]
 
 
@@ -135,19 +136,20 @@ def _decode_config(field: Field, doc: dict) -> ln.LineConfiguration:
 
 
 def _decode_point(field: Field, raw) -> ProjPoint:
-    coords = _decode_coords(field, raw, "a point is [x, y] or [x, y, z], got {raw!r}", (2, 3))
+    coords = _decode_coords(str, raw, "a point is [x, y] or [x, y, z], got {raw!r}", (2, 3))
     return ProjPoint(field, coords if len(coords) == 3 else coords + (1,))
 
 
 def _budget(doc: dict, args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    if "budget" in doc:
+    budget = args.budget
+    if budget is None and "budget" in doc:
         try:
-            return int(str(doc["budget"]))
+            budget = int(str(doc["budget"]))
         except ValueError:
             raise InputError(f"budget is not an integer: {doc['budget']!r}") from None
-    return None
+    if budget is not None and budget < 0:
+        raise InputError(f"budget must be nonnegative, got {budget}")
+    return budget
 
 
 # -- serialization -----------------------------------------------------------

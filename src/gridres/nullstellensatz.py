@@ -14,13 +14,18 @@ factorizes per monomial: with S_i(e) = sum over a in A_i of a^e / phi_i'(a),
 
 S_i(0) is the sum of the weights, which is 0 for |A_i| >= 2 and 1 for
 |A_i| = 1, so exponent 0 is a table entry like any other, not a factor 1.
-The same term kernel evaluates f at a single point, with a_i^e in place
-of S_i(e).
+Every grid computation is one kernel, _collapse, applied one axis at a
+time: it sums the first variable of a raw term map against a table.
+Against S_i(e) it takes the weighted sum over axis i; against a^e it
+restricts f to z_i = a.  The witness search walks the grid in row-major
+order with the second kind, and skips the slab behind a node as soon as
+f collapses to zero there.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 from .field import Field, FieldElement, FieldMismatchError, batch_inverse
@@ -72,14 +77,8 @@ def grid_weights(nodes: Sequence[FieldElement]) -> dict:
         raise ValueError("empty node set")
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate nodes")
-    field = nodes[0].field
-    derivs = []
-    for i, a in enumerate(nodes):
-        acc = field.one
-        for j, b in enumerate(nodes):
-            if j != i:
-                acc = acc * (a - b)
-        derivs.append(acc)
+    one = nodes[0].field.one
+    derivs = [prod((a - b for b in nodes if b != a), start=one) for a in nodes]
     return dict(zip(nodes, batch_inverse(derivs)))
 
 
@@ -97,67 +96,61 @@ def check_relaxed_support(f: MultiPoly, c: Sequence[int]) -> bool:
     c = tuple(int(e) for e in c)
     if len(c) != f.nvars:
         raise ValueError(f"target exponent arity {len(c)}, expected {f.nvars}")
-    for m in f.terms:
-        if m == c:
-            continue
-        if all(d >= ci for d, ci in zip(m, c)):
-            return False
-    return True
+    return all(m == c or any(d < ci for d, ci in zip(m, c)) for m in f.terms)
 
 
-def _term_sum(f: MultiPoly, tables):
-    """Raw sum over the terms c x^m of f of c * prod_i tables[i][m_i].
+def _collapse(terms: dict, table: dict, p) -> dict:
+    """Sum the first variable of a raw term map against a raw table.
 
-    tables[i] maps each exponent of variable i in f to a raw value; the
-    result is reduced mod p over F_p.  This is the only loop over terms
-    that grid computations run.
+    Key m goes to m[1:] with weight table[m[0]] (missing is zero), reduced
+    mod p (None over Q) with zeros dropped: against a^e this restricts f
+    to z_1 = a, against S_i(e) it sums over the first axis.
     """
-    p = f.field.modulus
-    total = 0
-    for m, c in f.terms.items():
-        for t, e in zip(tables, m):
-            c *= t[e]
-        total += c
-    return total % p if p else total
-
-
-def _node_powers(polys, nodes):
-    """Per axis, per node: exponent -> node^exponent as raw values.
-
-    The exponents are those of that variable in any of the polynomials.
-    """
-    p = nodes[0][0].field.modulus
-    out = []
-    for i, ns in enumerate(nodes):
-        exps = {m[i] for g in polys for m in g.terms}
-        out.append([{e: pow(a.value, e, p) for e in exps} for a in ns])
-    return out
+    out: dict = {}
+    for m, c in terms.items():
+        t = table.get(m[0])
+        if t:
+            rest = m[1:]
+            out[rest] = out.get(rest, 0) + c * t
+    if p:
+        return {m: r for m, c in out.items() if (r := c % p)}
+    return {m: c for m, c in out.items() if c}
 
 
 def _weighted_grid_sum(f: MultiPoly, nodes) -> FieldElement:
-    """Sum over the grid of f(x) * prod_i 1/phi_i'(x_i).
+    """Sum over the grid of f(x) * prod_i 1/phi_i'(x_i), one axis at a time.
 
-    One _term_sum call with tables[i][e] = S_i(e), exponent 0 included.
+    Axis i's table S_i(e) is itself a collapse: the power map
+    {(a, e): a^e} summed over a against the weights of A_i.
     """
-    field = f.field
-    tables = []
-    for ns, powers in zip(nodes, _node_powers([f], nodes)):
-        w = grid_weights(ns)
-        tables.append({e: field(sum(w[a].value * t[e] for a, t in zip(ns, powers))).value
-                       for e in powers[0]})
-    return field(_term_sum(f, tables))
+    field, terms = f.field, f.terms
+    p = field.modulus
+    for ns in nodes:
+        weights = {a.value: w.value for a, w in grid_weights(ns).items()}
+        exps = {m[0] for m in terms}
+        sums = _collapse({(a, e): pow(a, e, p) for a in weights for e in exps}, weights, p)
+        terms = _collapse(terms, {e: s for (e,), s in sums.items()}, p)
+    return field(terms.get((), 0))
 
 
-def _grid_point_tables(polys, nodes):
-    """(point, tables) for each grid point in row-major order.
+def _grid_walk(maps, nodes, p, dead):
+    """Grid points in row-major order at which the raw term maps survive.
 
-    tables[i] maps exponent -> x_i^exponent, so _term_sum(g, tables) is
-    the raw value g(point) for each g in polys.
+    At each node a of the first axis every map collapses to its
+    restriction z_1 = a, and the slab behind a is skipped as soon as
+    dead(collapsed maps) holds; a leaf, where every map is a constant,
+    yields its point unless it is dead.
     """
-    axes = [list(zip(ns, powers)) for ns, powers in zip(nodes, _node_powers(polys, nodes))]
-    for combo in product(*axes):
-        point, tables = zip(*combo)
-        yield point, tables
+    if not nodes:
+        yield ()
+        return
+    exps = {m[0] for g in maps for m in g}
+    for a in nodes[0]:
+        table = {e: pow(a.value, e, p) for e in exps}
+        sub = [_collapse(g, table, p) for g in maps]
+        if not dead(sub):
+            for rest in _grid_walk(sub, nodes[1:], p, dead):
+                yield (a,) + rest
 
 
 def _require_polynomial(f: MultiPoly):
@@ -195,9 +188,5 @@ def find_nonvanishing_witness(f: MultiPoly, grid: GridSystem):
     """
     _require_compatible(f, grid)
     _require_polynomial(f)
-    if f.is_zero():
-        return None
-    for point, tables in _grid_point_tables([f], grid.nodes):
-        if _term_sum(f, tables):
-            return point
-    return None
+    return next(_grid_walk([f.terms], grid.nodes, f.field.modulus,
+                           lambda maps: not maps[0]), None)

@@ -107,12 +107,6 @@ def point_in_hull(point: Sequence[int], generators: Sequence[IntVec]) -> bool:
     return solve_nonnegative(rows, rhs) is not None
 
 
-def extreme_points(points: Iterable[IntVec]) -> list[IntVec]:
-    """The extreme points of a finite integer point set, sorted."""
-    pts = sorted(set(tuple(int(c) for c in p) for p in points))
-    return list(_integer_hull(pts).vertices) if pts else []
-
-
 def primitive(vec: Sequence[int]) -> IntVec:
     """Divide out the gcd; zero vectors are rejected."""
     g = 0

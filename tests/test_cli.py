@@ -144,6 +144,28 @@ def test_cb_forced_parses_each_point_string_once(capsys, tmp_path, monkeypatch):
         assert sorted(parsed) == sorted(["0", "1/2", "3"] + [v["value"] for v in values])
 
 
+def test_line_and_point_coordinates_are_coerced_once(monkeypatch):
+    # the JSON strings go straight to ProjLine/ProjPoint, which coerce them
+    from gridres.cli import _decode_lines, _decode_point
+    from gridres.field import Field
+    calls, original = [], Field.__call__
+
+    def counted(self, value):
+        calls.append(value)
+        return original(self, value)
+    monkeypatch.setattr(Field, "__call__", counted)
+    doc = {"red": [["1", "0", "0"], ["1", "0", "-1"]], "blue": [["0", "1", "-1/2"]]}
+    for field in (Field.rationals(), Field.prime(7)):
+        calls.clear()
+        for key in ("red", "blue"):
+            _decode_lines(field, doc, key)
+        assert calls == [c for key in ("red", "blue") for line in doc[key] for c in line]
+        calls.clear()
+        _decode_point(field, ["1/2", "3"])
+        _decode_point(field, ["1", "2", "0"])
+        assert calls == ["1/2", "3", 1, "1", "2", "0"]
+
+
 def test_cover_bound(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "cover-bound", {
         "field": RATIONALS, "grid": [["0", "1", "2"], ["0", "1"]],
@@ -160,6 +182,27 @@ def test_cover_bound_budget(capsys, tmp_path):
     }, "--budget", "1")
     assert code == 3
     assert "budget" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("budget, exit_code", [("-3", 2), ("0", 3)])
+@pytest.mark.parametrize("subcommand", ["cover-bound", "lines-search"])
+@pytest.mark.parametrize("from_flag", [True, False])
+def test_negative_budget_is_invalid_input(capsys, tmp_path, budget, exit_code,
+                                          subcommand, from_flag):
+    if subcommand == "cover-bound":
+        doc = {"field": RATIONALS, "grid": [["0", "1", "2"], ["0", "1", "2"]],
+               "excluded": ["0", "0"]}
+    else:
+        doc = {"field": F7, "red": [["1", "0", "-1"], ["1", "0", "-2"]],
+               "blue": [["0", "1", "-1"], ["0", "1", "-2"]]}
+    extra = ("--budget", budget) if from_flag else ()
+    if not from_flag:
+        doc["budget"] = budget
+    code, report, _ = run(capsys, tmp_path, subcommand, doc, *extra)
+    assert code == exit_code
+    message = {"-3": "budget must be nonnegative, got -3",
+               "0": "search budget exceeded (0 nodes)"}[budget]
+    assert report["error"]["message"] == message
 
 
 @pytest.mark.parametrize("budget, exit_code", [("80", 0), ("79", 3)])

@@ -134,16 +134,16 @@ def test_extreme_points_degenerate():
 
 
 def test_extreme_points_against_monotone_chain():
-    from gridres.polytope import _ccw_hull, extreme_points
+    from gridres.polytope import _ccw_hull
     rng = Random(55)
     for _ in range(40):
         pts = [(rng.randint(-4, 4), rng.randint(-4, 4))
                for _ in range(rng.randint(1, 12))]
-        assert sorted(extreme_points(pts)) == sorted(_ccw_hull(pts))
+        assert sorted(LatticePolytope.from_points(pts).vertices) == sorted(_ccw_hull(pts))
     for _ in range(20):
         pts1 = [(rng.randint(-9, 9),) for _ in range(rng.randint(1, 8))]
         expected = sorted({min(pts1), max(pts1)})
-        assert extreme_points(pts1) == expected
+        assert list(LatticePolytope.from_points(pts1).vertices) == expected
 
 
 def _dot(u, v):

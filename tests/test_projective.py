@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from gridres import (Field, FieldElement, FieldMismatchError, ProjLine, ProjPoint,
+from gridres import (Field, FieldMismatchError, ProjLine, ProjPoint,
                      grid_intersections, line_through, meet, search_green_covers)
 from gridres.cover import min_line_cover
 from gridres.projective import all_lines, all_points, pencil
@@ -90,22 +90,6 @@ def test_mixed_fields_are_rejected():
         line_through(a, b)
     with pytest.raises(FieldMismatchError):
         ProjLine(F7, (1, 1, 1)).contains(a)
-
-
-ELEM_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-            "__rmul__", "__truediv__", "__rtruediv__", "inv", "__pow__")
-
-
-@pytest.fixture
-def elem_ops(monkeypatch):
-    """The number of FieldElement arithmetic calls made so far."""
-    calls = []
-    for name in ELEM_OPS:
-        def counted(*args, _op=getattr(FieldElement, name)):
-            calls.append(1)
-            return _op(*args)
-        monkeypatch.setattr(FieldElement, name, counted)
-    return calls
 
 
 def test_cover_searches_do_no_element_arithmetic(elem_ops):
