@@ -485,7 +485,8 @@ def main(argv=None) -> int:
         result, code, summary = _HANDLERS[args.subcommand](doc, args)
         report["result"] = result
     except BudgetExceededError as err:
-        report["error"] = {"type": type(err).__name__, "message": str(err)}
+        report["error"] = {"type": type(err).__name__, "message": str(err),
+                           "nodes": err.nodes, "best": err.best}
         code, summary = 3, f"error: {err}"
     except CounterexampleError as err:
         report["error"] = {"type": type(err).__name__, "message": str(err)}

@@ -3,11 +3,20 @@
 Candidate lines are restricted to lines through at least two of the
 points (not through the forbidden point, never the infinity line) plus
 one singleton line per point; any minimal cover can be rewritten inside
-this family, so the search space stays finite over the rationals.  The
-search is branch and bound on the uncovered point with fewest candidates,
-tie-broken by index, with a configurable node budget.  A candidate
-through an uncovered point always covers that point, so each point's
-branch count is fixed for the whole search and the points are ranked once.
+this family, so the search space stays finite over the rationals.
+
+The search is branch and bound on int bitmasks.  Points are ranked once,
+by their number of candidates and then by index (a candidate through an
+uncovered point always covers it, so that count never changes), and bit k
+of a mask is the point of rank k.  Each trace and the uncovered set are
+ints, and the branch point is the lowest set bit of the uncovered set.
+The lower bound is the residual-trace bound: the fewest of the largest
+residual sizes |t & uncovered| that sum to at least |uncovered|.  The
+residual sizes and a histogram of them (sizes are at most the largest
+trace) are updated on each branch, only for the traces through the newly
+covered points, and restored from a copy on backtrack, so the bound is a
+short loop over the histogram.  One budget node is one call of the
+search, pruned or not.
 
 `lines_through_pairs` is the one source of candidate lines: the green
 cover search in `lines` draws its candidates from it as well.  A trace
@@ -16,6 +25,7 @@ is the union of its pairs, so no incidence test is needed to find it.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Sequence
 
@@ -59,13 +69,26 @@ def candidate_traces(points: Sequence[ProjPoint], excluded: ProjPoint,
     return traces
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
                    field: Field, budget: int | None = None):
     """(size, lines) of a minimum cover of the points avoiding excluded.
 
-    Branches on the uncovered point with the fewest candidates, then the
-    lowest index.  A candidate through an uncovered point contains it, so
-    that count is fixed for the whole search and is ranked once."""
+    Candidates are tried big traces first, then by point indices.  The
+    branch point is the uncovered point with the fewest candidates, then
+    the lowest index.  A node is pruned once the chosen lines plus the
+    residual-trace bound reach the best size found so far; the bound adds
+    up residual sizes |t & uncovered| from the largest down until they
+    reach |uncovered|.  Every valid bound returns the same first minimum
+    cover in this order, and a stronger one visits fewer nodes.  Past
+    `budget` nodes, BudgetExceededError reports the best size found."""
     points = list(points)
     if len(set(points)) != len(points):
         raise ValueError("cover points must be distinct")
@@ -74,33 +97,64 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
     if not points:
         return 0, ()
     traces = candidate_traces(points, excluded, field)
-    # deterministic candidate order: big traces first, then by line
+    # deterministic candidate order: big traces first, then by point indices
     order = sorted(traces, key=lambda t: (-len(t), sorted(t)))
-    containing = {i: [t for t in order if i in t] for i in range(len(points))}
-    by_rank = sorted(containing, key=lambda i: (len(containing[i]), i))
-    max_trace = max(len(t) for t in order)
-    all_idx = frozenset(range(len(points)))
+    through = Counter(i for t in order for i in t)
+    bit = {i: 1 << k for k, i in enumerate(sorted(through, key=lambda i: (through[i], i)))}
+    masks = [sum(bit[i] for i in t) for t in order]
+    # the candidates through the point of rank k, in candidate order
+    containing = [[c for c, m in enumerate(masks) if m >> k & 1]
+                  for k in range(len(points))]
+    residual = [len(t) for t in order]
+    max_trace = residual[0]
+    hist = [0] * (max_trace + 1)
+    for size in residual:
+        hist[size] += 1
 
     best_size = len(points) + 1
     best_cover: tuple = ()
+    chosen: list = []
     nodes = 0
 
-    def search(uncovered: frozenset, chosen: list):
+    def search(uncovered: int):
         nonlocal best_size, best_cover, nodes
         nodes += 1
         if budget is not None and nodes > budget:
-            raise BudgetExceededError(budget)
+            raise BudgetExceededError(budget, len(best_cover) if best_cover else None)
         if not uncovered:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_cover = tuple(chosen)
             return
-        # lower bound: each remaining line covers at most max_trace points
-        if len(chosen) + (len(uncovered) + max_trace - 1) // max_trace >= best_size:
+        # residual-trace bound, cut short once it fills the room left
+        room = best_size - len(chosen)
+        need = uncovered.bit_count()
+        bound = 0
+        for size in range(max_trace, 0, -1):
+            count = hist[size]
+            if count * size >= need:
+                bound += -(-need // size)
+                break
+            need -= count * size
+            bound += count
+            if bound >= room:
+                break
+        if bound >= room:
             return
-        pick = next(i for i in by_rank if i in uncovered)
-        for t in containing[pick]:
-            search(uncovered - t, chosen + [t])
+        saved = residual[:], hist[:]
+        for c in containing[(uncovered & -uncovered).bit_length() - 1]:
+            newly = masks[c] & uncovered
+            # each trace through a newly covered point loses it
+            for k in _bits(newly):
+                for t in containing[k]:
+                    size = residual[t]
+                    hist[size] -= 1
+                    hist[size - 1] += 1
+                    residual[t] = size - 1
+            chosen.append(c)
+            search(uncovered ^ newly)
+            chosen.pop()
+            residual[:], hist[:] = saved
 
-    search(all_idx, [])
-    return best_size, tuple(traces[t] for t in best_cover)
+    search((1 << len(points)) - 1)
+    return best_size, tuple(traces[order[c]] for c in best_cover)

@@ -2,11 +2,16 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """A backtracking search ran past its configured node budget."""
+    """A backtracking search ran past its configured node budget.
 
-    def __init__(self, budget: int):
-        super().__init__(f"search budget exceeded ({budget} nodes)")
-        self.budget = budget
+    `nodes` is the number of nodes explored before the search stopped (the
+    budget) and `best` the smallest cover size found by then, or None.
+    """
+
+    def __init__(self, nodes: int, best: int | None = None):
+        super().__init__(f"search budget exceeded ({nodes} nodes)")
+        self.nodes = nodes
+        self.best = best
 
 
 class CounterexampleError(RuntimeError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .cover import lines_through_pairs, min_line_cover
+from .cover import _bits, lines_through_pairs, min_line_cover
 from .errors import BudgetExceededError, CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .multipoly import MultiPoly
@@ -123,8 +123,10 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
     trace (`cover.lines_through_pairs`), over F_p or Q alike.  For n = 1
     they are the pencil through the one grid point, finite only over F_p;
     over Q that case raises ValueError.  Red, blue and infinity lines are
-    never candidates.  Every returned cover is asserted to split the grid
-    into n disjoint n-point traces.
+    never candidates.  The exact-cover search runs on int bitmasks of the
+    grid points and branches on the point with the fewest live candidates,
+    then the lowest index.  Every returned cover is asserted to split the
+    grid into n disjoint n-point traces.
     """
     red, blue = list(red), list(blue)
     for line in red + blue:
@@ -141,31 +143,32 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
     else:
         traces = lines_through_pairs(points)
     forbidden = set(red) | set(blue) | {infinity_line(field)}
-    candidates = sorted(((line, trace) for line, trace in traces.items()
+    # (line, mask) with bit i of the mask for grid point i
+    candidates = sorted(((line, sum(1 << i for i in trace)) for line, trace in traces.items()
                          if len(trace) == n and line not in forbidden),
                         key=lambda c: c[0])
-    containing = {i: [c for c in candidates if i in c[1]] for i in range(len(points))}
+    containing = [[c for c in candidates if c[1] >> i & 1] for i in range(len(points))]
 
     # the branches at a node take distinct lines through the pick point and
     # an exact cover holds exactly one of them, so each cover is found once
     solutions: list = []
     nodes = 0
 
-    def search(uncovered: frozenset, chosen: tuple):
+    def search(uncovered: int, chosen: tuple):
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
-            raise BudgetExceededError(budget)
+            raise BudgetExceededError(budget, n if solutions else None)
         if not uncovered:
             solutions.append(chosen)
             return
-        pick = min(uncovered,
-                   key=lambda i: (sum(1 for _, t in containing[i] if t <= uncovered), i))
-        for line, trace in containing[pick]:
-            if trace <= uncovered:
-                search(uncovered - trace, chosen + (line,))
+        pick = min(_bits(uncovered),
+                   key=lambda i: (sum(1 for _, m in containing[i] if m & uncovered == m), i))
+        for line, m in containing[pick]:
+            if m & uncovered == m:
+                search(uncovered ^ m, chosen + (line,))
 
-    search(frozenset(range(len(points))), ())
+    search((1 << len(points)) - 1, ())
     covers = sorted(tuple(sorted(sol)) for sol in solutions)
     for cover in covers:
         _assert_partition(cover, points, n)

@@ -1,11 +1,16 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and slow oracles shared across the test modules."""
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 from random import Random
 
-from gridres import Field, MultiPoly, grid_weights, vanishing_poly_from_nodes
+from gridres import (BudgetExceededError, Field, MultiPoly, grid_weights,
+                     vanishing_poly_from_nodes)
+from gridres.cover import candidate_traces, lines_through_pairs
+from gridres.field import FieldMismatchError
+from gridres.lines import grid_intersections
+from gridres.projective import infinity_line, pencil
 
 
 def random_element(rng: Random, field: Field, nonzero: bool = False):
@@ -286,3 +291,101 @@ def traces_by_incidence_scan(points):
     every pair.  Returns the set of distinct traces."""
     return {frozenset(k for k, r in enumerate(points) if collinear(points[i], points[j], r))
             for i, j in combinations(range(len(points)), 2)}
+
+
+def assert_cover(points, excluded, lines, size):
+    """The lines are `size` many, cover every point and avoid excluded."""
+    assert len(lines) == size
+    for line in lines:
+        assert not element_contains(line, excluded), (line, excluded)
+    for p in points:
+        assert any(element_contains(line, p) for line in lines), p
+
+
+def oracle_min_line_cover(points, excluded, field, budget=None):
+    """Oracle: the frozenset cover search whose only bound is
+    ceil(|uncovered| / largest trace), on the same candidates and in the
+    same branching order as `cover.min_line_cover`."""
+    points = list(points)
+    if len(set(points)) != len(points):
+        raise ValueError("cover points must be distinct")
+    if excluded in points:
+        raise ValueError(f"excluded point {excluded} is among the points to cover")
+    if not points:
+        return 0, ()
+    traces = candidate_traces(points, excluded, field)
+    # deterministic candidate order: big traces first, then by point indices
+    order = sorted(traces, key=lambda t: (-len(t), sorted(t)))
+    containing = {i: [t for t in order if i in t] for i in range(len(points))}
+    by_rank = sorted(containing, key=lambda i: (len(containing[i]), i))
+    max_trace = max(len(t) for t in order)
+    all_idx = frozenset(range(len(points)))
+
+    best_size = len(points) + 1
+    best_cover: tuple = ()
+    nodes = 0
+
+    def search(uncovered: frozenset, chosen: list):
+        nonlocal best_size, best_cover, nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(budget)
+        if not uncovered:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_cover = tuple(chosen)
+            return
+        # lower bound: each remaining line covers at most max_trace points
+        if len(chosen) + (len(uncovered) + max_trace - 1) // max_trace >= best_size:
+            return
+        pick = next(i for i in by_rank if i in uncovered)
+        for t in containing[pick]:
+            search(uncovered - t, chosen + [t])
+
+    search(all_idx, [])
+    return best_size, tuple(traces[t] for t in best_cover)
+
+
+def oracle_green_covers(red, blue, field, budget=None):
+    """Oracle: the frozenset exact-cover search for green families, with the
+    candidates and pick rule of `lines.search_green_covers` (fewest live
+    candidates, then lowest index); returns the sorted covers."""
+    red, blue = list(red), list(blue)
+    for line in red + blue:
+        if line.field != field:
+            raise FieldMismatchError(f"line {line} is over {line.field}, not {field}")
+    n = len(red)
+    if len(blue) != n:
+        raise ValueError("need equally many red and blue lines")
+    points = grid_intersections(red, blue)
+    if n == 1:
+        if not field.is_prime_field:
+            raise ValueError("a one-point grid has infinitely many cover lines over Q")
+        traces = {line: frozenset([0]) for line in pencil(points[0])}
+    else:
+        traces = lines_through_pairs(points)
+    forbidden = set(red) | set(blue) | {infinity_line(field)}
+    candidates = sorted(((line, trace) for line, trace in traces.items()
+                         if len(trace) == n and line not in forbidden),
+                        key=lambda c: c[0])
+    containing = {i: [c for c in candidates if i in c[1]] for i in range(len(points))}
+
+    solutions: list = []
+    nodes = 0
+
+    def search(uncovered: frozenset, chosen: tuple):
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(budget)
+        if not uncovered:
+            solutions.append(chosen)
+            return
+        pick = min(uncovered,
+                   key=lambda i: (sum(1 for _, t in containing[i] if t <= uncovered), i))
+        for line, trace in containing[pick]:
+            if trace <= uncovered:
+                search(uncovered - trace, chosen + (line,))
+
+    search(frozenset(range(len(points))), ())
+    return sorted(tuple(sorted(sol)) for sol in solutions)

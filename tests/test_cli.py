@@ -205,7 +205,7 @@ def test_negative_budget_is_invalid_input(capsys, tmp_path, budget, exit_code,
     assert report["error"]["message"] == message
 
 
-@pytest.mark.parametrize("budget, exit_code", [("80", 0), ("79", 3)])
+@pytest.mark.parametrize("budget, exit_code", [("26", 0), ("25", 3)])
 def test_cover_bound_budget_pins_node_count(capsys, tmp_path, budget, exit_code):
     code, report, _ = run(capsys, tmp_path, "cover-bound", {
         "field": RATIONALS, "grid": [["0", "1", "2"], ["0", "1", "2"]],
@@ -214,6 +214,34 @@ def test_cover_bound_budget_pins_node_count(capsys, tmp_path, budget, exit_code)
     assert code == exit_code
     if exit_code == 0:
         assert report["result"] == {"min_cover": 4, "bound": 4, "meets_bound": True}
+
+
+BUDGET_DOCS = {
+    "cover-bound": {"field": RATIONALS, "grid": [["0", "1", "2"], ["0", "1", "2"]],
+                    "excluded": ["0", "0"]},
+    "problem1-bound": {"field": RATIONALS,
+                       "red": [["1", "0", "0"], ["1", "0", "-1"], ["1", "0", "-2"]],
+                       "blue": [["0", "1", "0"], ["0", "1", "-1"], ["0", "1", "-2"]],
+                       "excluded": ["0", "0"]},
+    "lines-search": {"field": {"kind": "prime-field", "modulus": "5"},
+                     "red": [["1", "0", str(-c)] for c in range(5)],
+                     "blue": [["0", "1", str(-c)] for c in range(5)]},
+}
+
+
+@pytest.mark.parametrize("subcommand, budget, best", [
+    ("cover-bound", 0, None), ("cover-bound", 4, None), ("cover-bound", 25, 4),
+    ("problem1-bound", 0, None), ("problem1-bound", 4, None), ("problem1-bound", 10, 4),
+    ("lines-search", 0, None), ("lines-search", 5, None), ("lines-search", 20, 5)])
+def test_budget_error_reports_progress(capsys, tmp_path, subcommand, budget, best):
+    """A tripped budget reports the nodes explored and the smallest cover
+    size found by then (None before the first cover)."""
+    code, report, _ = run(capsys, tmp_path, subcommand, BUDGET_DOCS[subcommand],
+                          "--budget", str(budget))
+    assert code == 3
+    assert report["error"] == {"type": "BudgetExceededError",
+                               "message": f"search budget exceeded ({budget} nodes)",
+                               "nodes": budget, "best": best}
 
 
 def test_hyper_verify(capsys, tmp_path):

@@ -6,10 +6,12 @@ import pytest
 from gridres import BudgetExceededError, Field, ProjPoint
 from gridres.cover import candidate_traces, lines_through_pairs, min_line_cover
 
-from helpers import collinear, element_contains, traces_by_incidence_scan
+from helpers import (assert_cover, collinear, element_contains, oracle_min_line_cover,
+                     traces_by_incidence_scan)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
+F7 = Field.prime(7)
 
 
 def pt(field, x, y):
@@ -50,8 +52,12 @@ def test_min_cover_validation():
 
 def test_budget_exceeded():
     points = [pt(Q, a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         min_line_cover(points, pt(Q, 0, 0), Q, budget=1)
+    assert (err.value.nodes, err.value.best) == (1, None)
+    with pytest.raises(BudgetExceededError) as err:
+        min_line_cover(points, pt(Q, 0, 0), Q, budget=25)
+    assert (err.value.nodes, err.value.best) == (25, 4)
 
 
 def test_collinear_points_one_line():
@@ -60,9 +66,10 @@ def test_collinear_points_one_line():
     assert size == 1
 
 
-@pytest.mark.parametrize("rows, nodes", [(3, 80), (4, 1122)])
+@pytest.mark.parametrize("rows, nodes", [(3, 26), (4, 135)])
 def test_node_counts_pinned(rows, nodes):
-    # the branching order fixes the tree, so --budget keeps its meaning
+    # the branching order and the residual-trace bound fix the tree, so
+    # --budget keeps its meaning
     points = [pt(Q, a, b) for a in range(3) for b in range(rows) if (a, b) != (0, 0)]
     size, _ = min_line_cover(points, pt(Q, 0, 0), Q, budget=nodes)
     assert size == 3 + rows - 2
@@ -128,3 +135,17 @@ def test_min_cover_against_subset_brute_force():
                 if best is not None:
                     break
             assert size == best, (points, excluded, size, best)
+
+
+@pytest.mark.parametrize("field", [Q, F5, F7], ids=str)
+@pytest.mark.parametrize("k1, k2", [(k1, k2) for k1 in range(1, 5) for k2 in range(1, 5)])
+def test_grids_minus_each_point_match_oracle(field, k1, k2):
+    """Every k1 x k2 grid minus each of its points: the residual-trace search
+    returns the oracle's cover, which has the Alon-Furedi size k1 + k2 - 2."""
+    grid = [pt(field, a, b) for a in range(k1) for b in range(k2)]
+    for excluded in grid:
+        points = [p for p in grid if p != excluded]
+        size, lines = min_line_cover(points, excluded, field)
+        assert (size, lines) == oracle_min_line_cover(points, excluded, field)
+        assert size == k1 + k2 - 2
+        assert_cover(points, excluded, lines, size)

@@ -1,0 +1,100 @@
+"""Property tests: the bitmask cover searches against their frozenset oracles."""
+
+import re
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from gridres import BudgetExceededError, Field, ProjLine, ProjPoint, search_green_covers
+from gridres.cover import min_line_cover
+from gridres.projective import all_lines
+
+from helpers import assert_cover, oracle_green_covers, oracle_min_line_cover
+
+Q = Field.rationals()
+F5 = Field.prime(5)
+F7 = Field.prime(7)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def point_sets(draw):
+    """A field, up to 12 distinct points (some at infinity) and one more point."""
+    field = draw(st.sampled_from([Q, F5, F7]))
+    if field.is_prime_field:
+        coord = st.integers(0, field.modulus - 1)
+    else:
+        coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    affine = st.builds(lambda x, y: ProjPoint.affine(field, x, y), coord, coord)
+    at_infinity = st.one_of(st.builds(lambda m: ProjPoint(field, (1, m, 0)), coord),
+                            st.just(ProjPoint(field, (0, 1, 0))))
+    size = draw(st.integers(1, 13))
+    pool = draw(st.lists(st.one_of(affine, affine, affine, at_infinity),
+                         min_size=size, max_size=size, unique=True))
+    excluded = pool.pop(draw(st.integers(0, len(pool) - 1)))
+    return field, pool, excluded
+
+
+@SETTINGS
+@given(point_sets())
+def test_min_cover_matches_oracle(case):
+    field, points, excluded = case
+    size, lines = min_line_cover(points, excluded, field)
+    assert (size, lines) == oracle_min_line_cover(points, excluded, field)
+    assert_cover(points, excluded, lines, size)
+
+
+def _min_budget(search, *args):
+    """The fewest nodes the search completes in, found by bisection on the budget."""
+    low, high = -1, 1
+    while True:
+        try:
+            search(*args, budget=high)
+            break
+        except BudgetExceededError:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            search(*args, budget=mid)
+            high = mid
+        except BudgetExceededError:
+            low = mid
+    return high
+
+
+@st.composite
+def line_grids(draw):
+    """Red and blue families of one size over F_5 or F_7: axis-parallel grids
+    on random nodes, or random lines of the plane."""
+    field = draw(st.sampled_from([F5, F7]))
+    p = field.modulus
+    if draw(st.booleans()):
+        n = draw(st.integers(1, p))
+        nodes = st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True)
+        red = [ProjLine(field, (1, 0, -c)) for c in draw(nodes)]
+        blue = [ProjLine(field, (0, 1, -c)) for c in draw(nodes)]
+        return red, blue, field
+    lines = list(all_lines(field))
+    n = draw(st.integers(1, 4))
+    family = st.lists(st.sampled_from(lines), min_size=n, max_size=n, unique=True)
+    return draw(family), draw(family), field
+
+
+@SETTINGS
+@given(line_grids())
+def test_green_covers_match_oracle(case):
+    red, blue, field = case
+    try:
+        expected = oracle_green_covers(red, blue, field)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            search_green_covers(red, blue, field)
+        return
+    assert search_green_covers(red, blue, field) == expected
+    # the same pick rule explores the same tree
+    assert _min_budget(search_green_covers, red, blue, field) == \
+        _min_budget(oracle_green_covers, red, blue, field)
