@@ -66,8 +66,21 @@ def test_collinear_points_one_line():
     assert size == 1
 
 
-@pytest.mark.parametrize("rows, nodes", [(3, 26), (4, 135)])
+@pytest.mark.parametrize("rows, nodes", [(3, 80), (4, 1122)])
 def test_node_counts_pinned(rows, nodes):
+    # the previous search (the oracle, bounded only by the largest trace)
+    # explores exactly `nodes`; a budget that sufficed for it still suffices
+    # for the residual-trace search, with the same answer
+    points = [pt(Q, a, b) for a in range(3) for b in range(rows) if (a, b) != (0, 0)]
+    expected = oracle_min_line_cover(points, pt(Q, 0, 0), Q, budget=nodes)
+    assert expected[0] == 3 + rows - 2
+    with pytest.raises(BudgetExceededError):
+        oracle_min_line_cover(points, pt(Q, 0, 0), Q, budget=nodes - 1)
+    assert min_line_cover(points, pt(Q, 0, 0), Q, budget=nodes) == expected
+
+
+@pytest.mark.parametrize("rows, nodes", [(3, 26), (4, 135)])
+def test_residual_bound_node_counts_pinned(rows, nodes):
     # the branching order and the residual-trace bound fix the tree, so
     # --budget keeps its meaning
     points = [pt(Q, a, b) for a in range(3) for b in range(rows) if (a, b) != (0, 0)]
