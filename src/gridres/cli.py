@@ -33,7 +33,7 @@ from . import lines as ln
 from . import nullstellensatz as ns
 from . import toric
 from .errors import BudgetExceededError, CounterexampleError
-from .expr import ParseError, parse_poly
+from .expr import ParseError, is_variable_name, parse_poly
 from .field import Field
 from .multipoly import MultiPoly, default_names
 from .projective import ProjLine, ProjPoint
@@ -60,11 +60,13 @@ def _require_list(doc: dict, key: str, kind: str) -> list:
 
 def _decode_coords(field, raw, error: str,
                    lengths: tuple[int, ...] | None = None) -> tuple:
-    """The scalars of a JSON list, read by field (a Field, a memo of one,
-    or str for a constructor that coerces them itself).  Anything else, or
-    a list whose length is not in lengths, raises error formatted with
-    {raw}."""
-    if not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths):
+    """The scalars (strings or JSON numbers) of a JSON list, read by field
+    (a Field, a memo of one, or str for a constructor that coerces them
+    itself).  Anything else, or a list whose length is not in lengths,
+    raises error formatted with {raw}."""
+    # type(), not isinstance: bool is a subclass of int
+    if (not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths)
+            or not all(type(v) in (str, int, float) for v in raw)):
         raise InputError(error.format(raw=raw))
     # a list, not a generator: one generator per cb-forced record raised peak RSS
     return tuple([field(str(v)) for v in raw])
@@ -91,9 +93,11 @@ def _decode_field(doc: dict) -> Field:
 def _decode_names(doc: dict, default_arity: int | None = None) -> list[str]:
     if "vars" in doc:
         names = doc["vars"]
-        if (not isinstance(names, list) or not names
-                or not all(isinstance(v, str) and v for v in names)):
+        if not isinstance(names, list) or not names:
             raise InputError('"vars" must be a nonempty list of names')
+        for v in names:
+            if not (isinstance(v, str) and is_variable_name(v)):
+                raise InputError(f"variable name {v!r} is not a word starting with a letter")
         if len(set(names)) != len(names):
             raise InputError("repeated variable name")
         return names

@@ -11,7 +11,7 @@ Variables are x, y, z (when the arity allows) or z1..zn.  Literals are
 integers, optionally written as a fraction a/b so that canonical output
 over the rationals reparses.  Negative exponents build Laurent monomials;
 they are only legal on single-term bases.  Errors carry the offset of the
-offending character.
+offending character.  Every token comes from one compiled pattern.
 
 The rules work on raw coefficients: each returns a dict from exponent
 tuples to nonzero ints mod p (over F_p) or ints/Fractions (over Q).
@@ -25,6 +25,7 @@ become Fractions, the raw form MultiPoly stores.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .field import Field
 from .multipoly import (MAX_EXPONENT, MultiPoly, _mul_terms, _pow_terms,
                         default_names)
 
-__all__ = ["ParseError", "parse_poly", "default_names"]
+__all__ = ["ParseError", "parse_poly", "default_names", "is_variable_name"]
 
 
 class ParseError(ValueError):
@@ -41,67 +42,59 @@ class ParseError(ValueError):
         self.position = position
 
 
+# One token: an ASCII integer, a word or one other character.  So only an
+# integer starts with an ASCII digit and only a word with a letter.  \w is
+# exactly str.isalnum() or "_", \S exactly not str.isspace(), so a scan
+# skips exactly the whitespace between tokens.
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")
+
+
+def is_variable_name(name: str) -> bool:
+    """Whether the grammar can read name as a variable: one word token
+    that starts with a letter."""
+    return name[:1].isalpha() and _TOKEN.fullmatch(name) is not None
+
+
 class _Parser:
     def __init__(self, text: str, field: Field, names: Sequence[str]):
         self.text = text
         self.field = field
         self.p = field.modulus  # None over Q: no reduction
-        self.names = list(names)
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.nvars = len(self.names)
+        self.index = {name: i for i, name in enumerate(names)}
+        self.nvars = len(names)
         self.origin = (0,) * self.nvars
         self.unit = {self.origin: 1}
         self.units = [tuple(int(i == k) for i in range(self.nvars))
                       for k in range(self.nvars)]
-        self.pos = 0
+        self.tokens = _TOKEN.finditer(text)  # lazy, one token ahead
+        self.advance()
 
-    # -- scanning ----------------------------------------------------------
-
-    def peek(self) -> str:
-        """Skip whitespace; the next character, or "" at the end."""
-        text, pos = self.text, self.pos
-        while text[pos:pos + 1].isspace():
-            pos += 1
-        self.pos = pos
-        return text[pos:pos + 1]
+    def advance(self):
+        """The next token becomes tok ("" at the end), at its offset."""
+        m = next(self.tokens, None)
+        if m is None:
+            self.tok, self.at = "", len(self.text)
+        else:
+            self.tok = m[0]
+            self.at = m.start()
 
     def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+        if self.tok == ch:
+            self.advance()
             return True
         return False
 
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ParseError(f"expected {ch!r}", self.pos)
-
     def _integer(self) -> int:
-        self.peek()
-        text, start = self.text, self.pos
-        pos = start
-        # ASCII digits only: str.isdigit also accepts digits such as '²' and '١'
-        while pos < len(text) and "0" <= text[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise ParseError("expected an integer", start)
-        self.pos = pos
-        return int(text[start:pos])
-
-    def _identifier(self) -> str:
-        self.peek()
-        text, start = self.text, self.pos
-        pos = start
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        self.pos = pos
-        return text[start:pos]
-
-    # -- grammar -------------------------------------------------------------
+        if not "0" <= self.tok[:1] <= "9":
+            raise ParseError("expected an integer", self.at)
+        value = int(self.tok)
+        self.advance()
+        return value
 
     def parse(self) -> MultiPoly:
         terms = self.expr()
-        if self.peek():
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
+        if self.tok:
+            raise ParseError(f"unexpected {self.tok[0]!r}", self.at)
         if self.p is None:
             terms = {m: c if type(c) is Fraction else Fraction(c)
                      for m, c in terms.items()}
@@ -137,8 +130,9 @@ class _Parser:
         poly = self.base()
         if not self.take("^"):
             return poly
+        # errors point just past a sign, else at the exponent's first digit
+        at = self.at + (self.tok == "-")
         sign = -1 if self.take("-") else 1
-        at = self.pos
         e = sign * self._integer()
         if abs(e) > MAX_EXPONENT:
             raise ParseError(f"exponent {e} overflows 32 bits", at)
@@ -147,18 +141,17 @@ class _Parser:
         return _pow_terms(poly, e, self.p, self.unit)
 
     def base(self) -> dict:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        tok, at = self.tok, self.at
+        if self.take("("):
             poly = self.expr()
-            self.expect(")")
+            if not self.take(")"):
+                raise ParseError("expected ')'", self.at)
             return poly
         p = self.p
-        if "0" <= ch <= "9":
+        if "0" <= tok[:1] <= "9":
             value = self._integer()
-            if self.peek() == "/":
-                self.pos += 1
-                at = self.pos
+            at = self.at + 1  # a zero denominator points just past the '/'
+            if self.take("/"):
                 den = self._integer()
                 if den == 0:
                     raise ParseError("zero denominator", at)
@@ -171,16 +164,15 @@ class _Parser:
             if p:
                 value %= p
             return {self.origin: value} if value else {}
-        if ch.isalpha():
-            at = self.pos
-            name = self._identifier()
-            index = self.index.get(name)
+        if tok[:1].isalpha():
+            self.advance()
+            index = self.index.get(tok)
             if index is None:
-                index = self._aliased(name)
+                index = self._aliased(tok)
             if index is None:
-                raise ParseError(f"unknown variable {name!r}", at)
+                raise ParseError(f"unknown variable {tok!r}", at)
             return {self.units[index]: 1}
-        raise ParseError("expected a variable, literal, or parenthesis", self.pos)
+        raise ParseError("expected a variable, literal, or parenthesis", at)
 
     def _aliased(self, name: str):
         # z1..zn always work; x, y, z address low arities unambiguously

@@ -576,3 +576,51 @@ def test_vanishing_polys_built_only_for_toric_grid_route(capsys, tmp_path, monke
         calls.clear()
         code, _, _ = run(capsys, tmp_path, subcommand, doc)
         assert code == 0 and len(calls) == built, subcommand
+
+
+@pytest.mark.parametrize("name", ["2", "a b", "_y", ""])
+def test_unreadable_variable_name_is_input_error(capsys, tmp_path, name):
+    # the grammar reads "2" as a literal and "a b" as two tokens, so a
+    # variable of such a name could never be written
+    code, report, _ = run(capsys, tmp_path, "coeff", {
+        "field": RATIONALS, "vars": ["x", name], "poly": "x*2 + 3",
+        "grids": [["0", "1"], ["0", "1"]]})
+    assert code == 2
+    assert report["error"] == {
+        "type": "InputError",
+        "message": f"variable name {name!r} is not a word starting with a letter"}
+
+
+GRID_2X2 = [["0", "1"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    ("coeff", {"field": RATIONALS, "vars": ["x", "y"], "poly": "x*y",
+               "grids": [["0", ["1"]], ["0", "1"]]}, '"grids" must be a list of node lists'),
+    ("problem1-bound", {"field": F7, "red": [["1", "0", "0"], ["1", "0", "-1"]],
+                        "blue": [["0", "1", "0"], ["0", "1", "-1"]],
+                        "excluded": ["1", True]}, "a point is [x, y] or [x, y, z]"),
+    ("lines-search", {"field": F7, "red": [["1", None, "0"]], "blue": [["0", "1", "0"]]},
+     "a line is a coefficient triple"),
+    ("toric-verify", dict(TORIC_ZEROS_DOC, zeros=[["1", "2"], ["1", {"y": "-2"}],
+                                                  ["-1", "2"], ["-1", "-2"]]),
+     "a zero must be a list of coordinates"),
+    ("cb-forced", {"field": RATIONALS, "grids": GRID_2X2, "target": ["1", False],
+                   "values": []}, '"target" must be a list of coordinates'),
+    ("cb-forced", {"field": RATIONALS, "grids": GRID_2X2, "target": ["1", "1"],
+                   "values": [{"point": ["0", "0"], "value": ["1"]}]},
+     "a value is a scalar"),
+])
+def test_non_scalar_json_value_is_input_error(capsys, tmp_path, subcommand, doc, message):
+    # lists, objects, true/false and null are not read through str() as scalars
+    code, report, _ = run(capsys, tmp_path, subcommand, doc)
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+    assert report["error"]["message"].startswith(message)
+
+
+def test_json_numbers_still_read_as_scalars(capsys, tmp_path):
+    code, report, _ = run(capsys, tmp_path, "coeff", {
+        "field": RATIONALS, "vars": ["x", "y"], "poly": "3*x^2*y + x*y - 2",
+        "grids": [[0, 1, 2], ["0", 1]]})
+    assert code == 0 and report["result"]["coefficient_via_grid"] == "3"

@@ -22,6 +22,8 @@ def test_parse_examples():
     assert laurent.coefficient((-1,)) == Q(1)
 
     assert parse_poly("(x + y)^2", Q, 2) == parse_poly("x^2 + 2*x*y + y^2", Q, 2)
+    # any str.isspace() character separates tokens, here an ideographic space
+    assert parse_poly("x\u3000+ y", Q, 2) == parse_poly("x + y", Q, 2)
 
 
 def test_parse_error_positions():
@@ -52,6 +54,17 @@ def test_parse_error_positions():
     ("3 - 1/0*x", 6, "zero denominator"),
     ("x + w - y", 4, "unknown variable 'w'"),
     ("x*(y + z) - )", 12, "expected a variable"),
+    # an exponent error points just past a '-' sign if there is one, else at
+    # the exponent's first digit; a zero denominator just past the '/'
+    ("x^ 99999999999", 3, "exponent 99999999999 overflows"),
+    ("x ^ 2147483648", 4, "exponent 2147483648 overflows"),
+    ("x^\t-\t2147483648", 4, "exponent -2147483648 overflows"),
+    ("1 /0", 3, "zero denominator"),
+    ("x y", 2, "unexpected 'y'"),
+    ("_x", 0, "expected a variable"),
+    ("", 0, "expected a variable"),
+    ("   ", 3, "expected a variable"),
+    ("x_1", 0, "unknown variable 'x_1'"),
 ])
 def test_parse_error_offsets_in_sums(text, offset, message):
     with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -305,3 +318,21 @@ def test_zero_literal_power_over_prime_field():
         parse_poly("7^-1", F7, 1)
     assert err.value.position == 3
     assert parse_poly("7^-1", Field.prime(10007), 1) == parse_poly("7148", Field.prime(10007), 1)
+
+
+def test_overlong_literal_is_value_error():
+    # int() refuses more than 4300 decimal digits
+    with pytest.raises(ValueError, match="4300 digits") as err:
+        parse_poly("1" * 4301, Q, 1)
+    assert not isinstance(err.value, ParseError)
+
+
+def test_token_classes_match_str_predicates():
+    """The token pattern's \\w and \\S (the complement of \\s) are the
+    predicates the grammar is stated in, str.isalnum() or "_" and
+    str.isspace(), over the BMP."""
+    word, space = re.compile(r"\w"), re.compile(r"\s")
+    for code in range(0x10000):
+        ch = chr(code)
+        assert bool(word.fullmatch(ch)) == (ch.isalnum() or ch == "_"), hex(code)
+        assert bool(space.fullmatch(ch)) == ch.isspace(), hex(code)
