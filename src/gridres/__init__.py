@@ -1,12 +1,11 @@
 """Exact engine for grid coefficient formulas, value dependences on full
 intersections, support-polytope residues, and finite-plane line covers."""
 
-from .cayley_bacharach import (HypersurfaceSystem, HypersurfaceVerdict,
-                               SeparableSystem, forced_value, min_cover_size,
-                               verify_cb, verify_hypersurface_theorem)
+from .cayley_bacharach import (HypersurfaceSystem, HypersurfaceVerdict, forced_value,
+                               min_cover_size, verify_cb, verify_hypersurface_theorem)
 from .errors import BudgetExceededError, CounterexampleError
 from .expr import ParseError, parse_poly
-from .field import Field, FieldElement, FieldMismatchError, batch_inverse, is_prime
+from .field import Field, FieldElement, FieldMismatchError, is_prime
 from .lines import (LineConfiguration, NormalizationReport, check_problem1_bound,
                     concurrency_point, grid_intersections,
                     normalize_biconcurrent, product_form, roots_of_unity_config,

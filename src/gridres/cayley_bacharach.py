@@ -4,12 +4,13 @@ When n hypersurfaces of degrees k_1..k_n meet in exactly k_1*...*k_n
 points, the values of any polynomial of total degree at most
 sum(k_i) - n - 1 on those points satisfy one linear dependence with all
 coefficients nonzero.  For separable systems (each g_i univariate in its
-own variable) the zeros form a grid and the Jacobian is diagonal, so the
-coefficient at x is alpha_x = prod_i w_i(x_i) with one weight
-w_i = 1/g_i'(x_i) per axis (nullstellensatz.grid_weights).  The
-dependence is never stored point by point, and the g_i themselves are
+own variable) the zeros form a grid, a nullstellensatz.GridSystem, and
+the Jacobian is diagonal, so the coefficient at x is
+alpha_x = prod_i w_i(x_i) with one weight w_i = 1/g_i'(x_i) per axis.
+The dependence is never stored point by point, and the g_i themselves are
 never built for it: the residual is the factorized grid sum and a forced
-value contracts the value map against the per-axis weights on raw values.
+value contracts the value map against the raw per-axis weight tables of
+nullstellensatz.grid_weights.
 The general statement over F_p is checked on the common zeros in F_p^n,
 found by walking the grid F_p^n one axis at a time (the walk of
 nullstellensatz): each g_i collapses to its restriction at the next node,
@@ -26,41 +27,13 @@ from typing import Mapping, Sequence
 from .cover import min_line_cover
 from .errors import CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
-from .multipoly import MultiPoly, vanishing_poly_from_nodes
+from .multipoly import MultiPoly
 from .nullstellensatz import (GridSystem, _collapse, _grid_walk, _require_compatible,
                               _require_polynomial, _weighted_grid_sum, grid_weights)
 from .projective import ProjPoint
 
 
-class SeparableSystem(GridSystem):
-    """System g_1(z_1), ..., g_n(z_n) with all roots rational and distinct.
-
-    g_i is the monic polynomial vanishing on node set A_i, so the common
-    zeros are exactly the grid points.
-    """
-
-    __slots__ = ()
-
-    @property
-    def polys(self) -> tuple:
-        """The univariate g_i, built from the nodes on each read; the
-        dependence itself needs only the per-axis weights."""
-        return tuple(vanishing_poly_from_nodes(ns) for ns in self.nodes)
-
-    @property
-    def degree_bound(self) -> int:
-        """Largest total degree whose values the dependence annihilates."""
-        return sum(self.sizes) - self.nvars - 1
-
-    def polys_multivariate(self) -> tuple:
-        """g_i lifted into the full n-variable ring, g_i depending on z_i."""
-        n = self.nvars
-        return tuple(MultiPoly(self.field, n, {(0,) * i + m + (0,) * (n - i - 1): c
-                                               for m, c in g.terms.items()})
-                     for i, g in enumerate(self.polys))
-
-
-def verify_cb(f: MultiPoly, system: SeparableSystem) -> FieldElement:
+def verify_cb(f: MultiPoly, system: GridSystem) -> FieldElement:
     """Residual sum alpha_x * f(x) over the grid, reported unconditionally.
 
     The dependence guarantees a zero residual whenever total_degree(f) is
@@ -71,7 +44,7 @@ def verify_cb(f: MultiPoly, system: SeparableSystem) -> FieldElement:
     return _weighted_grid_sum(f, system.nodes)
 
 
-def forced_value(values: Mapping[tuple, object], system: SeparableSystem,
+def forced_value(values: Mapping[tuple, object], system: GridSystem,
                  target: tuple) -> FieldElement:
     """Value at target forced by values on every other grid point, each once.
 
@@ -86,7 +59,7 @@ def forced_value(values: Mapping[tuple, object], system: SeparableSystem,
     def raw(pt) -> tuple:
         return tuple(field(x).value for x in pt)
 
-    axes = [{a.value: w.value for a, w in grid_weights(ns).items()} for ns in system.nodes]
+    axes = [grid_weights(ns) for ns in system.nodes]
 
     def on_grid(pt) -> bool:
         return len(pt) == len(axes) and all(x in w for x, w in zip(pt, axes))

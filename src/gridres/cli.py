@@ -4,15 +4,15 @@ One subcommand per public operation, each driven by a JSON job document:
 
     gridres <subcommand> --input job.json [--summary] [--budget N]
 
-One flat argparse parser, built per call, takes the subcommand as a
-positional choice, so the options may stand before or after it.
+One flat argparse parser, built once at import, takes the subcommand as
+a positional choice, so the options may stand before or after it.
 Documents carry a "field" object ({"kind": "prime-field", "modulus": "7"}
 or {"kind": "rationals"}) plus subcommand-specific sections; numbers are
 decimal strings ("a/b" for rationals) to avoid integer-width ambiguity.
 List sections (system, samples, zeros, values, target) must be JSON lists,
 and so must each zero and each value record's point; a repeated value
-point is invalid input.  Separable grids decode to one SeparableSystem,
-which is itself the GridSystem the sums run over.
+point is invalid input.  Node lists decode to one GridSystem, which is
+also the separable system of cb-verify, cb-forced and toric-verify.
 Polynomials and lines hold raw ints/Fractions (see gridres.expr and
 gridres.projective); decoded nodes, points and values are field elements.
 Reports are JSON on stdout; --summary adds human-readable lines on
@@ -207,7 +207,7 @@ def _cmd_cb_verify(doc, args):
     field = _decode_field(doc)
     names = _decode_names(doc)
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
-    system = cb.SeparableSystem(field, _decode_grids(field, doc))
+    system = ns.GridSystem(field, _decode_grids(field, doc))
     residual = cb.verify_cb(f, system)
     bound = system.degree_bound
     within = f.total_degree() <= bound
@@ -226,7 +226,7 @@ def _cmd_cb_forced(doc, args):
     field = _decode_field(doc)
     # the points repeat the few node strings of the grid: parse each once
     parse = functools.cache(field)
-    system = cb.SeparableSystem(field, _decode_grids(parse, doc))
+    system = ns.GridSystem(field, _decode_grids(parse, doc))
     target = _decode_coords(parse, _require(doc, "target", "grid point"),
                             '"target" must be a list of coordinates, got {raw!r}')
     raw_values = _require_list(doc, "values", "list of {point, value} records")
@@ -325,7 +325,7 @@ def _cmd_toric_verify(doc, args):
                     f"node set {i} contains 0; translate the grid so the "
                     "zeros lie in the torus")
         names = _decode_names(doc, default_arity=len(nodes))
-        grid = cb.SeparableSystem(field, nodes)
+        grid = ns.GridSystem(field, nodes)
         system = toric.NewtonSystem(grid.polys_multivariate())
         zeros = list(grid.points())
     else:
@@ -456,22 +456,21 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gridres",
-        description="exact grid, dependence, residue, and line-configuration checks")
-    parser.add_argument("subcommand", choices=_HANDLERS)
-    parser.add_argument("--input", required=True,
-                        help="job document (JSON file, or - for stdin)")
-    parser.add_argument("--summary", action="store_true",
-                        help="also print a human-readable summary on stderr")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="node budget for backtracking searches")
-    return parser
+# argparse keeps no state between parses, so one parser serves every call
+_PARSER = argparse.ArgumentParser(
+    prog="gridres",
+    description="exact grid, dependence, residue, and line-configuration checks")
+_PARSER.add_argument("subcommand", choices=_HANDLERS)
+_PARSER.add_argument("--input", required=True,
+                     help="job document (JSON file, or - for stdin)")
+_PARSER.add_argument("--summary", action="store_true",
+                     help="also print a human-readable summary on stderr")
+_PARSER.add_argument("--budget", type=int, default=None,
+                     help="node budget for backtracking searches")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     report = {"subcommand": args.subcommand}
     try:

@@ -21,12 +21,16 @@ product MultiPoly computes, overflow checks included: a product out of the
 signed 32-bit range raises OverflowError, a literal exponent out of it
 raises ParseError.  Over Q the integer coefficients left at the end
 become Fractions, the raw form MultiPoly stores.
+
+A product or power whose predicted size passes a fixed bound raises
+ParseError at its operator before any work; the shared kernels are not bounded.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .field import Field
@@ -47,6 +51,13 @@ class ParseError(ValueError):
 # exactly str.isalnum() or "_", \S exactly not str.isspace(), so a scan
 # skips exactly the whitespace between tokens.
 _TOKEN = re.compile(r"[0-9]+|\w+|\S")
+
+# Bounds on predicted sizes: a product's term pairs, the C(e + t - 1, t - 1)
+# possible terms of a t-term sum to the e (squaring to R terms costs about
+# R^2 / 3 pairs), and over Q the bits of a coefficient other than +-1 to the e.
+MAX_PAIRS = 100_000
+MAX_POWER_TERMS = 500
+MAX_POWER_BITS = 100_000
 
 
 def is_variable_name(name: str) -> bool:
@@ -122,12 +133,19 @@ class _Parser:
 
     def term(self) -> dict:
         poly = self.factor()
-        while self.take("*"):
-            poly = _mul_terms(poly, self.factor(), self.p)
+        while self.tok == "*":
+            at = self.at
+            self.advance()
+            rhs = self.factor()
+            if len(poly) * len(rhs) > MAX_PAIRS:
+                raise ParseError(f"product of {len(poly)} by {len(rhs)} terms is over "
+                                 f"{MAX_PAIRS} term pairs", at)
+            poly = _mul_terms(poly, rhs, self.p)
         return poly
 
     def factor(self) -> dict:
         poly = self.base()
+        op = self.at
         if not self.take("^"):
             return poly
         # errors point just past a sign, else at the exponent's first digit
@@ -138,6 +156,17 @@ class _Parser:
             raise ParseError(f"exponent {e} overflows 32 bits", at)
         if e < 0 and len(poly) != 1:
             raise ParseError("negative power of a non-monomial", at)
+        t = len(poly)
+        # comb(e + t - 1, t - 1) >= e + t - 1, so a large e or t is refused before comb runs
+        if t > 1 and (e + t - 1 > MAX_POWER_TERMS or comb(e + t - 1, t - 1) > MAX_POWER_TERMS):
+            raise ParseError(f"power of a {t}-term sum may expand to over "
+                             f"{MAX_POWER_TERMS} terms", op)
+        if self.p is None:
+            bits = abs(e) * max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                                 for c in poly.values() if abs(c) != 1), default=0)
+            if bits > MAX_POWER_BITS:
+                raise ParseError(f"power has a coefficient of about {bits} bits, over "
+                                 f"{MAX_POWER_BITS}", op)
         return _pow_terms(poly, e, self.p, self.unit)
 
     def base(self) -> dict:

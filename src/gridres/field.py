@@ -11,7 +11,7 @@ anywhere: equality of elements is structural equality of canonical forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 MAX_MODULUS = 1 << 31
 
@@ -266,29 +266,4 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.field!r}({self.value})"
-
-
-def batch_inverse(values: Sequence[FieldElement]) -> list[FieldElement]:
-    """Invert every entry with one field inversion and O(len) products.
-
-    Raises ZeroDivisionError naming the index of the first zero entry.
-    """
-    vals = list(values)
-    for i, v in enumerate(vals):
-        if not isinstance(v, FieldElement):
-            raise TypeError(f"batch_inverse expects field elements, got {v!r}")
-        if v.is_zero():
-            raise ZeroDivisionError(f"zero entry at index {i}")
-    if not vals:
-        return []
-    prefix = [vals[0]]
-    for v in vals[1:]:
-        prefix.append(prefix[-1] * v)
-    acc = prefix[-1].inv()
-    out = [None] * len(vals)
-    for i in range(len(vals) - 1, 0, -1):
-        out[i] = acc * prefix[i - 1]
-        acc = acc * vals[i]
-    out[0] = acc
-    return out
 

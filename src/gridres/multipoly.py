@@ -25,6 +25,8 @@ Monomial = tuple  # tuple[int, ...], length = nvars
 MAX_EXPONENT = (1 << 31) - 1
 MIN_EXPONENT = -(1 << 31)
 
+_SCALARS = (int, Fraction, FieldElement)  # operands coerced through the field
+
 
 def grade_key(m: Monomial):
     """Graded-lex sort key: total degree first, then lexicographic."""
@@ -183,7 +185,7 @@ class MultiPoly:
             if other.nvars != self.nvars:
                 raise ValueError(f"arity mismatch: {self.nvars} vs {other.nvars}")
             return other
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, _SCALARS):
             return MultiPoly.constant(self.field, self.nvars, other)
         return NotImplemented
 
@@ -215,7 +217,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         p = self.field.modulus
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, _SCALARS):
             s = self.field(other).value
             if not s:
                 return MultiPoly.zero(self.field, self.nvars)
@@ -238,7 +240,7 @@ class MultiPoly:
                          _pow_terms(self.terms, e, self.field.modulus, unit))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, _SCALARS):
             other = self._coerce(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -368,18 +370,15 @@ def vanishing_poly_from_nodes(nodes: Iterable[FieldElement]) -> MultiPoly:
     if not nodes:
         raise ValueError("need at least one node")
     field = nodes[0].field
+    one = field.one.value
     seen = set()
-    for a in nodes:
-        if field(a) in seen:
-            raise ValueError(f"duplicate node {a} (multisets are rejected)")
-        seen.add(field(a))
-    # coefficient list, index = exponent
-    coeffs = [field.one]
-    for a in nodes:
-        a = field(a)
-        nxt = [field.zero] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * a
-        coeffs = nxt
-    return MultiPoly.from_terms(field, 1, {(i,): c for i, c in enumerate(coeffs)})
+    terms = {(0,): one}
+    for node in nodes:
+        a = field(node)
+        if a in seen:
+            raise ValueError(f"duplicate node {node} (multisets are rejected)")
+        seen.add(a)
+        # (z - a) with its constant first keeps the exponents ascending
+        factor = {(0,): -a.value, (1,): one} if a.value else {(1,): one}
+        terms = _mul_terms(terms, factor, field.modulus)
+    return MultiPoly(field, 1, terms)

@@ -19,21 +19,24 @@ time: it sums the first variable of a raw term map against a table.
 Against S_i(e) it takes the weighted sum over axis i; against a^e it
 restricts f to z_i = a.  The witness search walks the grid in row-major
 order with the second kind, and skips the slab behind a node as soon as
-f collapses to zero there.
+f collapses to zero there.  The weights 1/phi_i'(a) are a raw table too
+(grid_weights), so only the final scalar becomes a FieldElement.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
-from .field import Field, FieldElement, FieldMismatchError, batch_inverse
-from .multipoly import MultiPoly
+from .field import Field, FieldElement, FieldMismatchError
+from .multipoly import MultiPoly, vanishing_poly_from_nodes
 
 
 class GridSystem:
-    """Product grid of per-variable node sets, nodes sorted and distinct."""
+    """Product grid of per-variable node sets, nodes sorted and distinct;
+    also the separable system g_i(z_i) = phi_i(z_i) whose zeros it is."""
 
     __slots__ = ("field", "nodes", "sizes")
 
@@ -61,6 +64,24 @@ class GridSystem:
         """c with c_i = |A_i| - 1: the exponent the grid formula extracts."""
         return tuple(k - 1 for k in self.sizes)
 
+    @property
+    def degree_bound(self) -> int:
+        """Largest total degree whose values the dependence annihilates."""
+        return sum(self.sizes) - self.nvars - 1
+
+    @property
+    def polys(self) -> tuple:
+        """The univariate g_i, built from the nodes on each read; the
+        sums and the dependence need only the per-axis weights."""
+        return tuple(vanishing_poly_from_nodes(ns) for ns in self.nodes)
+
+    def polys_multivariate(self) -> tuple:
+        """g_i lifted into the full n-variable ring, g_i depending on z_i."""
+        n = self.nvars
+        return tuple(MultiPoly(self.field, n, {(0,) * i + m + (0,) * (n - i - 1): c
+                                               for m, c in g.terms.items()})
+                     for i, g in enumerate(self.polys))
+
     def points(self):
         """Grid points in row-major (lexicographic by sorted nodes) order."""
         return product(*self.nodes)
@@ -71,15 +92,17 @@ class GridSystem:
 
 
 def grid_weights(nodes: Sequence[FieldElement]) -> dict:
-    """Map node -> 1/phi'(node) for the monic vanishing polynomial phi."""
+    """Raw map node value -> 1/phi'(node) for the monic vanishing polynomial
+    phi: ints mod p over F_p, Fractions over Q."""
     nodes = list(nodes)
     if not nodes:
         raise ValueError("empty node set")
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate nodes")
-    one = nodes[0].field.one
-    derivs = [prod((a - b for b in nodes if b != a), start=one) for a in nodes]
-    return dict(zip(nodes, batch_inverse(derivs)))
+    p = nodes[0].field.modulus
+    values = [a.value for a in nodes]
+    derivs = [prod(a - b for b in values if b != a) for a in values]
+    return {a: pow(d, -1, p) if p else 1 / Fraction(d) for a, d in zip(values, derivs)}
 
 
 def check_classical_degree(f: MultiPoly, c: Sequence[int]) -> bool:
@@ -126,7 +149,7 @@ def _weighted_grid_sum(f: MultiPoly, nodes) -> FieldElement:
     field, terms = f.field, f.terms
     p = field.modulus
     for ns in nodes:
-        weights = {a.value: w.value for a, w in grid_weights(ns).items()}
+        weights = grid_weights(ns)
         exps = {m[0] for m in terms}
         sums = _collapse({(a, e): pow(a, e, p) for a in weights for e in exps}, weights, p)
         terms = _collapse(terms, {e: s for (e,), s in sums.items()}, p)

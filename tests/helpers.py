@@ -5,8 +5,7 @@ from itertools import combinations, product
 from math import gcd
 from random import Random
 
-from gridres import (BudgetExceededError, Field, MultiPoly, grid_weights,
-                     vanishing_poly_from_nodes)
+from gridres import BudgetExceededError, Field, MultiPoly, vanishing_poly_from_nodes
 from gridres.cover import candidate_traces, lines_through_pairs
 from gridres.field import FieldMismatchError
 from gridres.lines import grid_intersections
@@ -170,17 +169,18 @@ def oracle_evaluate(a: dict, field: Field, point):
 
 
 def pointwise_grid_sum(f: MultiPoly, nodes):
-    """Oracle: sum over the grid of f(x) * prod_i grid_weights(A_i)[x_i].
+    """Oracle: sum over the grid of f(x) * prod_i 1/phi_i'(x_i).
 
-    Evaluates f at every grid point in field elements, with no per-axis
-    factorization.
+    Evaluates f and each phi_i' (the derivative of the vanishing polynomial
+    of A_i) at every grid point in field elements, with no per-axis
+    factorization; grid_weights is not used.
     """
-    weights = [grid_weights(ns) for ns in nodes]
+    derivs = [vanishing_poly_from_nodes(ns).partial_derivative(0) for ns in nodes]
     total = f.field.zero
     for x in product(*nodes):
         w = f.field.one
-        for wi, xi in zip(weights, x):
-            w = w * wi[xi]
+        for g, xi in zip(derivs, x):
+            w = w * g.evaluate((xi,)).inv()
         total = total + f.evaluate(x) * w
     return total
 

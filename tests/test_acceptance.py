@@ -10,7 +10,7 @@ from itertools import product
 from random import Random
 
 from gridres import (Field, GridSystem, HypersurfaceSystem, MultiPoly,
-                     NewtonSystem, SeparableSystem, ToricForm,
+                     NewtonSystem, ToricForm,
                      check_classical_degree,
                      check_relaxed_support, coefficient_via_grid,
                      default_samples, forced_value, grid_intersections,
@@ -93,15 +93,15 @@ def test_criterion_3_value_dependence():
             n = rng.randint(2, 3)
             sizes = [rng.randint(2, 4) for _ in range(n)]
             bound = sum(sizes) - n - 1
-            system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+            system = GridSystem(field, [random_nodes(rng, field, k) for k in sizes])
             f = random_bounded_poly(rng, field, n, bound)
             assert verify_cb(f, system).is_zero()
-        grid3 = SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]])
+        grid3 = GridSystem(Q, [[0, 1, 2], [0, 1, 2]])
         assert verify_cb(parse_poly("x^3*y^3", Q, 2), grid3) == Q(9)
         for field in (Q, F7):
             for sizes in ((2, 2), (3, 2), (3, 3), (2, 2, 2)):
                 nodes = [random_nodes(rng, field, k) for k in sizes]
-                system = SeparableSystem(field, nodes)
+                system = GridSystem(field, nodes)
                 points = list(system.points())
                 target = points[-1]
                 zeros = {pt: field.zero for pt in points if pt != target}
@@ -128,7 +128,7 @@ def _random_shape_system(rng, field, separable):
     n = 2
     if separable:
         sizes = [rng.randint(1, 3) for _ in range(n)]
-        sep = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+        sep = GridSystem(field, [random_nodes(rng, field, k) for k in sizes])
         return HypersurfaceSystem(field, sep.polys_multivariate())
     sizes = [rng.randint(1, 2) for _ in range(n)]
     polys = []
@@ -187,7 +187,7 @@ def test_criterion_6_toric_three_way_agreement():
             field = (Q, F7)[trial % 2]
             n = rng.randint(1, 2)
             sizes = [rng.randint(1, 3) for _ in range(n)]
-            sep = SeparableSystem(
+            sep = GridSystem(
                 field, [random_nodes(rng, field, k, avoid_zero=True) for k in sizes])
             system = NewtonSystem(sep.polys_multivariate())
             zeros = list(product(*sep.nodes))
@@ -225,7 +225,7 @@ def test_criterion_7_unfolded():
         for _ in range(100):
             n = rng.randint(1, 3)
             sizes = [rng.randint(1, 4) for _ in range(n)]
-            sep = SeparableSystem(
+            sep = GridSystem(
                 Q, [random_nodes(rng, Q, k, avoid_zero=True) for k in sizes])
             assert is_unfolded(NewtonSystem(sep.polys_multivariate())) == (True, None)
         diag = parse_poly("1 + x*y", Q, 2)

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from gridres import (Field, GridSystem, HypersurfaceSystem, MultiPoly,
-                     SeparableSystem, forced_value, grid_weights,
+                     forced_value, grid_weights,
                      min_cover_size, parse_poly, verify_cb,
                      verify_hypersurface_theorem)
 
@@ -19,25 +19,26 @@ F7 = Field.prime(7)
 
 def alpha_from_weights(nodes, x):
     weights = [grid_weights(ns) for ns in nodes]
-    out = x[0].field.one
+    field = x[0].field
+    out = field.one
     for w, xi in zip(weights, x):
-        out = out * w[xi]
+        out = out * field(w[xi.value])
     return out
 
 
 def test_cb_coefficients_examples():
-    nodes = SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]]).nodes
+    nodes = GridSystem(Q, [[0, 1, 2], [0, 1, 2]]).nodes
     alpha = pointwise_alpha(nodes)
     for x, expected in (((Q(1), Q(1)), Q(1)), ((Q(0), Q(0)), Q("1/4"))):
         assert alpha[x] == expected
         assert alpha_from_weights(nodes, x) == expected
-    nodes1 = SeparableSystem(Q, [[0, 1]]).nodes
+    nodes1 = GridSystem(Q, [[0, 1]]).nodes
     alpha1 = pointwise_alpha(nodes1)
     for x, expected in (((Q(0),), Q(-1)), ((Q(1),), Q(1))):
         assert alpha1[x] == expected
         assert alpha_from_weights(nodes1, x) == expected
     with pytest.raises(ValueError, match="duplicate"):
-        SeparableSystem(Q, [[0, 0, 1]])
+        GridSystem(Q, [[0, 0, 1]])
 
 
 def test_all_coefficients_nonzero():
@@ -46,7 +47,7 @@ def test_all_coefficients_nonzero():
         for _ in range(10):
             n = rng.randint(1, 3)
             sizes = [rng.randint(1, 4) for _ in range(n)]
-            system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+            system = GridSystem(field, [random_nodes(rng, field, k) for k in sizes])
             alpha = pointwise_alpha(system.nodes)
             assert len(alpha) == prod(sizes)
             for x, a in alpha.items():
@@ -55,7 +56,7 @@ def test_all_coefficients_nonzero():
 
 
 def test_separable_system_is_a_grid():
-    system = SeparableSystem(F7, [[3, 1], [2]])
+    system = GridSystem(F7, [[3, 1], [2]])
     assert isinstance(system, GridSystem)
     assert system.nodes == ((F7(1), F7(3)), (F7(2),))
     assert system.sizes == (2, 1) and system.nvars == 2
@@ -63,13 +64,13 @@ def test_separable_system_is_a_grid():
     assert list(system.points()) == [(F7(1), F7(2)), (F7(3), F7(2))]
     assert [str(g) for g in system.polys] == [str(parse_poly("x^2 + 3*x + 3", F7, 1)),
                                               str(parse_poly("x + 5", F7, 1))]
-    assert repr(system) == "SeparableSystem(F_7, [{1, 3}, {2}])"
+    assert repr(system) == "GridSystem(F_7, [{1, 3}, {2}])"
     with pytest.raises(AttributeError):
         system.extra = 1
 
 
 def test_verify_cb_examples():
-    system = SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]])
+    system = GridSystem(Q, [[0, 1, 2], [0, 1, 2]])
     assert verify_cb(parse_poly("x + y", Q, 2), system) == Q(0)
     assert verify_cb(parse_poly("x^3*y^3", Q, 2), system) == Q(9)
     assert verify_cb(parse_poly("1", Q, 2), system) == Q(0)
@@ -88,7 +89,7 @@ def test_verify_cb_randomized_zero_residual():
             bound = sum(sizes) - n - 1
             if bound < 0:
                 continue
-            system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+            system = GridSystem(field, [random_nodes(rng, field, k) for k in sizes])
             f = random_bounded_poly(rng, field, n, bound)
             assert verify_cb(f, system).is_zero()
 
@@ -105,7 +106,7 @@ def test_verify_cb_matches_pointwise_oracle(field):
         sizes = [rng.randint(1, 5) for _ in range(n)]
         if case % 3 == 0:
             sizes[rng.randrange(n)] = 1
-        system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+        system = GridSystem(field, [random_nodes(rng, field, k) for k in sizes])
         f = random_poly(rng, field, n, 6, 8)
         residual = verify_cb(f, system)
         assert residual == pointwise_grid_sum(f, system.nodes)
@@ -119,7 +120,7 @@ def test_verify_cb_from_system_matches_relation():
         for _ in range(10):
             n = rng.randint(1, 3)
             sizes = [rng.randint(1, 4) for _ in range(n)]
-            system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+            system = GridSystem(field, [random_nodes(rng, field, k) for k in sizes])
             assert system.degree_bound == sum(sizes) - n - 1
             f = random_poly(rng, field, n, 5, 6)
             expected = sum((a * f.evaluate(x) for x, a in pointwise_alpha(system.nodes).items()),
@@ -128,7 +129,7 @@ def test_verify_cb_from_system_matches_relation():
 
 
 def test_forced_value_examples():
-    system = SeparableSystem(Q, [[0, 1, 2], [0, 1, 2]])
+    system = GridSystem(Q, [[0, 1, 2], [0, 1, 2]])
     target = (Q(2), Q(2))
     zeros = {pt: Q(0) for pt in system.points() if pt != target}
     assert forced_value(zeros, system, target) == Q(0)
@@ -136,14 +137,14 @@ def test_forced_value_examples():
     values = {pt: f.evaluate(pt) for pt in system.points() if pt != target}
     assert forced_value(values, system, target) == Q(4)
 
-    system1 = SeparableSystem(Q, [[0, 1]])
+    system1 = GridSystem(Q, [[0, 1]])
     assert forced_value({(Q(0),): Q(5)}, system1, (Q(1),)) == Q(5)
     # raw coordinates and values are coerced into the field
     assert forced_value({(0,): 5}, system1, (1,)) == Q(5)
 
 
 def test_forced_value_validation():
-    system = SeparableSystem(Q, [[0, 1], [0, 1]])
+    system = GridSystem(Q, [[0, 1], [0, 1]])
     target = (Q(1), Q(1))
     with pytest.raises(ValueError, match=r"values missing for 2 grid points, e\.g\. \('0', '1'\)"):
         forced_value({(Q(0), Q(0)): Q(0)}, system, target)
@@ -163,7 +164,7 @@ def test_forced_value_validation():
     with pytest.raises(ValueError, match="not a grid point"):
         forced_value({}, system, (Q(1),))
     # 9 and 2 are the same point of F_7
-    system7 = SeparableSystem(F7, [[0, 2]])
+    system7 = GridSystem(F7, [[0, 2]])
     with pytest.raises(ValueError, match=r"point \('2',\) is given twice"):
         forced_value({(2,): 1, (9,): 1}, system7, (0,))
 
@@ -172,7 +173,7 @@ def test_forced_value_consistency_randomized():
     rng = Random(47)
     for _ in range(20):
         sizes = [rng.randint(2, 4), rng.randint(2, 4)]
-        system = SeparableSystem(Q, [random_nodes(rng, Q, k) for k in sizes])
+        system = GridSystem(Q, [random_nodes(rng, Q, k) for k in sizes])
         points = list(system.points())
         bound = sum(sizes) - 2 - 1
         f = random_bounded_poly(rng, Q, 2, bound)
@@ -190,7 +191,7 @@ def test_forced_value_matches_pointwise_oracle(field):
         sizes = [rng.randint(1, 4) for _ in range(n)]
         if case % 3 == 0:
             sizes[rng.randrange(n)] = 1
-        system = SeparableSystem(field, [random_nodes(rng, field, k) for k in sizes])
+        system = GridSystem(field, [random_nodes(rng, field, k) for k in sizes])
         alpha = pointwise_alpha(system.nodes)
         target = rng.choice(list(alpha))
         values = {x: random_element(rng, field) for x in alpha if x != target}
@@ -199,7 +200,7 @@ def test_forced_value_matches_pointwise_oracle(field):
 
 
 def test_forced_value_linearity():
-    system = SeparableSystem(Q, [[0, 1, 2], [0, 1]])
+    system = GridSystem(Q, [[0, 1, 2], [0, 1]])
     target = (Q(2), Q(1))
     rng = Random(3)
     base = {pt: random_element(rng, Q) for pt in system.points() if pt != target}
@@ -255,7 +256,7 @@ def test_hypersurface_separable_reduction():
     rng = Random(13)
     for _ in range(10):
         sizes = [rng.randint(1, 3), rng.randint(1, 3)]
-        sep = SeparableSystem(F7, [random_nodes(rng, F7, k) for k in sizes])
+        sep = GridSystem(F7, [random_nodes(rng, F7, k) for k in sizes])
         system = HypersurfaceSystem(F7, sep.polys_multivariate())
         target = tuple(k - 1 for k in sizes)
         f = parse_poly("1", F7, 2)
@@ -305,3 +306,20 @@ def test_solutions_match_pointwise_enumeration(field, n, elem_ops):
         found[case >= 8] += len(expected)
     assert all(found)
 
+
+@pytest.mark.parametrize("field", [Q, F7, Field.prime(101)])
+def test_dependence_does_no_element_arithmetic(field, elem_ops):
+    rng = Random(field.modulus or 6)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        system = GridSystem(field, [random_nodes(rng, field, rng.randint(1, 4))
+                                    for _ in range(n)])
+        f = random_poly(rng, field, n, 4, 6)
+        points = list(system.points())
+        target = points[-1]
+        values = {pt: random_element(rng, field) for pt in points[:-1]}
+        elem_ops.clear()
+        verify_cb(f, system)
+        assert not elem_ops
+        forced_value(values, system, target)
+        assert len(elem_ops) <= 3  # the final -v * alpha_t^-1

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -556,13 +557,13 @@ def test_toric_verify_checks_each_zero_once(capsys, tmp_path, monkeypatch):
 
 def test_vanishing_polys_built_only_for_toric_grid_route(capsys, tmp_path, monkeypatch):
     # the dependence needs one weight per node, never the g_i
-    from gridres import cayley_bacharach as cb
-    calls, original = [], cb.vanishing_poly_from_nodes
+    from gridres import nullstellensatz as ns
+    calls, original = [], ns.vanishing_poly_from_nodes
 
     def counted(nodes):
         calls.append(1)
         return original(nodes)
-    monkeypatch.setattr(cb, "vanishing_poly_from_nodes", counted)
+    monkeypatch.setattr(ns, "vanishing_poly_from_nodes", counted)
     grids = [["1", "2", "3"], ["1", "2"]]
     values = [{"point": [a, b], "value": "0"} for a in grids[0] for b in grids[1]
               if [a, b] != ["3", "2"]]
@@ -624,3 +625,16 @@ def test_json_numbers_still_read_as_scalars(capsys, tmp_path):
         "field": RATIONALS, "vars": ["x", "y"], "poly": "3*x^2*y + x*y - 2",
         "grids": [[0, 1, 2], ["0", 1]]})
     assert code == 0 and report["result"]["coefficient_via_grid"] == "3"
+
+
+@pytest.mark.parametrize("field, poly", [
+    ({"kind": "prime-field", "modulus": "10007"}, "(x+1)^3000"),
+    (RATIONALS, "-5^-3210007"),
+    ({"kind": "prime-field", "modulus": "10007"}, "(z1 + z1*x*1/7)^210007"),
+])
+def test_expansion_over_the_bound_is_input_error(capsys, tmp_path, field, poly):
+    started = time.process_time()
+    code, report, _ = run(capsys, tmp_path, "coeff", {
+        "field": field, "vars": ["x"], "poly": poly, "grids": [["0", "1"]]})
+    assert time.process_time() - started < 0.1
+    assert code == 2 and report["error"]["type"] == "ParseError"

@@ -1,5 +1,7 @@
-"""The README's export table names only what its modules define."""
+"""The README's export table names only what its modules define, and
+exactly what the package imports from each of them."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -37,3 +39,24 @@ def test_export_table_names_exist():
             obj = getattr(module, name)
             if hasattr(obj, "__module__"):
                 assert obj.__module__ == module_name, f"{name} is defined in {obj.__module__}"
+
+
+def package_imports():
+    """{module: names} of the package's `from .module import ...` lines."""
+    init = README.parent / "src" / "gridres" / "__init__.py"
+    out = {}
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.setdefault(f"gridres.{node.module}", set()).update(a.name for a in node.names)
+    return out
+
+
+def test_export_table_matches_package_imports():
+    rows = {name: set(names) for name, names in export_rows()}
+    imports = package_imports()
+    assert len(imports) >= 7
+    for module_name in sorted(rows.keys() | imports.keys()):
+        table, imported = rows.get(module_name, set()), imports.get(module_name, set())
+        assert table == imported, (
+            f"{module_name}: in the README only {sorted(table - imported)}, "
+            f"imported by the package only {sorted(imported - table)}")

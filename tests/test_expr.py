@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 from random import Random
 
@@ -336,3 +337,37 @@ def test_token_classes_match_str_predicates():
         ch = chr(code)
         assert bool(word.fullmatch(ch)) == (ch.isalnum() or ch == "_"), hex(code)
         assert bool(space.fullmatch(ch)) == ch.isspace(), hex(code)
+
+
+F10007 = Field.prime(10007)
+
+
+def _powers(name, count):
+    return " + ".join(f"{name}^{i}" for i in range(count))
+
+
+@pytest.mark.parametrize("text, field, offset, message", [
+    ("(x+1)^3000", F10007, 5, "power of a 2-term sum may expand to over 500 terms"),
+    ("-5^-3210007", Q, 2, "power has a coefficient of about 9630021 bits"),
+    ("(z1 + z1*x*1/7)^210007", F10007, 15, "power of a 2-term sum"),
+    ("(2^50000*x + 1)^2", Q, 15, "power has a coefficient of about 100002 bits"),
+    (f"x*({_powers('x', 400)})*({_powers('y', 300)})", F7, len(_powers("x", 400)) + 4,
+     "product of 400 by 300 terms is over 100000 term pairs"),
+], ids=["binomial", "rational", "aliased", "nested", "product"])
+def test_expansion_over_the_bound_raises_at_its_operator(text, field, offset, message):
+    started = time.process_time()
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, field, 2)
+    assert time.process_time() - started < 0.1
+    assert err.value.position == offset and message in str(err.value)
+
+
+@pytest.mark.parametrize("text, field, terms", [
+    ("(x + 1)^499", F10007, 500),
+    ("(x + y + 1)^29", F10007, 465),  # C(31, 2) possible terms
+    ("2^50000*x", Q, 1),              # 100000 bits
+    ("(-1*x)^2147483647", Q, 1),      # a unit coefficient has no bits to grow
+    (f"({_powers('x', 400)})*({_powers('y', 250)})", F7, 100000),
+], ids=["binomial", "trinomial", "rational", "unit", "product"])
+def test_expansion_up_to_the_bound_parses(text, field, terms):
+    assert len(parse_poly(text, field, 2).terms) == terms

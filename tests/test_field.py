@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from gridres import (Field, FieldMismatchError, LatticePolytope, MultiPoly,
-                     batch_inverse, is_prime, parse_poly)
+                     is_prime, parse_poly)
 
 from helpers import random_element
 
@@ -57,21 +57,6 @@ def test_inverse_exhaustive(p):
         if a.is_zero():
             continue
         assert a * a.inv() == field.one
-
-
-def test_batch_inverse_examples():
-    assert batch_inverse([F7(1), F7(2), F7(3)]) == [F7(1), F7(4), F7(5)]
-    assert batch_inverse([Q(2)]) == [Q("1/2")]
-    assert batch_inverse([]) == []
-    with pytest.raises(ZeroDivisionError, match="index 1"):
-        batch_inverse([F7(1), F7(0)])
-
-
-@pytest.mark.parametrize("field", [F7, Q, Field.prime(101)])
-def test_batch_inverse_matches_elementwise(field):
-    rng = Random(11)
-    values = [random_element(rng, field, nonzero=True) for _ in range(40)]
-    assert batch_inverse(values) == [v.inv() for v in values]
 
 
 @pytest.mark.parametrize("field", [F7, Q, Field.prime(10007)])

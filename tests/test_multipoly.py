@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -210,3 +211,21 @@ def test_exponent_overflow_texts(field):
         with pytest.raises(OverflowError) as err:
             build()
         assert str(err.value) == f"exponent {exponent} exceeds signed 32-bit range"
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_fraction_scalars_are_coerced(field):
+    f = P("x*y + 3", field)
+    half = Fraction(1, 2)
+    assert f + half == f + field(half) == half + f
+    assert f - half == f - field(half) == -(half - f)
+    assert f * half == f * field(half) == half * f
+    assert P("1/2", field) == half and half == P("1/2", field)
+    assert P("x", field) != half
+
+
+def test_fraction_scalar_with_vanishing_denominator_raises():
+    f = P("x + 1", F7)
+    for op in (f.__add__, f.__sub__, f.__mul__, f.__eq__):
+        with pytest.raises(ZeroDivisionError, match="denominator 14 vanishes mod 7"):
+            op(Fraction(3, 14))

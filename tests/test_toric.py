@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from gridres import (Field, MultiPoly, NewtonSystem, SeparableSystem,
+from gridres import (Field, MultiPoly, NewtonSystem, GridSystem,
                      SimpleZeros, ToricForm, coefficient_via_grid, default_samples,
                      is_unfolded, parse_poly, residue_sum_over_zeros,
                      solve_vertex_coefficients, vertex_residue, vertex_split,
@@ -16,7 +16,7 @@ F7 = Field.prime(7)
 
 
 def separable_system(field, node_sets):
-    sep = SeparableSystem(field, node_sets)
+    sep = GridSystem(field, node_sets)
     system = NewtonSystem(sep.polys_multivariate())
     zeros = list(product(*sep.nodes))
     return sep, system, zeros
