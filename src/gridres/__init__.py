@@ -17,8 +17,8 @@ from .nullstellensatz import (GridSystem, check_classical_degree,
                               find_nonvanishing_witness, grid_weights)
 from .polytope import LatticePolytope
 from .projective import ProjLine, ProjPoint, line_through, meet
-from .toric import (NewtonSystem, SimpleZeros, ToricForm, VertexCoefficients,
-                    VertexSplit, default_samples, is_unfolded, newton_polytope,
+from .toric import (NewtonSystem, SimpleZeros, VertexCoefficients, VertexSplit,
+                    default_samples, is_unfolded, newton_polytope,
                     residue_sum_over_zeros, solve_vertex_coefficients,
                     vertex_residue, vertex_split, weighted_vertex_combination)
 

@@ -345,9 +345,8 @@ def _cmd_toric_verify(doc, args):
         samples = toric.default_samples(system)
     zeros = toric.SimpleZeros(system, zeros)
     weights = toric.solve_vertex_coefficients(system, zeros, samples)
-    form = toric.ToricForm(f, system)
-    lhs = toric.residue_sum_over_zeros(form, zeros)
-    rhs = toric.weighted_vertex_combination(form, weights)
+    lhs = toric.residue_sum_over_zeros(system, f, zeros)
+    rhs = toric.weighted_vertex_combination(system, f, weights)
     agree = lhs == rhs
     result = {
         "residue_sum": str(lhs),

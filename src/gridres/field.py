@@ -11,6 +11,7 @@ anywhere: equality of elements is structural equality of canonical forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import ge, gt, le, lt
 from typing import Iterator
 
 MAX_MODULUS = 1 << 31
@@ -245,21 +246,23 @@ class FieldElement:
     def __hash__(self) -> int:
         return hash((self.field, self.value))
 
-    def __lt__(self, other) -> bool:
+    def _order(self, other, op):
         other = self._check(other)
-        return self.value < other.value
+        if other is NotImplemented:
+            return NotImplemented
+        return op(self.value, other.value)
+
+    def __lt__(self, other) -> bool:
+        return self._order(other, lt)
 
     def __le__(self, other) -> bool:
-        other = self._check(other)
-        return self.value <= other.value
+        return self._order(other, le)
 
     def __gt__(self, other) -> bool:
-        other = self._check(other)
-        return self.value > other.value
+        return self._order(other, gt)
 
     def __ge__(self, other) -> bool:
-        other = self._check(other)
-        return self.value >= other.value
+        return self._order(other, ge)
 
     def __str__(self) -> str:
         return str(self.value)

@@ -3,7 +3,7 @@
 A polynomial is a map from integer exponent vectors to raw canonical
 coefficients: ints in [1, p) over F_p, nonzero Fractions over Q.  The
 ring operations run on those raw values through the kernels below, which
-the parser and the vertex residues share; FieldElements appear only at
+the parser and the toric residues share; FieldElements appear only at
 the API (coefficient, evaluate, coerced constructor input and scalar
 operands).  Exponents are signed (Laurent terms are first-class) and must
 fit a signed 32-bit integer; products are overflow-checked.  Canonical
@@ -98,6 +98,21 @@ def _mul_terms(a: dict, b: dict, p) -> dict:
             else:
                 out.pop(m, None)
     return out
+
+
+def _eval_terms(terms: dict, point: Sequence, p):
+    """Value of a term map at a raw point (Fraction coordinates over Q);
+    zero coordinates reject negative powers."""
+    total = 0
+    for m, c in terms.items():
+        for x, e in zip(point, m):
+            if e == 0:
+                continue
+            if e < 0 and not x:
+                raise ZeroDivisionError("zero coordinate raised to a negative power")
+            c *= pow(x, e, p) if p else x ** e
+        total += c
+    return total % p if p else total
 
 
 def _pow_terms(terms: dict, e: int, p, unit: dict) -> dict:
@@ -282,17 +297,7 @@ class MultiPoly:
         point = [field(x).value for x in point]
         if len(point) != self.nvars:
             raise ValueError(f"point has arity {len(point)}, expected {self.nvars}")
-        p = field.modulus
-        total = field.zero.value
-        for m, c in self.terms.items():
-            for x, e in zip(point, m):
-                if e == 0:
-                    continue
-                if e < 0 and not x:
-                    raise ZeroDivisionError("zero coordinate raised to a negative power")
-                c *= pow(x, e, p) if p else x ** e
-            total += c
-        return FieldElement(field, total % p if p else total)
+        return field(_eval_terms(self.terms, point, field.modulus))
 
     def partial_derivative(self, index: int) -> "MultiPoly":
         """Formal derivative in one variable (Laurent terms included)."""

@@ -5,11 +5,12 @@ affine dimension k of the generating points and projects them onto k
 coordinates that are injective on their affine hull (convexity is
 preserved).  It then runs the 1-D extremes, the 2-D monotone chain, or a
 3-D beneath-beyond hull.  The vertices, the facets as (primitive outer
-normal, level) pairs, point membership and strict supporting directions
-(the sum of the outer normals of the facets through a vertex) are all
-read from it.  An exact phase-one simplex over Fractions is the fallback:
-it handles affine dimension four and up, and support directions that must
-also dominate points the normal-cone sum does not.  It is also the oracle
+normal, level) pairs, point membership, strict supporting directions
+(the sum of the outer normals of the facets through a vertex) and one
+direction per maximal face are all read from it.  An exact phase-one simplex
+over Fractions is the fallback: it handles affine dimension four and up,
+and support directions that must also dominate points the normal-cone
+sum does not.  It is also the oracle
 the hull is tested against.  Facet enumeration is implemented for ambient
 dimension up to three.
 """
@@ -115,17 +116,6 @@ def primitive(vec: Sequence[int]) -> IntVec:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(int(c) // g for c in vec)
-
-
-def sign_normalized(vec: Sequence[int]) -> IntVec:
-    """Primitive representative whose first nonzero coordinate is positive."""
-    v = primitive(vec)
-    for c in v:
-        if c > 0:
-            return v
-        if c < 0:
-            return tuple(-x for x in v)
-    raise ValueError("zero vector")
 
 
 def _cross3(u, v) -> IntVec:
@@ -343,22 +333,25 @@ class LatticePolytope:
     def affine_dim(self) -> int:
         return len(self._hull_data().rows)
 
-    def edge_difference_vectors(self) -> list[IntVec]:
-        """Sign-normalized pairwise vertex differences (a superset of the
-        edge directions, which is all the fan machinery needs)."""
-        out = set()
-        verts = self.vertices
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                d = tuple(a - b for a, b in zip(verts[i], verts[j]))
-                out.add(sign_normalized(d))
-        return sorted(out)
+    def maximal_face_directions(self) -> list[IntVec]:
+        """One primitive direction selecting each maximal face that a
+        nonzero direction selects (ambient dimension at most three).
 
-    def plane_normal(self) -> IntVec:
-        """Normal of the affine hull of a 2-dimensional polytope in 3-space."""
-        if self.dim != 3 or self.affine_dim() != 2:
-            raise ValueError("plane normal needs a 2-dimensional polytope in 3-space")
-        return sign_normalized(_cross3(*self._hull_data().rows))
+        Read from the hull: the facet normals of a full-dimensional
+        polytope; otherwise one normal of the affine hull, which selects
+        the whole polytope, or none for a single point.
+        """
+        if self.dim > 3:
+            raise ValueError("face directions implemented for dimension <= 3 only")
+        hull = self._hull_data()
+        k = len(hull.rows)
+        if k in (0, self.dim):
+            return [w for w, _ in hull.facets]  # empty for a point
+        # cross the rows padded to 3-space, or the one row with an axis
+        a, *rest = [tuple(r) + (0,) * (3 - self.dim) for r in hull.rows]
+        b = rest[0] if rest else next(e for e in ((0, 0, 1), (1, 0, 0))
+                                      if any(_cross3(a, e)))
+        return [primitive(_cross3(a, b)[:self.dim])]
 
     def _facets(self) -> tuple:
         if self.affine_dim() != self.dim:

@@ -5,7 +5,10 @@ the residue sum over the common zeros in the torus equals a signed integer
 combination of vertex residues of the Minkowski-sum polytope.  Vertex
 residues are constant terms of truncated geometric-series expansions and
 are computed exactly; the integer weights are never assumed but recovered
-from sample numerators by exact linear solving.
+from sample numerators by exact linear solving.  The functions take the
+system and the numerator f; residues, Jacobian weights and the weight
+system run on raw values (ints mod p, Fractions over Q) and only the
+returned scalars are field elements.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .field import FieldElement, FieldMismatchError
-from .linalg import determinant, solve_linear
-from .multipoly import MultiPoly, _add_terms, _mul_terms
-from .polytope import (LatticePolytope, sign_normalized,
-                       strict_support_direction, _cross3, _dot)
+from .linalg import _inverse, determinant, solve_linear
+from .multipoly import MultiPoly, _add_terms, _eval_terms, _mul_terms
+from .polytope import LatticePolytope, strict_support_direction, _dot
 
 
 def newton_polytope(f: MultiPoly) -> LatticePolytope:
@@ -58,76 +60,32 @@ class NewtonSystem:
         self.sum_polytope = total
 
 
-class ToricForm:
-    """Numerator f over the product g_1 * ... * g_n."""
-
-    __slots__ = ("numerator", "system")
-
-    def __init__(self, numerator: MultiPoly, system: NewtonSystem):
-        if numerator.field != system.field:
-            raise FieldMismatchError("numerator field differs from system field")
-        if numerator.nvars != system.nvars:
-            raise ValueError("numerator arity differs from system arity")
-        self.numerator = numerator
-        self.system = system
-
-
-def _unfolded_candidates(system: NewtonSystem) -> list[tuple]:
-    """Finite direction set meeting every cone of the refined normal fans.
-
-    A direction on which every polytope's face is at least one-dimensional
-    must lie on a wall of every fan; walls live in hyperplanes orthogonal
-    to vertex-difference vectors, so the candidates below cover all of
-    them (dimension 2), respectively all wall intersections, wall-cone
-    boundary rays, and in-wall bases (dimension 3).
-    """
-    n = system.nvars
-    polytopes = list(system.polytopes) + [system.sum_polytope]
-    diffs: set = set()
-    for p in polytopes:
-        diffs.update(p.edge_difference_vectors())
-    diffs = sorted(diffs)
-    reps: set = set()
-    if n == 2:
-        for d in diffs:
-            reps.add(sign_normalized((d[1], -d[0])))
-    else:
-        for p in polytopes:
-            ad = p.affine_dim()
-            if ad == 3:
-                for w in p.facet_normals():
-                    reps.add(sign_normalized(w))
-            elif ad == 2:
-                reps.add(p.plane_normal())
-        for i in range(len(diffs)):
-            for j in range(i + 1, len(diffs)):
-                w = _cross3(diffs[i], diffs[j])
-                if any(w):
-                    reps.add(sign_normalized(w))
-        for d in diffs:
-            axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-            basis = [w for w in (_cross3(d, a) for a in axes) if any(w)]
-            reps.add(sign_normalized(basis[0]))
-            second = _cross3(d, basis[0])
-            if any(second):
-                reps.add(sign_normalized(second))
-    ordered = sorted(reps)
-    return ordered + [tuple(-c for c in u) for u in ordered]
-
-
 def is_unfolded(system: NewtonSystem):
     """(True, None) when every positive-codimension face of the sum polytope
-    decomposes with a zero-dimensional summand; else (False, witness)."""
-    n = system.nvars
-    if n > 3:
+    decomposes with a zero-dimensional summand; else (False, witness).
+
+    The normal fan of the sum polytope is the common refinement of the
+    summands' fans, so the summands' faces are constant on the relative
+    interior of each of its cones: one direction per face of the sum
+    decides the test.  A face fails when every summand face in it has
+    positive dimension, and then every larger face fails too, since the
+    summand faces only grow; so the maximal faces alone decide it.  These
+    are the facets of a full-dimensional sum, else the whole sum.
+    """
+    if system.nvars > 3:
         raise ValueError("unfolded test implemented for dimension <= 3 only")
-    if n == 1:
-        return True, None
-    for u in _unfolded_candidates(system):
+    for u in system.sum_polytope.maximal_face_directions():
         if not any(p.face_in_direction(u).is_vertex_polytope()
                    for p in system.polytopes):
             return False, u
     return True, None
+
+
+def _require_numerator(system: NewtonSystem, f: MultiPoly):
+    if f.field != system.field:
+        raise FieldMismatchError("numerator field differs from system field")
+    if f.nvars != system.nvars:
+        raise ValueError("numerator arity differs from system arity")
 
 
 @dataclass(frozen=True)
@@ -164,9 +122,10 @@ def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
     return VertexSplit(v_plus=tuple(plus), v_zero=tuple(zero))
 
 
-def vertex_residue(form: ToricForm, vertex: Sequence[int],
+def vertex_residue(system: NewtonSystem, f: MultiPoly, vertex: Sequence[int],
                    direction: Sequence[int]) -> FieldElement:
-    """Constant term of the prescribed expansion at an unfolded vertex.
+    """Constant term of the prescribed expansion of f/(g_1...g_n) at an
+    unfolded vertex.
 
     Writes g_i = c_i z^{v_i} (1 + h_i) where the direction strictly
     supports v_i on each support, expands every (1 + h_i)^{-1} as a
@@ -178,19 +137,18 @@ def vertex_residue(form: ToricForm, vertex: Sequence[int],
     The series are raw term maps multiplied by multipoly's sparse product
     and truncated after each product.
     """
-    system = form.system
-    field = system.field
-    p = field.modulus
+    _require_numerator(system, f)
+    p = system.field.modulus
     n = system.nvars
     u = tuple(int(c) for c in direction)
     if len(u) != n or not any(u):
         raise ValueError("support direction must be a nonzero integer vector")
     vertex = tuple(int(c) for c in vertex)
-    if form.numerator.is_zero():
+    if f.is_zero():
         raise ValueError("zero numerator: truncation bound undefined")
 
     parts = []
-    lead_product = field.one
+    lead_product = 1
     for i, g in enumerate(system.polys):
         weights = {m: _dot(u, m) for m in g.terms}
         top = max(weights.values())
@@ -199,9 +157,9 @@ def vertex_residue(form: ToricForm, vertex: Sequence[int],
             raise ValueError(
                 f"direction {u} does not strictly support the support of g_{i + 1}")
         v_i = leaders[0]
-        c_i = FieldElement(field, g.terms[v_i])
-        lead_product = lead_product * c_i
-        minus_inv = (-c_i.inv()).value
+        c_i = g.terms[v_i]
+        lead_product *= c_i
+        minus_inv = -_inverse(c_i, p)
         rest = {tuple(x - y for x, y in zip(m, v_i)):
                 c * minus_inv % p if p else c * minus_inv
                 for m, c in g.terms.items() if m != v_i}
@@ -212,16 +170,16 @@ def vertex_residue(form: ToricForm, vertex: Sequence[int],
             f"{vertex} is not the sum-polytope vertex selected by direction {u}")
 
     ones = (1,) * n
-    shifted = form.numerator.shift(tuple(a - b for a, b in zip(ones, vertex)))
+    shifted = f.shift(tuple(a - b for a, b in zip(ones, vertex)))
     bound = max(_dot(u, m) for m in shifted.terms)
     if bound < 0:
-        return field.zero
+        return system.field.zero
     floor = -bound
 
     def truncated_product(a, b):
         return {m: c for m, c in _mul_terms(a, b, p).items() if _dot(u, m) >= floor}
 
-    unit = {(0,) * n: field.one.value}
+    unit = {(0,) * n: 1}
     series_product = unit
     for _, neg_h in parts:
         series = power = unit
@@ -232,12 +190,12 @@ def vertex_residue(form: ToricForm, vertex: Sequence[int],
             series = _add_terms(series, power, p)
         series_product = truncated_product(series_product, series)
 
-    constant = field.zero.value
+    constant = 0
     for m, c in series_product.items():
         other = shifted.terms.get(tuple(-x for x in m))
         if other is not None:
             constant += c * other
-    return field(constant) * lead_product.inv()
+    return system.field(constant * _inverse(lead_product, p))
 
 
 class SimpleZeros:
@@ -257,32 +215,34 @@ class SimpleZeros:
 
     @cached_property
     def weighted(self) -> list[tuple]:
-        """(point, 1/det J(point)) per zero, in the given order."""
+        """(point, 1/det J(point)) per zero, in the given order, as raw
+        values (ints mod p, Fractions over Q)."""
         system = self.system
         field = system.field
+        p = field.modulus
         n = system.nvars
-        jacobian = [[g.partial_derivative(j) for j in range(n)] for g in system.polys]
+        jacobian = [[g.partial_derivative(j).terms for j in range(n)] for g in system.polys]
         out = []
         seen = set()
         for raw in self.points:
-            point = tuple(field(c) for c in raw)
+            point = tuple(field(c).value for c in raw)
             if len(point) != n:
                 raise ValueError("zero of wrong arity")
             if point in seen:
                 raise ValueError(f"repeated zero {tuple(map(str, point))}")
             seen.add(point)
-            if any(c.is_zero() for c in point):
+            if not all(point):
                 raise ValueError(f"point {tuple(map(str, point))} has a zero coordinate")
             for i, g in enumerate(system.polys):
-                if not g.evaluate(point).is_zero():
+                if _eval_terms(g.terms, point, p):
                     raise ValueError(
                         f"point {tuple(map(str, point))} is not a zero of g_{i + 1}")
-            rows = [[entry.evaluate(point) for entry in row] for row in jacobian]
-            det = determinant(rows, field)
-            if det.is_zero():
+            det = determinant([[_eval_terms(entry, point, p) for entry in row]
+                               for row in jacobian], p)
+            if not det:
                 raise ValueError(
                     f"singular Jacobian at {tuple(map(str, point))}: zero is not simple")
-            out.append((point, det.inv()))
+            out.append((point, _inverse(det, p)))
         return out
 
 
@@ -294,18 +254,20 @@ def _simple_zeros(system: NewtonSystem, zeros) -> SimpleZeros:
     return zeros
 
 
-def residue_sum_over_zeros(form: ToricForm, zeros: Sequence[Sequence]) -> FieldElement:
+def residue_sum_over_zeros(system: NewtonSystem, f: MultiPoly,
+                           zeros: Sequence[Sequence]) -> FieldElement:
     """Sum of f(z)/det(Jacobian of g)(z) over simple common zeros.
 
     Each point must be a common zero with nonzero Jacobian determinant and
     all coordinates nonzero (the zeros live in the torus).  zeros may be a
-    SimpleZeros of the form's system, whose checks then run at most once.
+    SimpleZeros of the system, whose checks then run at most once.
     """
-    f = form.numerator
-    total = form.system.field.zero
-    for point, weight in _simple_zeros(form.system, zeros).weighted:
-        total = total + f.evaluate(point) * weight
-    return total
+    _require_numerator(system, f)
+    p = system.field.modulus
+    total = 0
+    for point, weight in _simple_zeros(system, zeros).weighted:
+        total += _eval_terms(f.terms, point, p) * weight
+    return system.field(total)
 
 
 @dataclass(frozen=True)
@@ -330,13 +292,13 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
     full-dimensional sum polytope on the zero side of some split, meeting
     exactly n facets, with recovered weight zero is flagged as an anomaly.
     The zeros are checked, and their Jacobians computed, once for all
-    samples.
+    samples.  The system is solved on raw values.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("underdetermined: no sample numerators given")
     zeros = _simple_zeros(system, zeros)
-    field = system.field
+    p = system.field.modulus
     n = system.nvars
     total = system.sum_polytope
     vertices = total.vertices
@@ -346,30 +308,29 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
         if u is None:
             raise ValueError(f"no strict support direction at vertex {v}")
         directions[v] = u
-    sign = field(-1) if n % 2 else field.one
+    sign = -1 if n % 2 else 1
     zero_side: set = set()
     rows, rhs = [], []
     for f in samples:
         split = vertex_split(system, f)
         zero_side.update(split.v_zero)
-        form = ToricForm(f, system)
-        rows.append([sign * vertex_residue(form, v, directions[v]) for v in vertices])
-        rhs.append(residue_sum_over_zeros(form, zeros))
-    solution = solve_linear(rows, rhs, field)
+        row = [sign * vertex_residue(system, f, v, directions[v]).value for v in vertices]
+        rows.append([x % p for x in row] if p else row)
+        rhs.append(residue_sum_over_zeros(system, f, zeros).value)
+    solution = solve_linear(rows, rhs, p)
     if not solution.consistent:
         raise ValueError(
             "inconsistent vertex weight system; residuals "
             + ", ".join(str(r) for r in solution.residuals))
     values = {}
     for col, value in solution.determined.items():
-        if field.is_prime_field:
-            lifted = value.value if value.value <= field.modulus // 2 \
-                else value.value - field.modulus
+        if p:
+            lifted = value if value <= p // 2 else value - p
         else:
-            if value.value.denominator != 1:
+            if value.denominator != 1:
                 raise ValueError(
                     f"vertex weight {value} at {vertices[col]} is not an integer")
-            lifted = int(value.value)
+            lifted = int(value)
         values[vertices[col]] = lifted
     unconstrained = tuple(vertices[c] for c in solution.undetermined)
     anomalies = []
@@ -397,24 +358,21 @@ def default_samples(system: NewtonSystem) -> list[MultiPoly]:
     return out
 
 
-def weighted_vertex_combination(form: ToricForm,
+def weighted_vertex_combination(system: NewtonSystem, f: MultiPoly,
                                 coefficients: VertexCoefficients) -> FieldElement:
-    """(-1)^n * sum of k_v * vertex residues for the given numerator.
+    """(-1)^n * sum of k_v * vertex residues of f/(g_1...g_n).
 
     Unconstrained vertices must have vanishing residue on this numerator,
     otherwise the combination is not determined and a ValueError is raised.
     """
-    system = form.system
-    field = system.field
     total = system.sum_polytope
-    sign = field(-1) if system.nvars % 2 else field.one
-    acc = field.zero
+    acc = 0
     for v in total.vertices:
         u = strict_support_direction(total, v)
-        res = vertex_residue(form, v, u)
+        res = vertex_residue(system, f, v, u).value
         if v in coefficients.values:
-            acc = acc + field(coefficients.values[v]) * res
-        elif not res.is_zero():
+            acc += coefficients.values[v] * res
+        elif res:
             raise ValueError(
                 f"vertex {v} has unconstrained weight but nonzero residue {res}")
-    return sign * acc
+    return system.field(-acc if system.nvars % 2 else acc)

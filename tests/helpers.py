@@ -9,6 +9,7 @@ from gridres import BudgetExceededError, Field, MultiPoly, vanishing_poly_from_n
 from gridres.cover import candidate_traces, lines_through_pairs
 from gridres.field import FieldMismatchError
 from gridres.lines import grid_intersections
+from gridres.polytope import _cross3, primitive
 from gridres.projective import infinity_line, pencil
 
 
@@ -389,3 +390,68 @@ def oracle_green_covers(red, blue, field, budget=None):
 
     search(frozenset(range(len(points))), ())
     return sorted(tuple(sorted(sol)) for sol in solutions)
+
+
+def _sign_normalized(vec):
+    """Primitive representative whose first nonzero coordinate is positive."""
+    v = primitive(vec)
+    return v if next(c for c in v if c) > 0 else tuple(-c for c in v)
+
+
+def unfolded_candidates(system) -> list:
+    """Oracle directions for the unfolded test: a finite set meeting every
+    cone of the refined normal fans, built without the sum's face lattice.
+
+    A direction on which every polytope's face is at least one-dimensional
+    lies on a wall of every fan; walls live in hyperplanes orthogonal to
+    vertex-difference vectors, so the candidates below cover all of them
+    (dimension 2), respectively all wall intersections, wall-cone boundary
+    rays, and in-wall bases (dimension 3).  Both signs of each are taken.
+    """
+    n = system.nvars
+    polytopes = list(system.polytopes) + [system.sum_polytope]
+    diffs = sorted({_sign_normalized([a - b for a, b in zip(v, w)])
+                    for p in polytopes for v, w in combinations(p.vertices, 2)})
+    reps: set = set()
+    if n == 2:
+        reps.update(_sign_normalized((d[1], -d[0])) for d in diffs)
+    else:
+        for p in polytopes:
+            ad = p.affine_dim()
+            if ad == 3:
+                reps.update(_sign_normalized(w) for w in p.facet_normals())
+            elif ad == 2:
+                base, *rest = p.vertices
+                edges = [[a - b for a, b in zip(v, base)] for v in rest]
+                reps.add(next(_sign_normalized(w) for d, e in combinations(edges, 2)
+                              if any(w := _cross3(d, e))))
+        for d, e in combinations(diffs, 2):
+            w = _cross3(d, e)
+            if any(w):
+                reps.add(_sign_normalized(w))
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for d in diffs:
+            first = next(w for w in (_cross3(d, a) for a in axes) if any(w))
+            reps.add(_sign_normalized(first))
+            second = _cross3(d, first)
+            if any(second):
+                reps.add(_sign_normalized(second))
+    ordered = sorted(reps)
+    return ordered + [tuple(-c for c in u) for u in ordered]
+
+
+def has_single_top_vertex(support, u) -> bool:
+    """Whether exactly one point of the support maximizes <u, .>."""
+    levels = [sum(a * b for a, b in zip(u, m)) for m in support]
+    return levels.count(max(levels)) == 1
+
+
+def unfolded_by_candidates(system):
+    """Oracle for is_unfolded: (True, None) or (False, first failing
+    candidate direction); every system in one variable is unfolded."""
+    if system.nvars == 1:
+        return True, None
+    for u in unfolded_candidates(system):
+        if not any(has_single_top_vertex(p.vertices, u) for p in system.polytopes):
+            return False, u
+    return True, None

@@ -538,9 +538,9 @@ def test_toric_verify_checks_each_zero_once(capsys, tmp_path, monkeypatch):
     from gridres import toric
     calls, original = [], toric.determinant
 
-    def counted(rows, field):
+    def counted(rows, p):
         calls.append(len(rows))
-        return original(rows, field)
+        return original(rows, p)
     monkeypatch.setattr(toric, "determinant", counted)
     code, report, _ = run(capsys, tmp_path, "toric-verify", TORIC_ZEROS_DOC)
     assert code == 0 and report["result"]["agree"] is True

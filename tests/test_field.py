@@ -115,6 +115,13 @@ def test_ordering_and_hash():
     assert len({F7(2), F7(9), F7(16)}) == 1
 
 
+def test_ordering_against_a_non_scalar_is_a_type_error():
+    with pytest.raises(TypeError, match="not supported"):
+        F7(1) < "a"
+    with pytest.raises(TypeError, match="not supported"):
+        sorted([F7(1), None])
+
+
 def test_int_coercion_in_arithmetic():
     assert F7(3) + 5 == F7(1)
     assert 5 + F7(3) == F7(1)

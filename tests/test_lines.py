@@ -231,8 +231,8 @@ def test_multiplicative_subgroup_matches_oracle():
 
 def random_projective_map(field, rng):
     while True:
-        m = [[field(rng.randrange(field.modulus)) for _ in range(3)] for _ in range(3)]
-        if not determinant(m, field).is_zero():
+        m = [[rng.randrange(field.modulus) for _ in range(3)] for _ in range(3)]
+        if determinant(m, field.modulus):
             return m
 
 

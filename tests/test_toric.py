@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from gridres import (Field, MultiPoly, NewtonSystem, GridSystem,
-                     SimpleZeros, ToricForm, coefficient_via_grid, default_samples,
+from gridres import (Field, FieldMismatchError, MultiPoly, NewtonSystem, GridSystem,
+                     SimpleZeros, coefficient_via_grid, default_samples,
                      is_unfolded, parse_poly, residue_sum_over_zeros,
                      solve_vertex_coefficients, vertex_residue, vertex_split,
                      weighted_vertex_combination)
@@ -47,8 +47,11 @@ def test_unfolded_separable_randomized():
 
 def test_unfolded_dimension_cap():
     g = parse_poly("z1*z2*z3*z4 + 1", Q, 4)
+    system = NewtonSystem([g, g, g, g])
     with pytest.raises(ValueError, match="dimension"):
-        is_unfolded(NewtonSystem([g, g, g, g]))
+        is_unfolded(system)
+    with pytest.raises(ValueError, match="dimension"):
+        system.sum_polytope.maximal_face_directions()
 
 
 def test_vertex_split_examples():
@@ -72,70 +75,67 @@ def test_vertex_split_assumption_violation():
 
 def test_vertex_residue_examples():
     system = NewtonSystem([parse_poly("x^2 - 1", Q, 1)])
-    form_z = ToricForm(parse_poly("x", Q, 1), system)
-    form_1 = ToricForm(parse_poly("1", Q, 1), system)
-    assert vertex_residue(form_z, (2,), (1,)) == Q(1)
-    assert vertex_residue(form_1, (2,), (1,)) == Q(0)
+    assert vertex_residue(system, parse_poly("x", Q, 1), (2,), (1,)) == Q(1)
+    assert vertex_residue(system, parse_poly("1", Q, 1), (2,), (1,)) == Q(0)
 
     # scaled leading coefficient divides the result
     scaled = NewtonSystem([parse_poly("3*x^2 - 1", Q, 1)])
-    form = ToricForm(parse_poly("x", Q, 1), scaled)
-    assert vertex_residue(form, (2,), (1,)) == Q("1/3")
+    assert vertex_residue(scaled, parse_poly("x", Q, 1), (2,), (1,)) == Q("1/3")
 
 
 def test_vertex_residue_error_cases():
     system = NewtonSystem([parse_poly("x^2 - 1", Q, 1)])
-    form = ToricForm(parse_poly("x", Q, 1), system)
+    f = parse_poly("x", Q, 1)
     with pytest.raises(ValueError, match="not the sum-polytope vertex"):
-        vertex_residue(form, (1,), (1,))
+        vertex_residue(system, f, (1,), (1,))
     with pytest.raises(ValueError, match="nonzero integer vector"):
-        vertex_residue(form, (2,), (0,))
-    zero_form = ToricForm(MultiPoly.zero(Q, 1), system)
+        vertex_residue(system, f, (2,), (0,))
     with pytest.raises(ValueError, match="zero numerator"):
-        vertex_residue(zero_form, (2,), (1,))
+        vertex_residue(system, MultiPoly.zero(Q, 1), (2,), (1,))
+    # a numerator of another field or arity
+    with pytest.raises(FieldMismatchError, match="numerator field"):
+        vertex_residue(system, parse_poly("x", F7, 1), (2,), (1,))
+    with pytest.raises(ValueError, match="numerator arity"):
+        residue_sum_over_zeros(system, parse_poly("x", Q, 2), [(Q(1),), (Q(-1),)])
     # a direction that supports no single monomial of g
     sys2 = NewtonSystem([parse_poly("x + y", Q, 2), parse_poly("x - y + 1", Q, 2)])
-    form2 = ToricForm(parse_poly("1", Q, 2), sys2)
     with pytest.raises(ValueError, match="strictly support"):
-        vertex_residue(form2, (1, 1), (1, 1))
+        vertex_residue(sys2, parse_poly("1", Q, 2), (1, 1), (1, 1))
 
 
 def test_vertex_residue_direction_independence():
     _, system, _ = separable_system(Q, [[1, 2, 3], [1, 2]])
     f = parse_poly("x^2*y + x - 5", Q, 2)
-    form = ToricForm(f, system)
     for vertex, dirs in {
         (3, 2): [(1, 1), (1, 2), (3, 1)],
         (0, 0): [(-1, -1), (-2, -1)],
         (3, 0): [(1, -1), (2, -3)],
         (0, 2): [(-1, 1), (-3, 2)],
     }.items():
-        values = {vertex_residue(form, vertex, u) for u in dirs}
+        values = {vertex_residue(system, f, vertex, u) for u in dirs}
         assert len(values) == 1
 
 
 def test_residue_sum_examples():
     system = NewtonSystem([parse_poly("x^2 - 1", Q, 1)])
-    form = ToricForm(parse_poly("x", Q, 1), system)
+    x = parse_poly("x", Q, 1)
     zeros = [(Q(1),), (Q(-1),)]
-    assert residue_sum_over_zeros(form, zeros) == Q(1)
+    assert residue_sum_over_zeros(system, x, zeros) == Q(1)
 
     sep, sys2, zeros2 = separable_system(Q, [[1, 2], [1, 3]])
     f = parse_poly("x*y - 2", Q, 2)
-    form2 = ToricForm(f, sys2)
-    assert residue_sum_over_zeros(form2, zeros2) == coefficient_via_grid(f, sep)
+    assert residue_sum_over_zeros(sys2, f, zeros2) == coefficient_via_grid(f, sep)
 
     with pytest.raises(ValueError, match="not a zero"):
-        residue_sum_over_zeros(form, [(Q(3),)])
+        residue_sum_over_zeros(system, x, [(Q(3),)])
     with pytest.raises(ValueError, match="zero coordinate"):
-        residue_sum_over_zeros(form, [(Q(0),)])
+        residue_sum_over_zeros(system, x, [(Q(0),)])
 
 
 def test_residue_sum_singular_jacobian():
     system = NewtonSystem([parse_poly("(x - 1)^2", Q, 1)])
-    form = ToricForm(parse_poly("x", Q, 1), system)
     with pytest.raises(ValueError, match="singular"):
-        residue_sum_over_zeros(form, [(Q(1),)])
+        residue_sum_over_zeros(system, parse_poly("x", Q, 1), [(Q(1),)])
 
 
 def test_simple_zeros_checked_once_and_tied_to_their_system():
@@ -146,17 +146,16 @@ def test_simple_zeros_checked_once_and_tied_to_their_system():
             == solve_vertex_coefficients(system, points, samples))
     checked = zeros.weighted
     f = parse_poly("x*y - 2", Q, 2)
-    assert residue_sum_over_zeros(ToricForm(f, system), zeros) \
-        == coefficient_via_grid(f, sep)
+    assert residue_sum_over_zeros(system, f, zeros) == coefficient_via_grid(f, sep)
     assert zeros.weighted is checked
 
     other = NewtonSystem(sep.polys_multivariate())
     with pytest.raises(ValueError, match="another system"):
-        residue_sum_over_zeros(ToricForm(f, other), zeros)
+        residue_sum_over_zeros(other, f, zeros)
     # nothing is checked until a residue sum needs the zeros
     bad = SimpleZeros(system, [(Q(1), Q(1)), (Q(1), Q(1))])
     with pytest.raises(ValueError, match="repeated zero"):
-        residue_sum_over_zeros(ToricForm(f, system), bad)
+        residue_sum_over_zeros(system, f, bad)
 
 
 def test_solve_vertex_coefficients_worked():
@@ -191,9 +190,8 @@ def test_three_way_agreement_randomized():
             if f.is_zero():
                 continue
             weights = solve_vertex_coefficients(system, zeros, default_samples(system))
-            form = ToricForm(f, system)
-            lhs = residue_sum_over_zeros(form, zeros)
-            rhs = weighted_vertex_combination(form, weights)
+            lhs = residue_sum_over_zeros(system, f, zeros)
+            rhs = weighted_vertex_combination(system, f, weights)
             direct = coefficient_via_grid(f, sep)
             assert lhs == direct == rhs
 
@@ -208,10 +206,9 @@ def test_v_plus_residues_vanish():
         from gridres.polytope import strict_support_direction
         for sample in default_samples(system):
             split = vertex_split(system, sample)
-            form = ToricForm(sample, system)
             for v in split.v_plus:
                 u = strict_support_direction(system.sum_polytope, v)
-                assert vertex_residue(form, v, u).is_zero()
+                assert vertex_residue(system, sample, v, u).is_zero()
 
 
 def _violates(system, u):
@@ -277,7 +274,30 @@ def test_toric_identity_with_laurent_numerators():
         for _ in range(rng.randint(1, 4)):
             terms[tuple(rng.randint(-2, 3) for _ in range(n))] = Q(rng.randint(1, 5))
         f = MultiPoly.from_terms(Q, n, terms)
-        form = ToricForm(f, system)
-        lhs = residue_sum_over_zeros(form, zeros)
-        rhs = weighted_vertex_combination(form, weights)
+        lhs = residue_sum_over_zeros(system, f, zeros)
+        rhs = weighted_vertex_combination(system, f, weights)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_toric_pipeline_does_no_element_arithmetic(field, elem_ops):
+    rng = Random(f"toric-raw-{field}")
+    diag = parse_poly("1 + x*y", field, 2)
+    folded = NewtonSystem([diag, diag])
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        sizes = [rng.randint(1, 3) for _ in range(n)]
+        sep, system, zeros = separable_system(
+            field, [random_nodes(rng, field, k, avoid_zero=True) for k in sizes])
+        f = random_relaxed_poly(rng, field, sep.target_exponent)
+        if f.is_zero():
+            continue
+        samples = default_samples(system)
+        elem_ops.clear()
+        assert is_unfolded(system) == (True, None)
+        assert is_unfolded(folded) == (False, (1, -1))
+        weights = solve_vertex_coefficients(system, zeros, samples)
+        lhs = residue_sum_over_zeros(system, f, zeros)
+        rhs = weighted_vertex_combination(system, f, weights)
+        assert not elem_ops
+        assert lhs == rhs == coefficient_via_grid(f, sep)
