@@ -8,9 +8,10 @@ own variable) the zeros form a grid, a nullstellensatz.GridSystem, and
 the Jacobian is diagonal, so the coefficient at x is
 alpha_x = prod_i w_i(x_i) with one weight w_i = 1/g_i'(x_i) per axis.
 The dependence is never stored point by point, and the g_i themselves are
-never built for it: the residual is the factorized grid sum and a forced
-value contracts the value map against the raw per-axis weight tables of
-nullstellensatz.grid_weights.
+never built for it: the residual is the factorized grid sum.  A forced
+value keys each value record by the node indices of its point and
+contracts the value map against the per-axis weight tables of
+nullstellensatz.grid_weights, indexed by node.
 The general statement over F_p is checked on the common zeros in F_p^n,
 found by walking the grid F_p^n one axis at a time (the walk of
 nullstellensatz): each g_i collapses to its restriction at the next node,
@@ -44,52 +45,84 @@ def verify_cb(f: MultiPoly, system: GridSystem) -> FieldElement:
     return _weighted_grid_sum(f, system.nodes)
 
 
+def _node_index(system: GridSystem) -> list[dict]:
+    """Per axis, the map raw node value -> its index in the sorted nodes."""
+    return [{a.value: j for j, a in enumerate(ns)} for ns in system.nodes]
+
+
+def _grid_key(index: list[dict], raw: tuple):
+    """The node indices of a raw point, None off the grid."""
+    if len(raw) == len(index):
+        key = tuple(map(dict.get, index, raw))
+        if None not in key:
+            return key
+    return None
+
+
+def _target_key(index: list[dict], raw: tuple) -> tuple:
+    key = _grid_key(index, raw)
+    if key is None:
+        raise ValueError(f"target {tuple(map(str, raw))} is not a grid point")
+    return key
+
+
 def forced_value(values: Mapping[tuple, object], system: GridSystem,
                  target: tuple) -> FieldElement:
     """Value at target forced by values on every other grid point, each once.
 
     For any polynomial within the degree bound the dependence pins its
-    last value: v_t = -(sum over x != t of alpha_x v_x) / alpha_t.  The
-    value map, keyed by raw points, is contracted one axis at a time
-    against the raw weight map of that axis; alpha_t is the contraction
-    of the indicator of t.  All-zero inputs force zero.
+    last value: v_t = -(sum over x != t of alpha_x v_x) / alpha_t.  Each
+    value is keyed by the node indices of its point, and the value map is
+    contracted one axis at a time against that axis's weights indexed by
+    node; alpha_t is the contraction of the indicator of t.  All-zero
+    inputs force zero.
     """
     field = system.field
+    index = _node_index(system)
 
     def raw(pt) -> tuple:
         return tuple(field(x).value for x in pt)
 
-    axes = [grid_weights(ns) for ns in system.nodes]
-
-    def on_grid(pt) -> bool:
-        return len(pt) == len(axes) and all(x in w for x, w in zip(pt, axes))
-
     target = raw(target)
-    if not on_grid(target):
-        raise ValueError(f"target {tuple(map(str, target))} is not a grid point")
-    given = {}
+    at = _target_key(index, target)
+    given, stray = {}, set()
     for pt, v in values.items():
         pt = raw(pt)
-        if pt in given:
+        key = _grid_key(index, pt)
+        if pt in stray if key is None else key in given:
             raise ValueError(f"point {tuple(map(str, pt))} is given twice")
-        given[pt] = field(v).value
-    extra = [pt for pt in given if pt == target or not on_grid(pt)]
-    short = prod(system.sizes) - 1 - (len(given) - len(extra))
+        v = field(v).value
+        if key is None:
+            stray.add(pt)
+        else:
+            given[key] = v
+    return _forced_by_index(system, given, stray, target, at)
+
+
+def _forced_by_index(system: GridSystem, given: dict, stray, target: tuple,
+                     at: tuple) -> FieldElement:
+    """forced_value on records keyed by node index: given maps the node
+    indices of the points on the grid to raw values, stray holds the raw
+    points off it, and the raw target has the node indices at."""
+    extra = list(stray) + [target] * (at in given)
+    short = prod(system.sizes) - 1 - len(given) + (at in given)
     if short > 0:
         # stops at the first gap, after at most len(given) + 2 points
-        first = next(pt for pt in product(*(sorted(w) for w in axes))
-                     if pt != target and pt not in given)
-        raise ValueError(f"values missing for {short} grid points, "
-                         f"e.g. {tuple(map(str, first))}")
+        first = next(key for key in product(*map(range, system.sizes))
+                     if key != at and key not in given)
+        raise ValueError(f"values missing for {short} grid points, e.g. "
+                         f"{tuple(str(ns[j]) for ns, j in zip(system.nodes, first))}")
     if extra:
         raise ValueError(f"unexpected points in values, "
                          f"e.g. {tuple(map(str, min(extra)))}")
+    field = system.field
+    tables = [dict(enumerate(grid_weights(ns).values())) for ns in system.nodes]
 
     def contract(vals) -> FieldElement:
-        for w in axes:
-            vals = _collapse(vals, w, field.modulus)
+        for t in tables:
+            vals = _collapse(vals, t, field.modulus)
         return field(vals.get((), 0))
-    return -contract(given) * contract({target: 1}).inv()
+    return -contract(given) * contract({at: 1}).inv()
 
 
 def min_cover_size(points: Sequence, excluded, field: Field,

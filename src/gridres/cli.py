@@ -14,7 +14,8 @@ and so must each zero and each value record's point; a repeated value
 point is invalid input.  Node lists decode to one GridSystem, which is
 also the separable system of cb-verify, cb-forced and toric-verify.
 Polynomials and lines hold raw ints/Fractions (see gridres.expr and
-gridres.projective); decoded nodes, points and values are field elements.
+gridres.projective); cb-forced keys its value records by node index, and
+other decoded nodes, points and values are field elements.
 Reports are JSON on stdout; --summary adds human-readable lines on
 stderr.  Exit codes: 0 success/verified, 1 verdict negative, 2 invalid
 input, 3 search budget exceeded.
@@ -58,17 +59,18 @@ def _require_list(doc: dict, key: str, kind: str) -> list:
     return raw
 
 
+# JSON scalars; checked by type(), not isinstance: bool is a subclass of int
+_SCALARS = (str, int, float)
+
+
 def _decode_coords(field, raw, error: str,
                    lengths: tuple[int, ...] | None = None) -> tuple:
     """The scalars (strings or JSON numbers) of a JSON list, read by field
-    (a Field, a memo of one, or str for a constructor that coerces them
-    itself).  Anything else, or a list whose length is not in lengths,
+    (a Field, a memo of one, or str to keep them as strings).  Anything else, or a list whose length is not in lengths,
     raises error formatted with {raw}."""
-    # type(), not isinstance: bool is a subclass of int
     if (not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths)
-            or not all(type(v) in (str, int, float) for v in raw)):
+            or not all(type(v) in _SCALARS for v in raw)):
         raise InputError(error.format(raw=raw))
-    # a list, not a generator: one generator per cb-forced record raised peak RSS
     return tuple([field(str(v)) for v in raw])
 
 
@@ -230,16 +232,42 @@ def _cmd_cb_forced(doc, args):
     target = _decode_coords(parse, _require(doc, "target", "grid point"),
                             '"target" must be a list of coordinates, got {raw!r}')
     raw_values = _require_list(doc, "values", "list of {point, value} records")
-    values = {}
+    index = cb._node_index(system)
+    # per axis, each coordinate string once to its node index (None off the
+    # grid), through its value, so "1/2" and "2/4" name the same node
+    memo = [{} for _ in index]
+
+    def node(i, s):
+        j = memo[i][s] = index[i].get(parse(s).value)
+        return j
+
+    given, stray = {}, set()
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
             raise InputError("each value record needs point and value")
-        point = _decode_coords(parse, rec["point"],
+        point = _decode_coords(str, rec["point"],
                                "a value point must be a list of coordinates, got {raw!r}")
-        if point in values:
-            raise InputError(f"value point {_point_out(point)} is given twice")
-        (values[point],) = _decode_coords(field, [rec["value"]], "a value is a scalar")
-    forced = cb.forced_value(values, system, target)
+        key = (tuple([m[s] if s in m else node(i, s) for i, (m, s) in enumerate(zip(memo, point))])
+               if len(point) == len(memo) else (None,))
+        off = None in key
+        if off:
+            # off the grid: the raw point serves the messages only
+            key = tuple(parse(s).value for s in point)
+            if key in stray:
+                raise InputError(f"value point {_point_out(key)} is given twice")
+            stray.add(key)
+        elif key in given:
+            raise InputError(f"value point {_point_out(ns[j] for ns, j in zip(system.nodes, key))}"
+                             " is given twice")
+        value = rec["value"]
+        if type(value) not in _SCALARS:
+            raise InputError("a value is a scalar")
+        value = field(str(value)).value
+        if not off:
+            given[key] = value
+    raw_target = tuple(t.value for t in target)
+    at = cb._target_key(index, raw_target)
+    forced = cb._forced_by_index(system, given, stray, raw_target, at)
     result = {"target": _point_out(target), "forced_value": str(forced)}
     return result, 0, f"value at {_point_out(target)} forced to {forced}"
 

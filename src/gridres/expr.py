@@ -13,14 +13,17 @@ over the rationals reparses.  Negative exponents build Laurent monomials;
 they are only legal on single-term bases.  Errors carry the offset of the
 offending character.  Every token comes from one compiled pattern.
 
-The rules work on raw coefficients: each returns a dict from exponent
-tuples to nonzero ints mod p (over F_p) or ints/Fractions (over Q).
-Products and powers go through the raw kernels of gridres.multipoly, the
-ones MultiPoly's own ring operations use, so a parsed product is the
-product MultiPoly computes, overflow checks included: a product out of the
-signed 32-bit range raises OverflowError, a literal exponent out of it
-raises ParseError.  Over Q the integer coefficients left at the end
-become Fractions, the raw form MultiPoly stores.
+The rules work on raw coefficients: ints mod p (over F_p) or
+ints/Fractions (over Q).  A run of variable and literal factors, each with
+an optional exponent, stays one coefficient and one exponent list,
+multiplied in place.  Only a parenthesised factor is a dict from exponent
+tuples to nonzero coefficients; products and powers with one go through
+the raw kernels of gridres.multipoly, the ones MultiPoly's own ring
+operations use.  Either way a parsed product is the product MultiPoly
+computes, overflow checks included: a product out of the signed 32-bit
+range raises OverflowError, a literal exponent out of it raises
+ParseError.  Over Q the integer coefficients left at the end become
+Fractions, the raw form MultiPoly stores.
 
 A product or power whose predicted size passes a fixed bound raises
 ParseError at its operator before any work; the shared kernels are not bounded.
@@ -34,8 +37,8 @@ from math import comb
 from typing import Sequence
 
 from .field import Field
-from .multipoly import (MAX_EXPONENT, MultiPoly, _mul_terms, _pow_terms,
-                        default_names)
+from .multipoly import (MAX_EXPONENT, MultiPoly, _check_exponent, _mul_terms,
+                        _pow_terms, default_names)
 
 __all__ = ["ParseError", "parse_poly", "default_names", "is_variable_name"]
 
@@ -73,10 +76,7 @@ class _Parser:
         self.p = field.modulus  # None over Q: no reduction
         self.index = {name: i for i, name in enumerate(names)}
         self.nvars = len(names)
-        self.origin = (0,) * self.nvars
-        self.unit = {self.origin: 1}
-        self.units = [tuple(int(i == k) for i in range(self.nvars))
-                      for k in range(self.nvars)]
+        self.unit = {(0,) * self.nvars: 1}
         self.tokens = _TOKEN.finditer(text)  # lazy, one token ahead
         self.advance()
 
@@ -116,7 +116,7 @@ class _Parser:
         terms: dict = {}
         negate = self.take("-")
         while True:
-            for m, c in self.term().items():
+            for m, c in self.term():
                 if negate:
                     c = -c
                 s = terms.get(m)
@@ -131,45 +131,109 @@ class _Parser:
                     return {m: c % p for m, c in terms.items() if c % p}
                 return {m: c for m, c in terms.items() if c}
 
-    def term(self) -> dict:
-        poly = self.factor()
-        while self.tok == "*":
+    def term(self):
+        """The (monomial, coefficient) pairs of a product.
+
+        Up to its first parenthesised factor the product is one coefficient
+        and one exponent list, multiplied in place; from there on it is a
+        term dict, multiplied by the raw kernel.  Either way the checks are
+        those of multiplying term dicts left to right, in the same order:
+        the term pairs at each '*', and each summed exponent against the
+        signed 32-bit range, except after a zero coefficient, which leaves
+        no terms to check.
+        """
+        p = self.p
+        coef, expo, poly = 1, [0] * self.nvars, None
+        at = -1  # offset of the '*' before the factor; -1 for the first
+        while True:
+            f = self.factor()
+            if poly is None and type(f) is tuple:
+                c, k, e = f
+                if coef:
+                    if k is None:
+                        if at >= 0:
+                            c = coef * c % p if p else coef * c
+                        coef = c
+                    else:
+                        expo[k] = _check_exponent(expo[k] + e)
+            else:
+                if type(f) is tuple:
+                    c, k, e = f
+                    f = {self._monomial(k, e): c} if c else {}
+                if at < 0:
+                    poly = f
+                else:
+                    if poly is None:
+                        poly = {tuple(expo): coef} if coef else {}
+                    if len(poly) * len(f) > MAX_PAIRS:
+                        raise ParseError(f"product of {len(poly)} by {len(f)} terms is over "
+                                         f"{MAX_PAIRS} term pairs", at)
+                    poly = _mul_terms(poly, f, p)
+            if self.tok != "*":
+                break
             at = self.at
             self.advance()
-            rhs = self.factor()
-            if len(poly) * len(rhs) > MAX_PAIRS:
-                raise ParseError(f"product of {len(poly)} by {len(rhs)} terms is over "
-                                 f"{MAX_PAIRS} term pairs", at)
-            poly = _mul_terms(poly, rhs, self.p)
-        return poly
+        if poly is not None:
+            return poly.items()
+        return ((tuple(expo), coef),) if coef else ()
 
-    def factor(self) -> dict:
-        poly = self.base()
+    def _monomial(self, k, e) -> tuple:
+        """The exponent tuple of variable k to the e; the origin for k None."""
+        m = [0] * self.nvars
+        if k is not None:
+            m[k] = e
+        return tuple(m)
+
+    def factor(self):
+        """A parenthesised factor as a term dict, any other as (c, k, e):
+        c times variable k to the e, k None for a literal."""
+        base = self.base()
         op = self.at
-        if not self.take("^"):
-            return poly
+        if self.tok != "^":
+            return base
+        self.advance()
         # errors point just past a sign, else at the exponent's first digit
         at = self.at + (self.tok == "-")
         sign = -1 if self.take("-") else 1
         e = sign * self._integer()
         if abs(e) > MAX_EXPONENT:
             raise ParseError(f"exponent {e} overflows 32 bits", at)
-        if e < 0 and len(poly) != 1:
+        p = self.p
+        if type(base) is tuple:
+            c, k, _ = base
+            if k is not None:
+                return (c, k, e)
+            if not c:  # 0^0 = 1; 0^-e has no single term to invert
+                if e < 0:
+                    raise ParseError("negative power of a non-monomial", at)
+                return (int(not e), None, 0)
+            self._check_bits((c,), e, op)
+            if p:
+                return (pow(c, e, p), None, 0)
+            return (c ** e if e >= 0 else Fraction(c) ** e, None, 0)
+        if e < 0 and len(base) != 1:
             raise ParseError("negative power of a non-monomial", at)
-        t = len(poly)
+        t = len(base)
         # comb(e + t - 1, t - 1) >= e + t - 1, so a large e or t is refused before comb runs
         if t > 1 and (e + t - 1 > MAX_POWER_TERMS or comb(e + t - 1, t - 1) > MAX_POWER_TERMS):
             raise ParseError(f"power of a {t}-term sum may expand to over "
                              f"{MAX_POWER_TERMS} terms", op)
+        self._check_bits(base.values(), e, op)
+        return _pow_terms(base, e, p, self.unit)
+
+    def _check_bits(self, coefficients, e: int, op: int):
+        """Over Q, refuse a power whose coefficients other than +-1 grow
+        past MAX_POWER_BITS."""
         if self.p is None:
             bits = abs(e) * max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                                 for c in poly.values() if abs(c) != 1), default=0)
+                                 for c in coefficients if abs(c) != 1), default=0)
             if bits > MAX_POWER_BITS:
                 raise ParseError(f"power has a coefficient of about {bits} bits, over "
                                  f"{MAX_POWER_BITS}", op)
-        return _pow_terms(poly, e, self.p, self.unit)
 
-    def base(self) -> dict:
+    def base(self):
+        """'(' expr ')' as a term dict; a literal c as (c, None, 0) and a
+        variable k as (1, k, 1)."""
         tok, at = self.tok, self.at
         if self.take("("):
             poly = self.expr()
@@ -192,7 +256,7 @@ class _Parser:
                     raise ZeroDivisionError("inversion of zero field element")
             if p:
                 value %= p
-            return {self.origin: value} if value else {}
+            return (value, None, 0)
         if tok[:1].isalpha():
             self.advance()
             index = self.index.get(tok)
@@ -200,7 +264,7 @@ class _Parser:
                 index = self._aliased(tok)
             if index is None:
                 raise ParseError(f"unknown variable {tok!r}", at)
-            return {self.units[index]: 1}
+            return (1, index, 1)
         raise ParseError("expected a variable, literal, or parenthesis", at)
 
     def _aliased(self, name: str):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 from math import prod
 from random import Random
@@ -182,7 +183,7 @@ def test_forced_value_consistency_randomized():
         assert forced_value(values, system, target) == f.evaluate(target)
 
 
-@pytest.mark.parametrize("field", [Q, F7, Field.prime(101)])
+@pytest.mark.parametrize("field", [Q, F7, Field.prime(101), Field.prime(10007)])
 def test_forced_value_matches_pointwise_oracle(field):
     # unconstrained values: the forced value is -sum alpha_x v_x / alpha_t
     rng = Random(7 * (field.modulus or 1) + 5)
@@ -197,6 +198,19 @@ def test_forced_value_matches_pointwise_oracle(field):
         values = {x: random_element(rng, field) for x in alpha if x != target}
         expected = -sum((alpha[x] * v for x, v in values.items()), field.zero) / alpha[target]
         assert forced_value(values, system, target) == expected
+
+
+def test_forced_value_keys_points_by_node():
+    system = GridSystem(Q, [[0, "1/2"], [0, 1]])
+    with pytest.raises(ValueError, match=r"point \('1/2', '1'\) is given twice"):
+        forced_value({(Fraction(1, 2), 1): 1, ("2/4", Q(1)): 2}, system, (0, 0))
+    # coordinates written in other forms than the nodes land on the same nodes
+    spelled = {("0", "1"): 3, ("2/4", 0): 5, (Q("1/2"), Fraction(2, 2)): 7}
+    plain = {(0, 1): 3, (Fraction(1, 2), 0): 5, (Fraction(1, 2), 1): 7}
+    assert forced_value(spelled, system, ("0/3", Q(0))) == forced_value(plain, system, (0, 0))
+    alpha = pointwise_alpha(system.nodes)
+    expected = -sum(alpha[tuple(map(Q, x))] * v for x, v in plain.items()) / alpha[(Q(0), Q(0))]
+    assert forced_value(plain, system, (0, 0)) == expected
 
 
 def test_forced_value_linearity():

@@ -145,6 +145,117 @@ def test_cb_forced_parses_each_point_string_once(capsys, tmp_path, monkeypatch):
         assert sorted(parsed) == sorted(["0", "1/2", "3"] + [v["value"] for v in values])
 
 
+def _box_records(grids, target, skip=(), extra=()):
+    """A value record of 1 for every grid point except target and skip."""
+    from itertools import product
+    return [{"point": list(pt), "value": "1"} for pt in product(*grids)
+            if list(pt) != target and list(pt) not in skip] + list(extra)
+
+
+GRID_2X2 = [["0", "1"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("field, grids, points, shown", [
+    (RATIONALS, [["0", "1/2"], ["0", "1"]], (["1/2", "1"], ["2/4", "1"]), "['1/2', '1']"),
+    (F7, [["3", "5"], ["0", "1"]], (["3", "1"], ["10", "1"]), "['3', '1']"),
+    (RATIONALS, GRID_2X2, (["5/2", "1"], ["10/4", "1"]), "['5/2', '1']"),  # off the grid
+    (RATIONALS, GRID_2X2, (["1"], ["2/2"]), "['1']"),  # of the wrong length
+], ids=["Q", "F7", "off-grid", "short"])
+def test_cb_forced_point_written_two_ways_is_given_twice(capsys, tmp_path, field, grids,
+                                                         points, shown):
+    values = [{"point": pt, "value": str(k)} for k, pt in enumerate(points)]
+    code, report, _ = run(capsys, tmp_path, "cb-forced", {
+        "field": field, "grids": grids, "target": [g[0] for g in grids], "values": values})
+    assert code == 2
+    assert report["error"] == {"type": "InputError",
+                               "message": f"value point {shown} is given twice"}
+
+
+# each message as the cb-forced of value records keyed by field elements gave it
+@pytest.mark.parametrize("field, grids, target, values, message", [
+    (RATIONALS, GRID_2X2, ["1", "1"],
+     _box_records(GRID_2X2, ["1", "1"], extra=[{"point": ["5/3", "0"], "value": "1"}]),
+     "unexpected points in values, e.g. ('5/3', '0')"),
+    (F7, GRID_2X2, ["1", "1"],
+     _box_records(GRID_2X2, ["1", "1"], extra=[{"point": ["4", "0", "1"], "value": "1"},
+                                               {"point": ["3", "9"], "value": "2"}]),
+     "unexpected points in values, e.g. ('3', '2')"),
+    (RATIONALS, GRID_2X2, ["1", "1"], _box_records(GRID_2X2, None),
+     "unexpected points in values, e.g. ('1', '1')"),
+    (RATIONALS, [["0", "1", "2"], ["0", "1"]], ["2", "1"],
+     _box_records([["0", "1", "2"], ["0", "1"]], ["2", "1"], skip=[["0", "1"], ["1", "0"]]),
+     "values missing for 2 grid points, e.g. ('0', '1')"),
+    (RATIONALS, [["0", "1", "2"], ["0", "1"]], ["2", "1"],
+     _box_records([["0", "1", "2"], ["0", "1"]], None, skip=[["0", "1"]]),
+     "values missing for 1 grid points, e.g. ('0', '1')"),
+    (RATIONALS, [["0", "1", "2"], ["0", "1"]], ["0", "0"],
+     _box_records([["0", "1", "2"], ["0", "1"]], ["0", "0"], skip=[["1", "1"]],
+                  extra=[{"point": ["7", "7"], "value": "1"}]),
+     "values missing for 1 grid points, e.g. ('1', '1')"),
+    (RATIONALS, GRID_2X2, ["9", "1/3"], _box_records(GRID_2X2, None),
+     "target ('9', '1/3') is not a grid point"),
+    (F7, GRID_2X2, ["1"], [], "target ('1',) is not a grid point"),
+], ids=["off-grid-Q", "off-grid-F7", "target-given", "missing", "missing-and-target-given",
+        "missing-and-off-grid",
+        "off-grid-target", "short-target"])
+def test_cb_forced_value_messages(capsys, tmp_path, field, grids, target, values, message):
+    code, report, _ = run(capsys, tmp_path, "cb-forced", {
+        "field": field, "grids": grids, "target": target, "values": values})
+    assert code == 2
+    assert report["error"] == {"type": "ValueError", "message": message}
+
+
+def test_cb_forced_record_errors_come_before_the_target(capsys, tmp_path):
+    # an off-grid target is reported only once every record has been read
+    code, report, _ = run(capsys, tmp_path, "cb-forced", {
+        "field": RATIONALS, "grids": GRID_2X2, "target": ["9", "9"],
+        "values": [{"point": ["0", "0"], "value": "1"}, {"point": ["0", "0"], "value": "1"}]})
+    assert code == 2
+    assert report["error"] == {"type": "InputError",
+                               "message": "value point ['0', '0'] is given twice"}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, {"kind": "prime-field", "modulus": "10007"}],
+                         ids=["Q", "F10007"])
+def test_cb_forced_matches_pointwise_oracle(capsys, tmp_path, field):
+    from random import Random
+
+    from gridres.cli import _decode_field
+    from helpers import pointwise_alpha, random_element, random_nodes
+    f = _decode_field({"field": field})
+
+    def spell(a):
+        """a written otherwise than the grid writes it: 2n/2d over Q, plus p mod p"""
+        if f.modulus is None:
+            return f"{2 * a.value.numerator}/{2 * a.value.denominator}"
+        return str(a.value + f.modulus)
+    rng = Random(f"cb-forced-{f}")
+    for case in range(12):
+        n = rng.randint(1, 3)
+        nodes = [random_nodes(rng, f, rng.randint(1, 4)) for _ in range(n)]
+        alpha = pointwise_alpha(nodes)
+        target = rng.choice(list(alpha))
+        values = {x: random_element(rng, f) for x in alpha if x != target}
+        expected = -sum((alpha[x] * v for x, v in values.items()), f.zero) / alpha[target]
+        code, report, _ = run(capsys, tmp_path, "cb-forced", {
+            "field": field, "grids": [[str(a) for a in ns] for ns in nodes],
+            "target": [str(a) for a in target],
+            "values": [{"point": [spell(a) for a in x], "value": str(v)}
+                       for x, v in values.items()]})
+        assert code == 0, report
+        assert report["result"]["forced_value"] == str(expected), case
+
+
+def test_cb_forced_does_only_the_final_scalar_operations(capsys, tmp_path, elem_ops):
+    grids = [["0", "1", "2", "5/2"], ["0", "-1", "1/3"], ["1", "2"]]
+    values = [dict(rec, value=str(k)) for k, rec in
+              enumerate(_box_records(grids, ["1", "1/3", "2"]))]
+    code, _, _ = run(capsys, tmp_path, "cb-forced", {
+        "field": RATIONALS, "grids": grids, "target": ["1", "1/3", "2"], "values": values})
+    assert code == 0
+    assert len(elem_ops) <= 3  # the final -v * alpha_t^-1
+
+
 def test_line_and_point_coordinates_are_coerced_once(monkeypatch):
     # the JSON strings go straight to ProjLine/ProjPoint, which coerce them
     from gridres.cli import _decode_lines, _decode_point
@@ -590,9 +701,6 @@ def test_unreadable_variable_name_is_input_error(capsys, tmp_path, name):
     assert report["error"] == {
         "type": "InputError",
         "message": f"variable name {name!r} is not a word starting with a letter"}
-
-
-GRID_2X2 = [["0", "1"], ["0", "1"]]
 
 
 @pytest.mark.parametrize("subcommand, doc, message", [

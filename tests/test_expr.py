@@ -371,3 +371,109 @@ def test_expansion_over_the_bound_raises_at_its_operator(text, field, offset, me
 ], ids=["binomial", "trinomial", "rational", "unit", "product"])
 def test_expansion_up_to_the_bound_parses(text, field, terms):
     assert len(parse_poly(text, field, 2).terms) == terms
+
+
+# -- runs of variable and literal factors ------------------------------------------
+#
+# A product stays one coefficient and one exponent list until a parenthesised
+# factor comes.  These results were recorded on the parser that multiplied one
+# term dict per factor, left to right, and are pinned here.
+
+@pytest.mark.parametrize("text, field, terms", [
+    # a zero coefficient leaves no terms, so nothing after it is range-checked
+    ("0*x^2000000000*x^2000000000", Q, {}),
+    ("0*x^2000000000*x^2000000000", F7, {}),
+    ("x^2000000000*0*x^2000000000", Q, {}),
+    ("x*0^3*y^-2147483647*y^-2", Q, {}),
+    ("2*x*(x - x)*x^2147483647*x", Q, {}),
+    ("7*x*(y + 1)^2*3*x", F7, {}),
+    ("0^0*x", Q, {(1, 0): 1}),
+    ("0^0*x", F7, {(1, 0): 1}),
+    ("2^-1*x", F7, {(1, 0): 4}),
+    ("2^-1*x", Q, {(1, 0): Fraction(1, 2)}),
+    ("3^70000*x", F7, {(1, 0): 4}),
+    ("x^2147483647*x^-2147483647*y^-3*y^3", Q, {(0, 0): 1}),
+    ("3/2*x^2*(x + y)*2/3*y^-1", Q, {(3, -1): 1, (2, 0): 1}),
+])
+def test_run_products_pinned(text, field, terms):
+    assert parse_poly(text, field, 2).terms == terms
+
+
+@pytest.mark.parametrize("text, field, error, message", [
+    ("x^2000000000*x^2000000000*0", Q, OverflowError,
+     "exponent 4000000000 exceeds signed 32-bit range"),
+    ("x^2000000000*(x + 1)*x^2000000000", Q, OverflowError,
+     "exponent 4000000001 exceeds signed 32-bit range"),
+    ("x^2000000000*(x + 1)*x^2000000000", F7, OverflowError,
+     "exponent 4000000001 exceeds signed 32-bit range"),
+    ("x*y^-2147483647*y^-2", Q, OverflowError,
+     "exponent -2147483649 exceeds signed 32-bit range"),
+    ("0^-2*x", Q, ParseError, "negative power of a non-monomial at offset 3"),
+    ("3^70000*x", Q, ParseError,
+     "power has a coefficient of about 140000 bits, over 100000 at offset 1"),
+    # the bound is on the factor, so a zero coefficient before it does not lift it
+    ("0*3^70000", Q, ParseError,
+     "power has a coefficient of about 140000 bits, over 100000 at offset 3"),
+])
+def test_run_errors_pinned(text, field, error, message):
+    with pytest.raises(error) as err:
+        parse_poly(text, field, 2)
+    assert str(err.value) == message
+
+
+def test_term_pairs_refused_at_the_first_star():
+    # 100,001 terms times x: refused at the '*' before x, so the unknown q
+    # after it is never read
+    big = f"(({_powers('x', 400)})*({_powers('y', 250)}) + z)"
+    with pytest.raises(ParseError) as err:
+        parse_poly(big + "*x*q", Q, 3)
+    assert err.value.position == len(big)
+    assert "product of 100001 by 1 terms is over 100000 term pairs" in str(err.value)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F10007], ids=str)
+def test_parse_does_no_element_arithmetic(field, elem_ops):
+    rng = Random(f"elem-ops-{field}")
+    texts = ["3/2*x^4*y^-1 - 5*x*(y + 2)^3 + 2^-3*z", "0^0*x*(x - y)^2*1/3*y"]
+    texts += [_render_expr(rng, _random_tree(rng, 3, 3)) for _ in range(50)]
+    for text in texts:
+        parse_poly(text, field, 3)
+    assert not elem_ops
+
+
+# -- sympy as an independent oracle -------------------------------------------------
+
+def _sympy_terms(expr, symbols) -> dict:
+    """The expanded terms of a sympy expression as {exponent tuple: Fraction}."""
+    import sympy
+    out = {}
+    for term in sympy.Add.make_args(sympy.expand(expr)):
+        coeff, mono = term.as_coeff_Mul()
+        powers = mono.as_powers_dict()
+        assert set(powers) <= set(symbols) | {sympy.S.One}, term
+        m = tuple(int(powers.get(s, 0)) for s in symbols)
+        c = Fraction(int(coeff.p), int(coeff.q))
+        if c:
+            out[m] = out.get(m, 0) + c
+    return out
+
+
+def test_parser_matches_sympy_expansion():
+    """Random expression trees expanded by sympy over Q, an oracle that
+    shares no code with gridres.multipoly."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
+                                            standard_transformations)
+    rng = Random("parser-sympy")
+    symbols = sympy.symbols("x y z")
+    for _ in range(150):
+        nvars = rng.randint(1, 3)
+        tree = ("sum", [(rng.random() < 0.4, _random_tree(rng, nvars, 3))
+                        for _ in range(rng.randint(1, 4))])
+        text = _render_expr(rng, tree)
+        # a literal a/b is one base in the grammar, two operands in Python
+        python = re.sub(r"(\d+)/(\d+)", r"(\1/\2)", text)
+        expr = parse_expr(python, local_dict=dict(zip(NAMES, symbols)),
+                          transformations=standard_transformations + (convert_xor,))
+        expected = _sympy_terms(expr, symbols[:nvars])
+        assert parse_poly(text, Q, nvars).terms == expected, text
