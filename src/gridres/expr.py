@@ -37,7 +37,7 @@ from math import comb
 from typing import Sequence
 
 from .field import Field
-from .multipoly import (MAX_EXPONENT, MultiPoly, _check_exponent, _mul_terms,
+from .multipoly import (MAX_EXPONENT, MIN_EXPONENT, MultiPoly, _check_exponent, _mul_terms,
                         _pow_terms, default_names)
 
 __all__ = ["ParseError", "parse_poly", "default_names", "is_variable_name"]
@@ -196,7 +196,7 @@ class _Parser:
         at = self.at + (self.tok == "-")
         sign = -1 if self.take("-") else 1
         e = sign * self._integer()
-        if abs(e) > MAX_EXPONENT:
+        if not MIN_EXPONENT <= e <= MAX_EXPONENT:
             raise ParseError(f"exponent {e} overflows 32 bits", at)
         p = self.p
         if type(base) is tuple:

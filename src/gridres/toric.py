@@ -9,6 +9,14 @@ from sample numerators by exact linear solving.  The functions take the
 system and the numerator f; residues, Jacobian weights and the weight
 system run on raw values (ints mod p, Fractions over Q) and only the
 returned scalars are field elements.
+
+The vertex residue is a linear functional of the numerator: the series at
+a vertex depends only on the vertex, its direction and the truncation
+depth, and each numerator reads its residue off it.  So the weight solve
+expands one series per vertex, to the depth its deepest sample needs, and
+every sample reads it; it takes one support direction per vertex for the
+split of every sample, and one walk over the zeros for the residue sums
+of all samples.
 """
 
 from __future__ import annotations
@@ -98,6 +106,41 @@ class VertexSplit:
     v_zero: tuple
 
 
+def _support_directions(system: NewtonSystem) -> dict:
+    """{vertex: strict support direction} over the sum polytope's vertices."""
+    total = system.sum_polytope
+    directions = {}
+    for v in total.vertices:
+        u = strict_support_direction(total, v)
+        if u is None:
+            raise ValueError(f"no strict support direction at vertex {v}")
+        directions[v] = u
+    return directions
+
+
+def _split(system: NewtonSystem, f: MultiPoly, directions: dict) -> VertexSplit:
+    """vertex_split against the vertices' directions: a vertex whose
+    direction keeps the shifted numerator polytope weakly below it passes
+    at once, and only the others ask strict_support_direction for one."""
+    if f.is_zero():
+        raise ValueError("zero numerator has no support polytope")
+    if f.nvars != system.nvars:
+        raise ValueError("numerator arity differs from system arity")
+    support = newton_polytope(f)
+    shifted = [tuple(c + 1 for c in s) for s in support.vertices]
+    total = system.sum_polytope
+    plus, zero = [], []
+    for v in total.vertices:
+        u = directions[v]
+        level = _dot(u, v)
+        if (any(_dot(u, s) > level for s in shifted)
+                and strict_support_direction(total, v, dominated=shifted) is None):
+            raise ValueError(
+                f"support halfspace assumption violated at vertex {v}")
+        (zero if support.contains(tuple(c - 1 for c in v)) else plus).append(v)
+    return VertexSplit(v_plus=tuple(plus), v_zero=tuple(zero))
+
+
 def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
     """Split the sum polytope's vertices against N(f) + (1, ..., 1).
 
@@ -105,21 +148,77 @@ def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
     polytope only at that vertex with the shifted numerator polytope kept
     out of its interior; violations are reported by vertex.
     """
-    if f.is_zero():
-        raise ValueError("zero numerator has no support polytope")
-    if f.nvars != system.nvars:
-        raise ValueError("numerator arity differs from system arity")
-    ones = (1,) * system.nvars
-    shifted = newton_polytope(f).translate(ones)
-    total = system.sum_polytope
-    plus, zero = [], []
-    for v in total.vertices:
-        u = strict_support_direction(total, v, dominated=shifted.vertices)
-        if u is None:
+    return _split(system, f, _support_directions(system))
+
+
+def _vertex_residues(system: NewtonSystem, numerators: Sequence[MultiPoly],
+                     vertex: tuple, u: tuple) -> list:
+    """Raw vertex residues at vertex, one per nonzero numerator, read off
+    one expansion.
+
+    The truncation bound of f is the largest u-weight T_f on the support
+    of f * z^{(1,...,1) - v}.  The series is expanded once, to the floor
+    -max T_f; its factors all have nonpositive u-weight, so its terms of
+    weight at least -T_f are those an expansion to that floor gives.  Each
+    f reads sum_m f_m * S[v - (1,...,1) - m] / prod c_i, and a numerator
+    with T_f < 0 reads 0.
+    """
+    p = system.field.modulus
+    n = system.nvars
+    leads = []
+    lead_product = 1
+    for i, g in enumerate(system.polys):
+        weights = {m: _dot(u, m) for m in g.terms}
+        top = max(weights.values())
+        leaders = [m for m, w in weights.items() if w == top]
+        if len(leaders) != 1:
             raise ValueError(
-                f"support halfspace assumption violated at vertex {v}")
-        (zero if shifted.contains(v) else plus).append(v)
-    return VertexSplit(v_plus=tuple(plus), v_zero=tuple(zero))
+                f"direction {u} does not strictly support the support of g_{i + 1}")
+        v_i = leaders[0]
+        lead_product *= g.terms[v_i]
+        leads.append((g, v_i))
+
+    if tuple(sum(vs) for vs in zip(*(v_i for _, v_i in leads))) != vertex:
+        raise ValueError(
+            f"{vertex} is not the sum-polytope vertex selected by direction {u}")
+
+    scale = _inverse(lead_product, p)
+    zero = 0 * scale
+    offset = sum(u) - _dot(u, vertex)
+    bounds = [max(_dot(u, m) for m in f.terms) + offset for f in numerators]
+    depth = max(bounds)
+    if depth < 0:
+        return [zero] * len(numerators)
+
+    def truncated_product(a, b):
+        return {m: c for m, c in _mul_terms(a, b, p).items() if _dot(u, m) >= -depth}
+
+    unit = {(0,) * n: 1}
+    series_product = unit
+    # at depth 0 each factor's series is its constant 1
+    for g, v_i in leads if depth else ():
+        minus_inv = -_inverse(g.terms[v_i], p)
+        neg_h = {tuple(x - y for x, y in zip(m, v_i)):
+                 c * minus_inv % p if p else c * minus_inv
+                 for m, c in g.terms.items() if m != v_i}
+        series = power = unit
+        for _ in range(depth):
+            power = truncated_product(power, neg_h)
+            if not power:
+                break
+            series = _add_terms(series, power, p)
+        series_product = truncated_product(series_product, series)
+
+    out = []
+    for f, bound in zip(numerators, bounds):
+        constant = 0
+        if bound >= 0:
+            for m, c in f.terms.items():
+                s = series_product.get(tuple(a - 1 - b for a, b in zip(vertex, m)))
+                if s is not None:
+                    constant += c * s
+        out.append(zero if not constant else constant * scale % p if p else constant * scale)
+    return out
 
 
 def vertex_residue(system: NewtonSystem, f: MultiPoly, vertex: Sequence[int],
@@ -135,67 +234,18 @@ def vertex_residue(system: NewtonSystem, f: MultiPoly, vertex: Sequence[int],
     largest direction weight over the support of f * z^{(1,...,1) - v};
     omitted terms sit strictly below weight zero and cannot contribute.
     The series are raw term maps multiplied by multipoly's sparse product
-    and truncated after each product.
+    and truncated after each product.  This is the one-numerator read of
+    the expansion that solve_vertex_coefficients makes once per vertex for
+    all its samples, to the depth the deepest of them needs.
     """
     _require_numerator(system, f)
-    p = system.field.modulus
-    n = system.nvars
     u = tuple(int(c) for c in direction)
-    if len(u) != n or not any(u):
+    if len(u) != system.nvars or not any(u):
         raise ValueError("support direction must be a nonzero integer vector")
     vertex = tuple(int(c) for c in vertex)
     if f.is_zero():
         raise ValueError("zero numerator: truncation bound undefined")
-
-    parts = []
-    lead_product = 1
-    for i, g in enumerate(system.polys):
-        weights = {m: _dot(u, m) for m in g.terms}
-        top = max(weights.values())
-        leaders = [m for m, w in weights.items() if w == top]
-        if len(leaders) != 1:
-            raise ValueError(
-                f"direction {u} does not strictly support the support of g_{i + 1}")
-        v_i = leaders[0]
-        c_i = g.terms[v_i]
-        lead_product *= c_i
-        minus_inv = -_inverse(c_i, p)
-        rest = {tuple(x - y for x, y in zip(m, v_i)):
-                c * minus_inv % p if p else c * minus_inv
-                for m, c in g.terms.items() if m != v_i}
-        parts.append((v_i, rest))
-
-    if tuple(sum(vs) for vs in zip(*(v_i for v_i, _ in parts))) != vertex:
-        raise ValueError(
-            f"{vertex} is not the sum-polytope vertex selected by direction {u}")
-
-    ones = (1,) * n
-    shifted = f.shift(tuple(a - b for a, b in zip(ones, vertex)))
-    bound = max(_dot(u, m) for m in shifted.terms)
-    if bound < 0:
-        return system.field.zero
-    floor = -bound
-
-    def truncated_product(a, b):
-        return {m: c for m, c in _mul_terms(a, b, p).items() if _dot(u, m) >= floor}
-
-    unit = {(0,) * n: 1}
-    series_product = unit
-    for _, neg_h in parts:
-        series = power = unit
-        for _ in range(bound):
-            power = truncated_product(power, neg_h)
-            if not power:
-                break
-            series = _add_terms(series, power, p)
-        series_product = truncated_product(series_product, series)
-
-    constant = 0
-    for m, c in series_product.items():
-        other = shifted.terms.get(tuple(-x for x in m))
-        if other is not None:
-            constant += c * other
-    return system.field(constant * _inverse(lead_product, p))
+    return system.field(_vertex_residues(system, [f], vertex, u)[0])
 
 
 class SimpleZeros:
@@ -254,6 +304,30 @@ def _simple_zeros(system: NewtonSystem, zeros) -> SimpleZeros:
     return zeros
 
 
+def _residue_sums(system: NewtonSystem, numerators: Sequence[MultiPoly],
+                  zeros: SimpleZeros) -> list:
+    """Raw sums of f(z)/det J(z) over the zeros, one per numerator, in one
+    walk: each zero raises each coordinate once to every exponent that
+    some numerator holds in that coordinate."""
+    p = system.field.modulus
+    terms = [list(f.terms.items()) for f in numerators]
+    exponents = [{m[i] for ts in terms for m, _ in ts} - {0}
+                 for i in range(system.nvars)]
+    sums = [0] * len(terms)
+    for point, weight in zeros.weighted:
+        powers = [{e: pow(x, e, p) if p else x ** e for e in es}
+                  for x, es in zip(point, exponents)]
+        for j, ts in enumerate(terms):
+            value = 0
+            for m, c in ts:
+                for table, e in zip(powers, m):
+                    if e:
+                        c *= table[e]
+                value += c
+            sums[j] += value * weight
+    return [s % p for s in sums] if p else sums
+
+
 def residue_sum_over_zeros(system: NewtonSystem, f: MultiPoly,
                            zeros: Sequence[Sequence]) -> FieldElement:
     """Sum of f(z)/det(Jacobian of g)(z) over simple common zeros.
@@ -263,11 +337,8 @@ def residue_sum_over_zeros(system: NewtonSystem, f: MultiPoly,
     SimpleZeros of the system, whose checks then run at most once.
     """
     _require_numerator(system, f)
-    p = system.field.modulus
-    total = 0
-    for point, weight in _simple_zeros(system, zeros).weighted:
-        total += _eval_terms(f.terms, point, p) * weight
-    return system.field(total)
+    zeros = _simple_zeros(system, zeros)
+    return system.field(_residue_sums(system, [f], zeros)[0])
 
 
 @dataclass(frozen=True)
@@ -291,8 +362,18 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
     prime field they are lifted to the symmetric range.  A vertex of a
     full-dimensional sum polytope on the zero side of some split, meeting
     exactly n facets, with recovered weight zero is flagged as an anomaly.
-    The zeros are checked, and their Jacobians computed, once for all
-    samples.  The system is solved on raw values.
+
+    Each piece of work runs once per vertex or once per zero: one support
+    direction per vertex serves the split of every sample, one series
+    expansion per vertex, to the depth the deepest sample needs, is read
+    by every sample (every factor has nonpositive u-weight, so the deeper
+    expansion leaves the terms a shallower sample reads as they were),
+    and one walk over the zeros gives every residue sum.
+    With the default samples that depth is 0, since z^{w - (1,...,1)} has
+    bound <u, w - v> < 0 at every other vertex v.  The checks keep the
+    order of a sample-by-sample solve: the first sample's split and field,
+    then the zeros, then the later samples'.  The system is solved on raw
+    values.
     """
     samples = list(samples)
     if not samples:
@@ -302,21 +383,17 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
     n = system.nvars
     total = system.sum_polytope
     vertices = total.vertices
-    directions = {}
-    for v in vertices:
-        u = strict_support_direction(total, v)
-        if u is None:
-            raise ValueError(f"no strict support direction at vertex {v}")
-        directions[v] = u
-    sign = -1 if n % 2 else 1
+    directions = _support_directions(system)
     zero_side: set = set()
-    rows, rhs = [], []
-    for f in samples:
-        split = vertex_split(system, f)
-        zero_side.update(split.v_zero)
-        row = [sign * vertex_residue(system, f, v, directions[v]).value for v in vertices]
-        rows.append([x % p for x in row] if p else row)
-        rhs.append(residue_sum_over_zeros(system, f, zeros).value)
+    for k, f in enumerate(samples):
+        zero_side.update(_split(system, f, directions).v_zero)
+        _require_numerator(system, f)
+        if k == 0:
+            zeros.weighted  # the zeros are checked before the later samples
+    sign = -1 if n % 2 else 1
+    columns = [_vertex_residues(system, samples, v, directions[v]) for v in vertices]
+    rows = [[(sign * x) % p if p else sign * x for x in row] for row in zip(*columns)]
+    rhs = _residue_sums(system, samples, zeros)
     solution = solve_linear(rows, rhs, p)
     if not solution.consistent:
         raise ValueError(
@@ -365,10 +442,8 @@ def weighted_vertex_combination(system: NewtonSystem, f: MultiPoly,
     Unconstrained vertices must have vanishing residue on this numerator,
     otherwise the combination is not determined and a ValueError is raised.
     """
-    total = system.sum_polytope
     acc = 0
-    for v in total.vertices:
-        u = strict_support_direction(total, v)
+    for v, u in _support_directions(system).items():
         res = vertex_residue(system, f, v, u).value
         if v in coefficients.values:
             acc += coefficients.values[v] * res

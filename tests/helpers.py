@@ -455,3 +455,50 @@ def unfolded_by_candidates(system):
         if not any(has_single_top_vertex(p.vertices, u) for p in system.polytopes):
             return False, u
     return True, None
+
+
+def oracle_vertex_residue(system, f: MultiPoly, vertex, direction):
+    """Oracle: the vertex residue of f/(g_1...g_n) from an expansion of its
+    own, truncated at f's own bound, built term by term in field elements.
+
+    Writes g_i = c_i z^{v_i} (1 + h_i) with v_i the top of g_i's support
+    in the direction, expands each (1 + h_i)^{-1} to the bound
+    T = max <u, m> over the support of f * z^{(1,...,1) - v}, and reads
+    the constant term of the product with f * z^{(1,...,1) - v}.
+    """
+    field = system.field
+    u = tuple(direction)
+
+    def weight(m):
+        return sum(a * b for a, b in zip(u, m))
+
+    shifted = oracle_shift(element_terms(f), tuple(1 - c for c in vertex))
+    bound = max(weight(m) for m in shifted)
+    if bound < 0:
+        return field.zero
+
+    def truncated(a):
+        return {m: c for m, c in a.items() if weight(m) >= -bound}
+
+    unit = {(0,) * system.nvars: field.one}
+    expansion, lead = unit, field.one
+    for g in system.polys:
+        terms = element_terms(g)
+        v_i = max(terms, key=weight)
+        assert [weight(m) for m in terms].count(weight(v_i)) == 1, (g, u)
+        c_i = terms[v_i]
+        lead = lead * c_i
+        neg_h = {tuple(x - y for x, y in zip(m, v_i)): -c / c_i
+                 for m, c in terms.items() if m != v_i}
+        series = power = unit
+        for _ in range(bound):
+            power = truncated(oracle_product(power, neg_h))
+            series = oracle_sum(series, power)
+        expansion = truncated(oracle_product(expansion, series))
+    assert tuple(map(sum, zip(*(max(g.terms, key=weight) for g in system.polys)))) == tuple(vertex)
+    constant = field.zero
+    for m, c in expansion.items():
+        other = shifted.get(tuple(-x for x in m))
+        if other is not None:
+            constant = constant + c * other
+    return constant / lead

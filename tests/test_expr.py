@@ -59,7 +59,7 @@ def test_parse_error_positions():
     # the exponent's first digit; a zero denominator just past the '/'
     ("x^ 99999999999", 3, "exponent 99999999999 overflows"),
     ("x ^ 2147483648", 4, "exponent 2147483648 overflows"),
-    ("x^\t-\t2147483648", 4, "exponent -2147483648 overflows"),
+    ("x^\t-\t2147483649", 4, "exponent -2147483649 overflows"),
     ("1 /0", 3, "zero denominator"),
     ("x y", 2, "unexpected 'y'"),
     ("_x", 0, "expected a variable"),
@@ -276,7 +276,7 @@ def test_parser_matches_multipoly_oracle(field):
     ("y*(x + y)^ -3", ParseError, 12),
     ("x^2147483648", ParseError, 2),
     ("x^- 99999999999", ParseError, 3),
-    ("x^-2147483648", ParseError, 3),
+    ("x^-2147483649", ParseError, 3),
     ("x^2000000000*x^2000000000", OverflowError, 4000000000),
     ("x^-2000000000*y*x^-2000000000", OverflowError, -4000000000),
     ("(x + y^1500000000)^2", OverflowError, 3000000000),
@@ -298,6 +298,22 @@ def test_error_parity(field, text, error, detail):
         assert err.value.position == detail
     else:
         assert str(err.value) == f"exponent {detail} exceeds signed 32-bit range"
+
+
+# a literal exponent spans the signed 32-bit range MultiPoly holds, so the
+# canonical text of its smallest exponent reparses
+@pytest.mark.parametrize("field", [Q, F7, Field.prime(10007)], ids=str)
+def test_smallest_exponent_reparses(field):
+    f = MultiPoly.from_terms(field, 2, {(-2 ** 31, 0): 1})
+    assert format_poly(f) == "x^-2147483648"
+    assert parse_poly(format_poly(f), field, 2) == f
+    assert parse_poly("x^\t-\t2147483648", field, 2) == f
+    assert parse_poly("y^-2147483648*x^-1*x", field, 2).terms == {(0, -2 ** 31): 1}
+    with pytest.raises(OverflowError, match="exponent -2147483649 exceeds"):
+        parse_poly("x^-2147483648*x^-1", field, 2)
+    with pytest.raises(ParseError, match="exponent -2147483649 overflows") as err:
+        parse_poly("x^-2147483649", field, 2)
+    assert err.value.position == 3
 
 
 @pytest.mark.parametrize("text", ["z\u00b2", "z\u0661"])

@@ -6,15 +6,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from gridres import Field, MultiPoly, format_poly, parse_poly
+from gridres.multipoly import MAX_EXPONENT, MIN_EXPONENT
 
 FIELDS = [Field.rationals(), Field.prime(7), Field.prime(10007), Field.prime(2 ** 31 - 1)]
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
-# The parser reads a literal exponent up to 2^31 - 1 either way; the one
-# exponent MultiPoly holds beyond that, -2^31, formats to text it refuses
-# (tests/test_expr.py pins that ParseError).
-EXPONENTS = st.one_of(st.integers(-12, 12), st.integers(-(2 ** 31 - 1), 2 ** 31 - 1))
+# The parser reads a literal exponent over the whole range MultiPoly holds.
+EXPONENTS = st.one_of(st.integers(-12, 12), st.integers(MIN_EXPONENT, MAX_EXPONENT),
+                      st.sampled_from([MIN_EXPONENT, MAX_EXPONENT]))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from random import Random
 
@@ -9,10 +10,14 @@ from gridres import (Field, FieldMismatchError, MultiPoly, NewtonSystem, GridSys
                      solve_vertex_coefficients, vertex_residue, vertex_split,
                      weighted_vertex_combination)
 
-from helpers import random_nodes, random_relaxed_poly
+from gridres.polytope import strict_support_direction
+from gridres.toric import _vertex_residues
+
+from helpers import oracle_vertex_residue, random_element, random_nodes, random_relaxed_poly
 
 Q = Field.rationals()
 F7 = Field.prime(7)
+F10007 = Field.prime(10007)
 
 
 def separable_system(field, node_sets):
@@ -301,3 +306,114 @@ def test_toric_pipeline_does_no_element_arithmetic(field, elem_ops):
         rhs = weighted_vertex_combination(system, f, weights)
         assert not elem_ops
         assert lhs == rhs == coefficient_via_grid(f, sep)
+
+
+def _bound(f, vertex, u):
+    """The truncation bound of f at the vertex: the largest u-weight on the
+    support of f * z^{(1,...,1) - v}."""
+    return max(sum(a * (m_i + 1 - v_i) for a, m_i, v_i in zip(u, m, vertex)) for m in f.terms)
+
+
+def _random_unfolded_system(rng, field):
+    """A translated grid system or a random unfolded Laurent system."""
+    n = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        sizes = [rng.randint(1, 3) for _ in range(n)]
+        polys = GridSystem(field, [random_nodes(rng, field, k, avoid_zero=True)
+                                   for k in sizes]).polys_multivariate()
+        return NewtonSystem([g.shift(tuple(rng.randint(-2, 2) for _ in range(n)))
+                             for g in polys])
+    while True:
+        polys = [MultiPoly.from_terms(field, n, {
+            tuple(rng.randint(-1, 2) for _ in range(n)): random_element(rng, field, nonzero=True)
+            for _ in range(rng.randint(2, 3))}) for _ in range(n)]
+        if all(len(g.terms) > 1 for g in polys):
+            system = NewtonSystem(polys)
+            if is_unfolded(system)[0]:
+                return system
+
+
+@pytest.mark.parametrize("field", [Q, F10007], ids=str)
+def test_batched_vertex_residues_match_oracle(field):
+    """One expansion per vertex, read by a batch of numerators, against an
+    expansion per numerator at its own depth: the batches mix depths up to
+    4, numerators whose bound is negative (rows that read 0) and Laurent
+    terms."""
+    rng = Random(f"batched-residues-{field}")
+    mixed = zero_rows = laurent = 0
+    for _ in range(12):
+        system = _random_unfolded_system(rng, field)
+        n = system.nvars
+        total = system.sum_polytope
+        for v in total.vertices:
+            u = strict_support_direction(total, v)
+            batch = [MultiPoly.from_terms(field, n, {tuple(c - 1 for c in w): 1})
+                     for w in total.vertices]
+            for _ in range(4):
+                terms = {}
+                for _ in range(rng.randint(1, 5)):
+                    m = tuple(rng.randint(-3, 4) for _ in range(n))
+                    if _bound(MultiPoly.from_terms(field, n, {m: 1}), v, u) <= 4:
+                        terms[m] = random_element(rng, field, nonzero=True)
+                if terms:
+                    batch.append(MultiPoly.from_terms(field, n, terms))
+            bounds = [_bound(f, v, u) for f in batch]
+            mixed += len({b for b in bounds if b >= 0}) > 1 and max(bounds) > 0
+            zero_rows += min(bounds) < 0
+            laurent += any(min(m) < 0 for f in batch for m in f.terms)
+            got = _vertex_residues(system, batch, v, u)
+            assert got == [oracle_vertex_residue(system, f, v, u).value for f in batch]
+            assert [vertex_residue(system, f, v, u) for f in batch] == [field(x) for x in got]
+    assert mixed > 10 and zero_rows > 10 and laurent > 10
+
+
+def test_custom_sample_past_depth_zero():
+    """x^3 passes the split of the 3 x 3 grid only through the LP direction
+    at (2, 0); under that vertex's own direction its bound is 1, so the
+    solve expands that vertex's series to depth 1."""
+    sep, system, zeros = separable_system(Q, [[1, 2], [1, 3]])
+    sample = parse_poly("x^3", Q, 2)
+    u = strict_support_direction(system.sum_polytope, (2, 0))
+    assert _bound(sample, (2, 0), u) == 1
+    assert vertex_split(system, sample).v_zero == ()
+    default = solve_vertex_coefficients(system, zeros, default_samples(system))
+    with_sample = solve_vertex_coefficients(system, zeros, default_samples(system) + [sample])
+    assert with_sample == default
+    assert vertex_residue(system, sample, (2, 0), u) == oracle_vertex_residue(system, sample, (2, 0), u)
+
+
+def test_first_error_order():
+    """With several faults the solve raises what a sample-by-sample solve
+    raised: the first sample's split and field, then the zeros, then the
+    later samples' split and field.  Messages recorded on the
+    sample-by-sample solve."""
+    sep, system, good = separable_system(Q, [[1, 2], [1, 3]])
+    bad = good[:-1] + [(Q(1), Q(2))]
+    samples = default_samples(system)
+    violator = parse_poly("x^3*y^3", Q, 2)
+    zero = MultiPoly.zero(Q, 2)
+    other = parse_poly("x", F7, 2)
+    not_a_zero = re.escape("point ('1', '2') is not a zero of g_2")
+    violated = re.escape("support halfspace assumption violated at vertex (2, 2)")
+    cases = [
+        (bad, [samples[0], violator] + samples[1:], ValueError, not_a_zero),
+        (bad, [violator] + samples, ValueError, violated),
+        (good, samples[:2] + [zero] + samples[2:], ValueError,
+         "zero numerator has no support polytope"),
+        (bad, samples[:1] + [zero] + samples[1:], ValueError, not_a_zero),
+        (bad, [zero] + samples, ValueError, "zero numerator has no support polytope"),
+        (good, samples[:2] + [other] + samples[2:], FieldMismatchError,
+         "numerator field differs from system field"),
+        (bad, [other] + samples, FieldMismatchError, "numerator field differs"),
+        (bad, samples[:1] + [other] + samples[1:], ValueError, not_a_zero),
+        (good, [other, violator] + samples, FieldMismatchError, "numerator field differs"),
+        (good, [samples[0], violator, other] + samples, ValueError, violated),
+    ]
+    for zeros, given, error, message in cases:
+        with pytest.raises(error, match=message):
+            solve_vertex_coefficients(system, zeros, given)
+    weights = solve_vertex_coefficients(system, good, samples)
+    with pytest.raises(ValueError, match="zero numerator: truncation bound undefined"):
+        weighted_vertex_combination(system, zero, weights)
+    with pytest.raises(FieldMismatchError, match="numerator field differs"):
+        weighted_vertex_combination(system, other, weights)
