@@ -39,6 +39,8 @@ from .field import Field
 from .multipoly import MultiPoly, default_names
 from .projective import ProjLine, ProjPoint
 
+_DEFAULT_BUDGET = 1_000_000  # nodes; the 5x6 grid over Q minus a corner takes 642,293
+
 
 class InputError(ValueError):
     """Job document violates the schema."""
@@ -146,14 +148,14 @@ def _decode_point(field: Field, raw) -> ProjPoint:
     return ProjPoint(field, coords if len(coords) == 3 else coords + (1,))
 
 
-def _budget(doc: dict, args) -> int | None:
+def _budget(doc: dict, args) -> int:
     budget = args.budget
-    if budget is None and "budget" in doc:
+    if budget is None:
         try:
-            budget = int(str(doc["budget"]))
+            budget = int(str(doc.get("budget", _DEFAULT_BUDGET)))
         except ValueError:
             raise InputError(f"budget is not an integer: {doc['budget']!r}") from None
-    if budget is not None and budget < 0:
+    if budget < 0:
         raise InputError(f"budget must be nonnegative, got {budget}")
     return budget
 
@@ -493,7 +495,8 @@ _PARSER.add_argument("--input", required=True,
 _PARSER.add_argument("--summary", action="store_true",
                      help="also print a human-readable summary on stderr")
 _PARSER.add_argument("--budget", type=int, default=None,
-                     help="node budget for backtracking searches")
+                     help="node budget for backtracking searches "
+                          f"(default {_DEFAULT_BUDGET:,})")
 
 
 def main(argv=None) -> int:

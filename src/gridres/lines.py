@@ -5,7 +5,10 @@ green families of n lines covering the n-by-n red-blue intersection grid,
 certifying the product dependence alpha*R + beta*B = gamma*G when the
 greens are concurrent, normalizing biconcurrent configurations down to
 the multiplicative-subgroup model, and checking the n+m-2 lower bound for
-covers that dodge one grid point.
+covers that dodge one grid point.  Below the API everything computes on
+raw values (ints mod p, Fractions over Q): normalization reads u, v and
+the green slopes off the canonical transported triples, and only the
+reported sets and the dependence scalars are field elements.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Iterable, Sequence
 from .cover import _bits, lines_through_pairs, min_line_cover
 from .errors import BudgetExceededError, CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
+from .linalg import _inverse
 from .multipoly import MultiPoly
 from .polytope import _dot
 from .projective import (ProjLine, ProjPoint, affine_candidate_points,
@@ -198,10 +202,8 @@ def product_form(lines: Sequence[ProjLine]) -> MultiPoly:
     field = lines[0].field
     out = MultiPoly.constant(field, 3, 1)
     for line in lines:
-        a, b, c = line.coords
-        form = MultiPoly.from_terms(field, 3, {(1, 0, 0): a, (0, 1, 0): b,
-                                               (0, 0, 1): c})
-        out = out * form
+        form = {m: c for m, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line.coords) if c}
+        out = out * MultiPoly(field, 3, form)
     return out
 
 
@@ -244,8 +246,8 @@ def verify_product_dependence(config: LineConfiguration):
     return alpha * inv, beta * inv, field.one
 
 
-def _multiplicative_subgroup(field: Field, n: int) -> list[FieldElement]:
-    """The order-n subgroup of F_p^*, the (p-1)/n-th powers; requires n | p - 1."""
+def _multiplicative_subgroup(field: Field, n: int) -> list[int]:
+    """The order-n subgroup of F_p^* as sorted residues; requires n | p - 1."""
     p = field.modulus
     if (p - 1) % n != 0:
         raise ValueError(f"{n} does not divide {p} - 1")
@@ -253,7 +255,7 @@ def _multiplicative_subgroup(field: Field, n: int) -> list[FieldElement]:
     for a in range(1, p):
         powers = {pow(a, k * step, p) for k in range(n)}
         if len(powers) == n:
-            return [field(x) for x in sorted(powers)]
+            return sorted(powers)
     raise ValueError(f"no subgroup of order {n} found")  # unreachable for prime p
 
 
@@ -266,9 +268,9 @@ def roots_of_unity_config(field: Field, n: int) -> LineConfiguration:
     if not field.is_prime_field:
         raise ValueError("subgroup construction needs a prime field")
     subgroup = _multiplicative_subgroup(field, n)
-    red = [ProjLine(field, (0, 1, -u)) for u in subgroup]
-    blue = [ProjLine(field, (1, -u, 0)) for u in subgroup]
-    green = [ProjLine(field, (1, 0, -u)) for u in subgroup]
+    red = [ProjLine._raw(field, (0, 1, -u)) for u in subgroup]
+    blue = [ProjLine._raw(field, (1, -u, 0)) for u in subgroup]
+    green = [ProjLine._raw(field, (1, 0, -u)) for u in subgroup]
     config = LineConfiguration(field, red, blue, green)
     ok, diagnostics = validate_green_cover(config)
     if not ok:
@@ -292,13 +294,6 @@ class NormalizationReport:
         return self.is_subgroup and self.v_equals_u and self.slopes_equal_u
 
 
-def _is_subgroup(field: Field, elements: Sequence[FieldElement]) -> bool:
-    values = set(elements)
-    if field.zero in values or field.one not in values:
-        return False
-    return all(a * b in values for a in values for b in values)
-
-
 def normalize_biconcurrent(config: LineConfiguration):
     """Normalize a covering configuration with concurrent red and green
     families; returns (normalized configuration, report).
@@ -310,9 +305,12 @@ def normalize_biconcurrent(config: LineConfiguration):
     their averages vanish, and the x axis is rescaled so 1 lies in U.  The
     report then records whether U is a multiplicative subgroup with V = U
     and green slopes equal to U, which certifies projective equivalence
-    with the subgroup construction.
+    with the subgroup construction.  The values are read off the canonical
+    transported triples and stay raw; only the reported sets are field
+    elements.
     """
     field = config.field
+    p = field.modulus
     n = config.n
     if n < 2:
         raise ValueError("normalization needs at least two lines per family")
@@ -327,8 +325,7 @@ def normalize_biconcurrent(config: LineConfiguration):
     p_red = concurrency_point(config.red)
     if p_red is None:
         raise ValueError("red lines are not concurrent")
-    p_green = concurrency_point(config.green)
-    if p_green is None:
+    if concurrency_point(config.green) is None:
         raise ValueError("green lines are not concurrent")
     p_blue = concurrency_point(config.blue)
     if p_blue is None:
@@ -341,63 +338,62 @@ def normalize_biconcurrent(config: LineConfiguration):
     third = next(q for q in affine_candidate_points(field, ())
                  if not anchor_line.contains(q))
     basis = (p_blue.coords, p_red.coords, third.coords)
-    # S has the three points as columns; the point map is S^{-1}, under
-    # which a line with row vector l transports to l.S
-    red_t, blue_t, green_t = ([ProjLine(field, [_dot(l.coords, b) for b in basis])
-                               for l in family]
-                              for family in (config.red, config.blue, config.green))
 
-    u_raw = []
-    for line in red_t:
-        a, b, c = map(field, line.coords)
-        if not b.is_zero() or a.is_zero():
-            raise CounterexampleError(f"red line failed to normalize: {line}")
-        u_raw.append(-c / a)
-    v_raw = []
-    for line in blue_t:
-        a, b, c = map(field, line.coords)
-        if not a.is_zero() or b.is_zero():
-            raise CounterexampleError(f"blue line failed to normalize: {line}")
-        v_raw.append(-c / b)
-    slopes_raw, intercepts_raw = [], []
-    for line in green_t:
-        a, b, c = map(field, line.coords)
-        if b.is_zero() or a.is_zero():
-            raise CounterexampleError(f"green line failed to normalize: {line}")
-        slopes_raw.append(-a / b)
-        intercepts_raw.append(-c / b)
+    def mod(x):
+        return x % p if p else x
 
-    n_inv = field(n).inv()
-    mean_u = sum(u_raw, field.zero) * n_inv
-    mean_v = sum(v_raw, field.zero) * n_inv
-    u_centered = [u - mean_u for u in u_raw]
-    v_centered = [v - mean_v for v in v_raw]
-    # greens y = s x + t become y = s x + (t + s*mean_u - mean_v)
-    for s, t in zip(slopes_raw, intercepts_raw):
-        shifted = t + s * mean_u - mean_v
-        if not shifted.is_zero():
-            raise CounterexampleError(
-                "green line misses the origin after centering; the cover "
-                "bijections force a common intercept")
+    # the point map S^{-1} (S has the three points as columns) takes a line
+    # l to l.S; canonically, reds become (1, 0, c): x = -c, blues (0, 1, c):
+    # y = -c, and greens (1, b, c) with b != 0: y = s*x + c*s, s = -1/b
+    def transport(family, name, nonzero_ab):
+        triples = []
+        for line in family:
+            moved = ProjLine._raw(field, [_dot(line.coords, col) for col in basis])
+            if (bool(moved.coords[0]), bool(moved.coords[1])) != nonzero_ab:
+                raise CounterexampleError(f"{name} line failed to normalize: {moved}")
+            triples.append(moved.coords)
+        return triples
 
-    u_scale = next(u for u in sorted(u_centered) if not u.is_zero())
-    base_slope = sorted(slopes_raw)[0]
-    v_scale = base_slope * u_scale
-    u_set = sorted(u / u_scale for u in u_centered)
-    v_set = sorted(v / v_scale for v in v_centered)
-    slopes = sorted(s / base_slope for s in slopes_raw)
+    u_raw = [mod(-c) for _, _, c in transport(config.red, "red", (True, False))]
+    v_raw = [mod(-c) for _, _, c in transport(config.blue, "blue", (False, True))]
+    greens = transport(config.green, "green", (True, True))
+    slopes_raw = [mod(-_inverse(b, p)) for _, b, _ in greens]
+
+    n_inv = _inverse(n, p)
+    mean_u = mod(sum(u_raw) * n_inv)
+    mean_v = mod(sum(v_raw) * n_inv)
+    u_centered = [mod(u - mean_u) for u in u_raw]
+    v_centered = [mod(v - mean_v) for v in v_raw]
+    # greens y = s*x + c*s become y = s*x + (s*(c + mean_u) - mean_v)
+    if any(mod(s * (c + mean_u) - mean_v) for (_, _, c), s in zip(greens, slopes_raw)):
+        raise CounterexampleError(
+            "green line misses the origin after centering; the cover "
+            "bijections force a common intercept")
+
+    u_scale = next(u for u in sorted(u_centered) if u)
+    base_slope = min(slopes_raw)
+    u_inv, v_inv, s_inv = (_inverse(x, p) for x in (u_scale, base_slope * u_scale, base_slope))
+    u_set = sorted(mod(u * u_inv) for u in u_centered)
+    v_set = sorted(mod(v * v_inv) for v in v_centered)
+    slopes = sorted(mod(s * s_inv) for s in slopes_raw)
+    units = set(u_set)
+
+    def wrap(values):
+        return tuple(FieldElement(field, x) for x in values)
 
     report = NormalizationReport(
-        u_set=tuple(u_set), v_set=tuple(v_set), slopes=tuple(slopes),
-        is_subgroup=_is_subgroup(field, u_set),
+        u_set=wrap(u_set), v_set=wrap(v_set), slopes=wrap(slopes),
+        is_subgroup=0 not in units and 1 in units
+        and all(mod(a * b) in units for a in units for b in units),
         v_equals_u=v_set == u_set,
         slopes_equal_u=slopes == u_set)
 
+    one = field.one.value  # a Fraction over Q, so _scaled's division stays exact
     normalized = LineConfiguration(
         field,
-        red=[ProjLine(field, (1, 0, -u)) for u in u_set],
-        blue=[ProjLine(field, (0, 1, -v)) for v in v_set],
-        green=[ProjLine(field, (s, -1, 0)) for s in slopes])
+        red=[ProjLine._raw(field, (one, 0, -u)) for u in u_set],
+        blue=[ProjLine._raw(field, (0, one, -v)) for v in v_set],
+        green=[ProjLine._raw(field, (s, -1, 0)) for s in slopes])
     return normalized, report
 
 

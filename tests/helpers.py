@@ -5,12 +5,14 @@ from itertools import combinations, product
 from math import gcd
 from random import Random
 
-from gridres import BudgetExceededError, Field, MultiPoly, vanishing_poly_from_nodes
+from gridres import (BudgetExceededError, CounterexampleError, Field, LineConfiguration,
+                     MultiPoly, NormalizationReport, ProjLine, concurrency_point,
+                     line_through, validate_green_cover, vanishing_poly_from_nodes)
 from gridres.cover import candidate_traces, lines_through_pairs
 from gridres.field import FieldMismatchError
 from gridres.lines import grid_intersections
-from gridres.polytope import _cross3, primitive
-from gridres.projective import infinity_line, pencil
+from gridres.polytope import _cross3, _dot, primitive
+from gridres.projective import affine_candidate_points, infinity_line, pencil
 
 
 def random_element(rng: Random, field: Field, nonzero: bool = False):
@@ -502,3 +504,103 @@ def oracle_vertex_residue(system, f: MultiPoly, vertex, direction):
         if other is not None:
             constant = constant + c * other
     return constant / lead
+
+
+def _oracle_is_subgroup(field: Field, elements) -> bool:
+    values = set(elements)
+    if field.zero in values or field.one not in values:
+        return False
+    return all(a * b in values for a in values for b in values)
+
+
+def oracle_normalize_biconcurrent(config: LineConfiguration):
+    """Oracle: `lines.normalize_biconcurrent` with its normalization done in
+    field elements, each transported coordinate coerced and divided out
+    (the same checks, messages and check order)."""
+    field = config.field
+    n = config.n
+    if n < 2:
+        raise ValueError("normalization needs at least two lines per family")
+    if not (len(config.blue) == len(config.green) == n):
+        raise ValueError("normalization needs equally sized families")
+    char = field.characteristic()
+    if char and gcd(n, char) != 1:
+        raise ValueError(f"family size {n} shares a factor with the characteristic {char}")
+    ok, diagnostics = validate_green_cover(config)
+    if not ok:
+        raise ValueError(f"not a valid green cover: {diagnostics}")
+    p_red = concurrency_point(config.red)
+    if p_red is None:
+        raise ValueError("red lines are not concurrent")
+    p_green = concurrency_point(config.green)
+    if p_green is None:
+        raise ValueError("green lines are not concurrent")
+    p_blue = concurrency_point(config.blue)
+    if p_blue is None:
+        raise ValueError("blue lines are not concurrent "
+                         "(required to reach the axis-pencil normal form)")
+    if p_red == p_blue:
+        raise ValueError("red and blue pencils share their center")
+
+    anchor_line = line_through(p_red, p_blue)
+    third = next(q for q in affine_candidate_points(field, ())
+                 if not anchor_line.contains(q))
+    basis = (p_blue.coords, p_red.coords, third.coords)
+    # S has the three points as columns; the point map is S^{-1}, under
+    # which a line with row vector l transports to l.S
+    red_t, blue_t, green_t = ([ProjLine(field, [_dot(l.coords, b) for b in basis])
+                               for l in family]
+                              for family in (config.red, config.blue, config.green))
+
+    u_raw = []
+    for line in red_t:
+        a, b, c = map(field, line.coords)
+        if not b.is_zero() or a.is_zero():
+            raise CounterexampleError(f"red line failed to normalize: {line}")
+        u_raw.append(-c / a)
+    v_raw = []
+    for line in blue_t:
+        a, b, c = map(field, line.coords)
+        if not a.is_zero() or b.is_zero():
+            raise CounterexampleError(f"blue line failed to normalize: {line}")
+        v_raw.append(-c / b)
+    slopes_raw, intercepts_raw = [], []
+    for line in green_t:
+        a, b, c = map(field, line.coords)
+        if b.is_zero() or a.is_zero():
+            raise CounterexampleError(f"green line failed to normalize: {line}")
+        slopes_raw.append(-a / b)
+        intercepts_raw.append(-c / b)
+
+    n_inv = field(n).inv()
+    mean_u = sum(u_raw, field.zero) * n_inv
+    mean_v = sum(v_raw, field.zero) * n_inv
+    u_centered = [u - mean_u for u in u_raw]
+    v_centered = [v - mean_v for v in v_raw]
+    # greens y = s x + t become y = s x + (t + s*mean_u - mean_v)
+    for s, t in zip(slopes_raw, intercepts_raw):
+        shifted = t + s * mean_u - mean_v
+        if not shifted.is_zero():
+            raise CounterexampleError(
+                "green line misses the origin after centering; the cover "
+                "bijections force a common intercept")
+
+    u_scale = next(u for u in sorted(u_centered) if not u.is_zero())
+    base_slope = sorted(slopes_raw)[0]
+    v_scale = base_slope * u_scale
+    u_set = sorted(u / u_scale for u in u_centered)
+    v_set = sorted(v / v_scale for v in v_centered)
+    slopes = sorted(s / base_slope for s in slopes_raw)
+
+    report = NormalizationReport(
+        u_set=tuple(u_set), v_set=tuple(v_set), slopes=tuple(slopes),
+        is_subgroup=_oracle_is_subgroup(field, u_set),
+        v_equals_u=v_set == u_set,
+        slopes_equal_u=slopes == u_set)
+
+    normalized = LineConfiguration(
+        field,
+        red=[ProjLine(field, (1, 0, -u)) for u in u_set],
+        blue=[ProjLine(field, (0, 1, -v)) for v in v_set],
+        green=[ProjLine(field, (s, -1, 0)) for s in slopes])
+    return normalized, report

@@ -530,6 +530,76 @@ def test_lines_classify(capsys, tmp_path):
     assert report["result"]["equivalent_to_subgroup_model"] is True
 
 
+SUBGROUP_LINES = {
+    "field": F7,
+    "red": [["0", "1", "-1"], ["0", "1", "-2"], ["0", "1", "-4"]],
+    "blue": [["1", "-1", "0"], ["1", "-2", "0"], ["1", "-4", "0"]],
+    "green": [["1", "0", "-1"], ["1", "0", "-2"], ["1", "0", "-4"]],
+}
+# the diagonals of the unit square: both pencils parallel, the greens meet at its center
+DIAGONALS = {
+    "field": RATIONALS,
+    "red": [["1", "0", "0"], ["1", "0", "-1"]],
+    "blue": [["0", "1", "0"], ["0", "1", "-1"]],
+    "green": [["1", "-1", "0"], ["1", "1", "-1"]],
+}
+
+
+@pytest.mark.parametrize("doc", [SUBGROUP_LINES, DIAGONALS])
+def test_lines_classify_does_no_element_arithmetic(capsys, tmp_path, elem_ops, doc):
+    code, report, _ = run(capsys, tmp_path, "lines-classify", doc)
+    assert code == 0, report
+    assert report["result"]["equivalent_to_subgroup_model"] is True
+    assert not elem_ops
+
+
+@pytest.mark.parametrize("doc", [SUBGROUP_LINES, DIAGONALS])
+def test_lines_check_does_only_the_dependence_scalars(capsys, tmp_path, elem_ops, doc):
+    code, report, _ = run(capsys, tmp_path, "lines-check", doc)
+    assert code == 0 and report["result"]["greens_concurrent_at"] is not None
+    # alpha, beta = b0, -r0; alpha*R and beta*B (each a FieldElement.__mul__
+    # deferring to MultiPoly); gamma = mix(q) * G(q)^-1; gamma^-1; alpha and
+    # beta times gamma^-1
+    assert len(elem_ops) == 8
+
+
+SEARCHES = {"cover-bound": ("cayley_bacharach", "min_cover_size"),
+            "lines-search": ("lines", "search_green_covers"),
+            "problem1-bound": ("lines", "check_problem1_bound")}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SEARCHES))
+def test_default_budget(capsys, tmp_path, monkeypatch, subcommand):
+    """A search given no budget gets the CLI default; the flag beats the
+    document's "budget", which beats the default.  The library default
+    stays None (no bound)."""
+    import importlib
+    import inspect
+
+    from gridres.cli import _DEFAULT_BUDGET
+
+    module = importlib.import_module(f"gridres.{SEARCHES[subcommand][0]}")
+    name = SEARCHES[subcommand][1]
+    original = getattr(module, name)
+    assert inspect.signature(original).parameters["budget"].default is None
+    budgets = []
+
+    def recording(*args, budget):
+        budgets.append(budget)
+        return original(*args, budget=budget)
+    monkeypatch.setattr(module, name, recording)
+    for flag, in_doc in ((None, None), (None, "100000"), ("200000", "100000"), ("200000", None)):
+        doc = dict(BUDGET_DOCS[subcommand])
+        if in_doc is not None:
+            doc["budget"] = in_doc
+        code, report, _ = run(capsys, tmp_path, subcommand, doc,
+                              *(("--budget", flag) if flag else ()))
+        assert code == 0, report
+    assert budgets == [_DEFAULT_BUDGET, 100000, 200000, 200000]
+    # above the 642,293 nodes of the 5x6 grid over Q minus a corner
+    assert _DEFAULT_BUDGET == 1_000_000
+
+
 def test_problem1_bound(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "problem1-bound", {
         "field": RATIONALS,

@@ -60,3 +60,21 @@ def test_export_table_matches_package_imports():
         assert table == imported, (
             f"{module_name}: in the README only {sorted(table - imported)}, "
             f"imported by the package only {sorted(imported - table)}")
+
+
+def test_install_note_names_every_optional_test_dependency():
+    """Each test module that skips without a package is named, with the
+    package, in the README's install section."""
+    text = README.read_text(encoding="utf-8")
+    install = text.split("## Install", 1)[1].split("\n## ", 1)[0]
+    install = " ".join(install.split())
+    skipping = {}
+    for path in sorted((README.parent / "tests").glob("test_*.py")):
+        found = re.findall(r"pytest\.importorskip\(\"(\w+)\"\)", path.read_text(encoding="utf-8"))
+        if found:
+            skipping[path.name] = found
+    assert "test_expr.py" in skipping and len(skipping) >= 6
+    for name, packages in skipping.items():
+        assert f"tests/{name}" in install, f"the install note does not name {name}"
+        for package in packages:
+            assert f"`{package}`" in install, f"the install note does not name {package}"

@@ -1,17 +1,22 @@
-from itertools import combinations
+from dataclasses import fields
+from fractions import Fraction
+from itertools import combinations, permutations, repeat
 from random import Random
 
 import pytest
 
-from gridres import (Field, FieldMismatchError, LineConfiguration, ProjLine,
-                     ProjPoint, check_problem1_bound, concurrency_point,
-                     grid_intersections, normalize_biconcurrent, parse_poly,
-                     product_form, roots_of_unity_config, search_green_covers,
-                     validate_green_cover, verify_product_dependence)
+from gridres import (CounterexampleError, Field, FieldMismatchError, LineConfiguration,
+                     ProjLine, ProjPoint, check_problem1_bound, concurrency_point,
+                     grid_intersections, line_through, normalize_biconcurrent,
+                     parse_poly, product_form, roots_of_unity_config,
+                     search_green_covers, validate_green_cover,
+                     verify_product_dependence)
 from gridres.field import is_prime
 from gridres.linalg import determinant
 from gridres.lines import _multiplicative_subgroup
-from gridres.projective import all_lines, all_points, infinity_line, pencil
+from gridres.projective import (affine_candidate_points, all_lines, all_points,
+                                infinity_line, pencil)
+from helpers import oracle_normalize_biconcurrent
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -230,8 +235,11 @@ def test_multiplicative_subgroup_matches_oracle():
 
 
 def random_projective_map(field, rng):
+    """An invertible 3x3 matrix: residues over F_p, small integers over Q."""
+    def entry():
+        return rng.randrange(field.modulus) if field.modulus else rng.randint(-3, 3)
     while True:
-        m = [[rng.randrange(field.modulus) for _ in range(3)] for _ in range(3)]
+        m = [[entry() for _ in range(3)] for _ in range(3)]
         if determinant(m, field.modulus):
             return m
 
@@ -275,6 +283,214 @@ def test_normalize_errors():
     green5 = [slope_line(F5, 1, c) for c in range(5)]
     with pytest.raises(ValueError, match="characteristic"):
         normalize_biconcurrent(LineConfiguration(F5, red5, blue5, green5))
+
+
+def assert_normalization_matches_oracle(config):
+    """The same report fields (with their element types) and normalized
+    lines as the field-element oracle, or the same exception type and
+    message; returns the report or the message."""
+    try:
+        want_config, want = oracle_normalize_biconcurrent(config)
+    except (ValueError, CounterexampleError) as err:
+        with pytest.raises(type(err)) as info:
+            normalize_biconcurrent(config)
+        assert type(info.value) is type(err) and str(info.value) == str(err)
+        return str(err)
+    got_config, got = normalize_biconcurrent(config)
+    for name in (f.name for f in fields(got)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and a == b, name
+        if isinstance(a, tuple):
+            assert [(type(x), type(x.value), x.field) for x in a] == \
+                [(type(x), type(x.value), x.field) for x in b], name
+    for name in ("red", "blue", "green"):
+        a, b = getattr(got_config, name), getattr(want_config, name)
+        assert a == b, name
+        assert [tuple(map(type, l.coords)) for l in a] == [tuple(map(type, l.coords)) for l in b]
+    return got
+
+
+def family_permutations(config):
+    families = (config.red, config.blue, config.green)
+    return [LineConfiguration(config.field, *(families[i] for i in order))
+            for order in permutations(range(3))]
+
+
+def forged(field, red, blue, green):
+    """A configuration whose cached cover validation claims success, to
+    reach the checks that no valid cover we know of fails."""
+    config = LineConfiguration(field, red, blue, green)
+    config._validation = True, {}
+    return config
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (5, 4), (7, 2), (7, 3), (7, 6),
+                                  (11, 5), (11, 10), (13, 3), (13, 12)])
+def test_normalization_of_subgroup_images_matches_oracle(p, n):
+    field = Field.prime(p)
+    base = roots_of_unity_config(field, n)
+    rng = Random(p * 100 + n)
+    for config in [base] + [transform(base, random_projective_map(field, rng))
+                            for _ in range(2)]:
+        for permuted in family_permutations(config):
+            report = assert_normalization_matches_oracle(permuted)
+            assert report.success, (p, n)
+
+
+def arithmetic_grid(field, n, rng):
+    start, step = (field(rng.randint(-4, 4)) for _ in range(2))
+    while step.is_zero():
+        step = field(rng.randint(1, 4))
+    nodes = [start + step * k for k in range(n)]
+    return [vertical(field, c) for c in nodes], [horizontal(field, c) for c in nodes]
+
+
+def outcome(result):
+    """A report's success, or an error message without its points and lines."""
+    if isinstance(result, str):
+        return result.split(": ")[0].split(" at (")[0]
+    return result.success
+
+
+def test_normalization_of_arithmetic_grids_matches_oracle():
+    """Progression grids have covers for n = 2 and n = p - 1 only (n = 3 over
+    Q has none); each cover is checked as found, with one green swapped for
+    another line through one of its points, and under a projective map."""
+    rng = Random(18)
+    outcomes = set()
+    for field, sizes in ((F5, (2, 4)), (F7, (2, 6)), (Field.prime(11), (2, 10)),
+                         (Q, (2, 3))):
+        for n in sizes:
+            red, blue = arithmetic_grid(field, n, rng)
+            grid = grid_intersections(red, blue)
+            for green in search_green_covers(red, blue, field):
+                point = next(q for q in grid if green[-1].contains(q))
+                swapped = green[:-1] + (next(
+                    line for line in map(line_through, repeat(point),
+                                         affine_candidate_points(field, [point]))
+                    if line not in red + blue + list(green)),)
+                m = random_projective_map(field, rng)
+                for kind, greens in (("concurrent", green), ("broken", swapped)):
+                    config = LineConfiguration(field, red, blue, greens)
+                    for moved in (config, transform(config, m)):
+                        for permuted in family_permutations(moved):
+                            outcomes.add((kind, outcome(
+                                assert_normalization_matches_oracle(permuted))))
+    # greens forming one parallel class of the whole plane: char | n
+    for p in (3, 5):
+        field = Field.prime(p)
+        red = [vertical(field, c) for c in range(p)]
+        blue = [horizontal(field, c) for c in range(p)]
+        green = [slope_line(field, 1, c) for c in range(p)]
+        config = transform(LineConfiguration(field, red, blue, green),
+                           random_projective_map(field, rng))
+        outcomes.add(("parallel", outcome(assert_normalization_matches_oracle(config))))
+    # parallel greens over Q cover only three of the four grid points
+    red = [vertical(Q, c) for c in (0, 1)]
+    blue = [horizontal(Q, c) for c in (0, 1)]
+    config = LineConfiguration(Q, red, blue, [slope_line(Q, 1, 0), slope_line(Q, 1, 1)])
+    outcomes.add(("parallel", outcome(assert_normalization_matches_oracle(config))))
+    assert outcomes == {
+        ("concurrent", True), ("broken", "not a valid green cover"),
+        ("broken", "intersections coincide"),  # a swapped green made red or blue
+        ("parallel", "family size 3 shares a factor with the characteristic 3"),
+        ("parallel", "family size 5 shares a factor with the characteristic 5"),
+        ("parallel", "not a valid green cover")}
+
+
+def random_forged_config(field, n, rng):
+    """Reds x = u, blues y = v and greens through the centroid of the
+    nodes with distinct slopes, moved by a random projective map."""
+    def draw():
+        if field.is_prime_field:
+            return field(rng.randrange(field.modulus))
+        return field(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+    def distinct():
+        values = set()
+        while len(values) < n:
+            values.add(draw())
+        return sorted(values)
+
+    us, vs, slopes = distinct(), distinct(), distinct()
+    cu, cv = sum(us, field.zero) / n, sum(vs, field.zero) / n
+    base = LineConfiguration(field, [vertical(field, u) for u in us],
+                             [horizontal(field, v) for v in vs],
+                             [slope_line(field, s, cv - s * cu) for s in slopes])
+    moved = transform(base, random_projective_map(field, rng))
+    return forged(field, moved.red, moved.blue, moved.green)
+
+
+def test_normalization_of_forged_pencils_matches_oracle():
+    """Random node sets, not subgroups, through the whole normalization."""
+    rng = Random(1818)
+    reports = []
+    for field in (Q, Field.prime(7), Field.prime(13), Field.prime(10007)):
+        for _ in range(25):
+            n = rng.randint(2, 5)
+            reports.append(assert_normalization_matches_oracle(
+                random_forged_config(field, n, rng)))
+    # some draw a zero slope, whose green runs through the blue center
+    assert sum(not isinstance(r, str) for r in reports) > 60
+
+
+def test_normalization_error_paths_match_oracle():
+    F3 = Field.prime(3)
+    subgroup = roots_of_unity_config(F7, 3)
+    # a valid cover over F_5 whose reds alone are concurrent
+    r5, b5, g5 = ([ProjLine(F5, c) for c in family] for family in (
+        [(1, 0, 1), (1, 0, 4), (1, 0, 0)], [(1, 4, 4), (1, 4, 1), (1, 1, 0)],
+        [(0, 1, 0), (1, 3, 2), (1, 3, 3)]))
+    assert validate_green_cover(LineConfiguration(F5, r5, b5, g5))[0]
+    red2 = [vertical(Q, c) for c in (0, 1)]
+    blue2 = [horizontal(Q, c) for c in (0, 1)]
+    cases = {
+        "normalization needs at least two lines per family":
+            LineConfiguration(F5, [vertical(F5, 0)], [horizontal(F5, 0)],
+                              [through_origin(F5, 1)]),
+        "normalization needs equally sized families":
+            LineConfiguration(F7, subgroup.red, subgroup.blue, subgroup.green[:2]),
+        "family size 3 shares a factor with the characteristic 3":
+            LineConfiguration(F3, [vertical(F3, c) for c in range(3)],
+                              [horizontal(F3, c) for c in range(3)],
+                              [slope_line(F3, 1, c) for c in range(3)]),
+        "not a valid green cover: ":
+            LineConfiguration(F7, subgroup.red, subgroup.blue, subgroup.red),
+        "red lines are not concurrent": LineConfiguration(F5, g5, r5, b5),
+        "green lines are not concurrent": LineConfiguration(F5, r5, b5, g5),
+        # no valid cover we found has exactly two concurrent families
+        "blue lines are not concurrent (required to reach the axis-pencil normal form)":
+            forged(Q, [vertical(Q, c) for c in (0, 1, 2)],
+                   [horizontal(Q, 0), horizontal(Q, 1), slope_line(Q, 1, 5)],
+                   [through_origin(Q, s) for s in (1, 2, 3)]),
+        # a shared center makes every red meet every blue there
+        "intersections coincide at (0 : 0 : 1)":
+            LineConfiguration(Q, [through_origin(Q, 1), through_origin(Q, 2)],
+                              [through_origin(Q, 3), through_origin(Q, 4)], red2),
+        "red and blue pencils share their center":
+            forged(Q, [through_origin(Q, 1), through_origin(Q, 2)],
+                   [through_origin(Q, 3), through_origin(Q, 4)], red2),
+        "green line misses the origin after centering":
+            forged(Q, red2, blue2, [slope_line(Q, 1, 1), slope_line(Q, -1, 1)]),
+        # the red line at infinity holds the blue center
+        "red line failed to normalize: [0 : 0 : 1]":
+            forged(Q, [vertical(Q, 0), infinity_line(Q)], blue2,
+                   [through_origin(Q, 1), through_origin(Q, -1)]),
+        "blue line failed to normalize: [0 : 0 : 1]":
+            forged(Q, red2, [horizontal(Q, 0), infinity_line(Q)],
+                   [through_origin(Q, 1), through_origin(Q, -1)]),
+        "green line failed to normalize: [1 : 0 : -2]":
+            forged(Q, red2, blue2, [vertical(Q, 2), vertical(Q, 3)]),
+    }
+    for message, config in cases.items():
+        assert assert_normalization_matches_oracle(config).startswith(message), message
+    # a forged cover on nodes that are no subgroup gets a negative report
+    skewed = forged(Q, [vertical(Q, c) for c in (0, 1, 3)],
+                    [horizontal(Q, c) for c in (0, 1, 3)],
+                    [slope_line(Q, s, Fraction(4, 3) - s * Fraction(4, 3)) for s in (1, 2, 3)])
+    report = assert_normalization_matches_oracle(skewed)
+    assert report.u_set == (Q("-5/4"), Q("1/4"), Q(1))
+    assert not report.is_subgroup and not report.success
 
 
 def test_problem1_bound_examples():
