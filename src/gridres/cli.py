@@ -214,16 +214,17 @@ def _cmd_cb_verify(doc, args):
     system = ns.GridSystem(field, _decode_grids(field, doc))
     residual = cb.verify_cb(f, system)
     bound = system.degree_bound
-    within = f.total_degree() <= bound
+    degree = f.total_degree()
+    within = degree <= bound
     result = {
         "residual": str(residual),
         "degree_bound": bound,
-        "total_degree": f.total_degree(),
+        "total_degree": degree,
         "within_bound": within,
     }
     if within and not residual.is_zero():
         return result, 1, f"dependence violated: residual {residual}"
-    return result, 0, f"residual {residual} (bound {bound}, degree {f.total_degree()})"
+    return result, 0, f"residual {residual} (bound {bound}, degree {degree})"
 
 
 def _cmd_cb_forced(doc, args):

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for polynomial expressions.
+"""Parser for polynomial expressions.
 
 Grammar:
 
@@ -11,33 +11,40 @@ Variables are x, y, z (when the arity allows) or z1..zn.  Literals are
 integers, optionally written as a fraction a/b so that canonical output
 over the rationals reparses.  Negative exponents build Laurent monomials;
 they are only legal on single-term bases.  Errors carry the offset of the
-offending character.  Every token comes from one compiled pattern.
+offending character.  The recursive-descent parser takes every token
+from one compiled pattern.
 
 The rules work on raw coefficients: ints mod p (over F_p) or
-ints/Fractions (over Q).  A run of variable and literal factors, each with
-an optional exponent, stays one coefficient and one exponent list,
-multiplied in place.  Only a parenthesised factor is a dict from exponent
-tuples to nonzero coefficients; products and powers with one go through
-the raw kernels of gridres.multipoly, the ones MultiPoly's own ring
-operations use.  Either way a parsed product is the product MultiPoly
-computes, overflow checks included: a product out of the signed 32-bit
-range raises OverflowError, a literal exponent out of it raises
-ParseError.  Over Q the integer coefficients left at the end become
-Fractions, the raw form MultiPoly stores.
+ints/Fractions (over Q).  Every factor is a dict from exponent tuples to
+nonzero coefficients, and products and powers go through the raw kernels
+of gridres.multipoly, the ones MultiPoly's own ring operations use.  So a
+parsed product is the product MultiPoly computes, overflow checks
+included: a product out of the signed 32-bit range raises OverflowError,
+a literal exponent out of it raises ParseError.  Over Q the integer
+coefficients left at the end become Fractions, the raw form MultiPoly
+stores.
 
 A product or power whose predicted size passes a fixed bound raises
 ParseError at its operator before any work; the shared kernels are not bounded.
+
+Two readers share this grammar.  A flat sum, ['-'] c*x^a*y^b (+- ...)*
+with no parenthesis and no literal to a power, is read by one regex scan
+and one loop over its factors, which builds the terms the recursive-descent
+parser would.  Everything else goes to that parser, from the start: any
+parenthesised text, and any text that is not a well-formed flat sum, so
+every error and its offset come from the recursive-descent parser.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Sequence
 
 from .field import Field
-from .multipoly import (MAX_EXPONENT, MIN_EXPONENT, MultiPoly, _check_exponent, _mul_terms,
+from .multipoly import (MAX_EXPONENT, MIN_EXPONENT, MultiPoly, _mul_terms,
                         _pow_terms, default_names)
 
 __all__ = ["ParseError", "parse_poly", "default_names", "is_variable_name"]
@@ -72,11 +79,11 @@ def is_variable_name(name: str) -> bool:
 class _Parser:
     def __init__(self, text: str, field: Field, names: Sequence[str]):
         self.text = text
-        self.field = field
         self.p = field.modulus  # None over Q: no reduction
         self.index = {name: i for i, name in enumerate(names)}
         self.nvars = len(names)
-        self.unit = {(0,) * self.nvars: 1}
+        self.origin = (0,) * self.nvars
+        self.unit = {self.origin: 1}
         self.tokens = _TOKEN.finditer(text)  # lazy, one token ahead
         self.advance()
 
@@ -102,21 +109,18 @@ class _Parser:
         self.advance()
         return value
 
-    def parse(self) -> MultiPoly:
+    def parse(self) -> dict:
         terms = self.expr()
         if self.tok:
             raise ParseError(f"unexpected {self.tok[0]!r}", self.at)
-        if self.p is None:
-            terms = {m: c if type(c) is Fraction else Fraction(c)
-                     for m, c in terms.items()}
-        return MultiPoly(self.field, self.nvars, terms)
+        return terms
 
     def expr(self) -> dict:
         # one dict for all terms; reduced, and zeros dropped, once at the end
         terms: dict = {}
         negate = self.take("-")
         while True:
-            for m, c in self.term():
+            for m, c in self.term().items():
                 if negate:
                     c = -c
                 s = terms.get(m)
@@ -126,67 +130,23 @@ class _Parser:
             elif self.take("-"):
                 negate = True
             else:
-                p = self.p
-                if p:
-                    return {m: c % p for m, c in terms.items() if c % p}
-                return {m: c for m, c in terms.items() if c}
+                return _reduced(terms, self.p)
 
-    def term(self):
-        """The (monomial, coefficient) pairs of a product.
-
-        Up to its first parenthesised factor the product is one coefficient
-        and one exponent list, multiplied in place; from there on it is a
-        term dict, multiplied by the raw kernel.  Either way the checks are
-        those of multiplying term dicts left to right, in the same order:
-        the term pairs at each '*', and each summed exponent against the
-        signed 32-bit range, except after a zero coefficient, which leaves
-        no terms to check.
-        """
-        p = self.p
-        coef, expo, poly = 1, [0] * self.nvars, None
-        at = -1  # offset of the '*' before the factor; -1 for the first
-        while True:
-            f = self.factor()
-            if poly is None and type(f) is tuple:
-                c, k, e = f
-                if coef:
-                    if k is None:
-                        if at >= 0:
-                            c = coef * c % p if p else coef * c
-                        coef = c
-                    else:
-                        expo[k] = _check_exponent(expo[k] + e)
-            else:
-                if type(f) is tuple:
-                    c, k, e = f
-                    f = {self._monomial(k, e): c} if c else {}
-                if at < 0:
-                    poly = f
-                else:
-                    if poly is None:
-                        poly = {tuple(expo): coef} if coef else {}
-                    if len(poly) * len(f) > MAX_PAIRS:
-                        raise ParseError(f"product of {len(poly)} by {len(f)} terms is over "
-                                         f"{MAX_PAIRS} term pairs", at)
-                    poly = _mul_terms(poly, f, p)
-            if self.tok != "*":
-                break
+    def term(self) -> dict:
+        """A product: the term dicts of its factors multiplied left to right
+        by the raw kernel, the term pairs checked at each '*'."""
+        poly = self.factor()
+        while self.tok == "*":
             at = self.at
             self.advance()
-        if poly is not None:
-            return poly.items()
-        return ((tuple(expo), coef),) if coef else ()
+            f = self.factor()
+            if len(poly) * len(f) > MAX_PAIRS:
+                raise ParseError(f"product of {len(poly)} by {len(f)} terms is over "
+                                 f"{MAX_PAIRS} term pairs", at)
+            poly = _mul_terms(poly, f, self.p)
+        return poly
 
-    def _monomial(self, k, e) -> tuple:
-        """The exponent tuple of variable k to the e; the origin for k None."""
-        m = [0] * self.nvars
-        if k is not None:
-            m[k] = e
-        return tuple(m)
-
-    def factor(self):
-        """A parenthesised factor as a term dict, any other as (c, k, e):
-        c times variable k to the e, k None for a literal."""
+    def factor(self) -> dict:
         base = self.base()
         op = self.at
         if self.tok != "^":
@@ -198,20 +158,7 @@ class _Parser:
         e = sign * self._integer()
         if not MIN_EXPONENT <= e <= MAX_EXPONENT:
             raise ParseError(f"exponent {e} overflows 32 bits", at)
-        p = self.p
-        if type(base) is tuple:
-            c, k, _ = base
-            if k is not None:
-                return (c, k, e)
-            if not c:  # 0^0 = 1; 0^-e has no single term to invert
-                if e < 0:
-                    raise ParseError("negative power of a non-monomial", at)
-                return (int(not e), None, 0)
-            self._check_bits((c,), e, op)
-            if p:
-                return (pow(c, e, p), None, 0)
-            return (c ** e if e >= 0 else Fraction(c) ** e, None, 0)
-        if e < 0 and len(base) != 1:
+        if e < 0 and len(base) != 1:  # 0^-e included: zero has no term to invert
             raise ParseError("negative power of a non-monomial", at)
         t = len(base)
         # comb(e + t - 1, t - 1) >= e + t - 1, so a large e or t is refused before comb runs
@@ -219,7 +166,7 @@ class _Parser:
             raise ParseError(f"power of a {t}-term sum may expand to over "
                              f"{MAX_POWER_TERMS} terms", op)
         self._check_bits(base.values(), e, op)
-        return _pow_terms(base, e, p, self.unit)
+        return _pow_terms(base, e, self.p, self.unit)
 
     def _check_bits(self, coefficients, e: int, op: int):
         """Over Q, refuse a power whose coefficients other than +-1 grow
@@ -231,9 +178,8 @@ class _Parser:
                 raise ParseError(f"power has a coefficient of about {bits} bits, over "
                                  f"{MAX_POWER_BITS}", op)
 
-    def base(self):
-        """'(' expr ')' as a term dict; a literal c as (c, None, 0) and a
-        variable k as (1, k, 1)."""
+    def base(self) -> dict:
+        """'(' expr ')', a literal or a variable, as a term dict."""
         tok, at = self.tok, self.at
         if self.take("("):
             poly = self.expr()
@@ -256,28 +202,131 @@ class _Parser:
                     raise ZeroDivisionError("inversion of zero field element")
             if p:
                 value %= p
-            return (value, None, 0)
+            return {self.origin: value} if value else {}
         if tok[:1].isalpha():
             self.advance()
             index = self.index.get(tok)
             if index is None:
-                index = self._aliased(tok)
+                index = _aliased(tok, self.nvars)
             if index is None:
                 raise ParseError(f"unknown variable {tok!r}", at)
-            return (1, index, 1)
+            m = [0] * self.nvars
+            m[index] = 1
+            return {tuple(m): 1}
         raise ParseError("expected a variable, literal, or parenthesis", at)
 
-    def _aliased(self, name: str):
-        # z1..zn always work; x, y, z address low arities unambiguously
-        if name.startswith("z") and name[1:].isascii() and name[1:].isdigit():
-            k = int(name[1:])
-            if 1 <= k <= self.nvars:
-                return k - 1
-        if self.nvars <= 3:
-            shorthand = {"x": 0, "y": 1, "z": 2}.get(name)
-            if shorthand is not None and shorthand < self.nvars:
-                return shorthand
+
+def _reduced(terms: dict, p) -> dict:
+    """A sum's terms reduced mod p (p None over Q), zeros dropped."""
+    if p:
+        return {m: c % p for m, c in terms.items() if c % p}
+    return {m: c for m, c in terms.items() if c}
+
+
+def _aliased(name: str, nvars: int):
+    # z1..zn always work; x, y, z address low arities unambiguously
+    if name.startswith("z") and name[1:].isascii() and name[1:].isdigit():
+        k = int(name[1:])
+        if 1 <= k <= nvars:
+            return k - 1
+    if nvars <= 3:
+        shorthand = {"x": 0, "y": 1, "z": 2}.get(name)
+        if shorthand is not None and shorthand < nvars:
+            return shorthand
+    return None
+
+
+# One factor of a flat sum with the whitespace around it: the operator
+# before it (none before the first), a literal a or a/b or a word, and an
+# optional exponent; an unmatched part reads None.  The outer group spans
+# the match.  Every part is greedy and all after the base optional, so a
+# match never stops inside a token, and the matches tile the text exactly
+# when the text is a list of such factors.
+_FACTOR = re.compile(r"(\s*([-+*]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(\w+))"
+                     r"(?:\s*\^\s*(-?)\s*([0-9]+))?\s*)")
+_CLOSE = (("", "+", "0", None, None, None, None),)
+
+
+def _read_flat(text: str, p, names) -> dict | None:
+    """The terms of a flat sum ['-'] c*x^a*y^b (+- ...)*, as _Parser builds
+    them: the same order, values, reduction and exponent checks.
+
+    None for text that has a parenthesis, a literal to a power or anything
+    _Parser would refuse; _Parser then reads it from the start, so every
+    error is _Parser's.  This never raises.
+    """
+    if "(" in text:
         return None
+    nvars = len(names)
+    # _Parser reads only a word that starts with a letter as a variable
+    index = {name: i for i, name in enumerate(names) if name[:1].isalpha()}
+    terms: dict = {}
+    size = 0
+    expo = None  # the exponent list of the open term; None before the first
+    # one factor at a time: a list of them all would raise the peak memory
+    factors = map(re.Match.groups, _FACTOR.finditer(text))
+    try:
+        # the sentinel "+ 0" closes the last term
+        for whole, op, num, den, name, minus, power in chain(factors, _CLOSE):
+            size += len(whole)
+            if num:
+                if power:
+                    return None
+                c = int(num)
+                if den:
+                    d = int(den)
+                    if not (d % p if p else d):
+                        return None
+                    c = c * pow(d, -1, p) if p else Fraction(c, d)
+                if p:
+                    c %= p
+                k = None
+            else:
+                k = index.get(name)
+                if k is None:
+                    k = _aliased(name, nvars)
+                    if k is None:
+                        return None
+                e = 1
+                if power:
+                    e = -int(power) if minus else int(power)
+                    if not MIN_EXPONENT <= e <= MAX_EXPONENT:
+                        return None
+            if op == "*":
+                if expo is None:
+                    return None
+                if coef:  # a zero coefficient skips the rest of its term
+                    if k is None:
+                        coef = coef * c % p if p else coef * c
+                    else:
+                        e += expo[k]
+                        if not MIN_EXPONENT <= e <= MAX_EXPONENT:
+                            return None
+                        expo[k] = e
+                continue
+            if expo is None:
+                if op == "+":
+                    return None
+            elif not op:
+                return None
+            elif coef:
+                m = tuple(expo)
+                s = terms.get(m)
+                if negate:
+                    coef = -coef
+                terms[m] = coef if s is None else s + coef
+            negate = op == "-"
+            expo = [0] * nvars
+            if k is None:
+                coef = c
+            else:
+                coef = 1
+                expo[k] = e
+    except ValueError:  # an integer past Python's digit limit
+        return None
+    if size != len(text):
+        return None
+    return _reduced(terms, p)
 
 
 def parse_poly(text: str, field: Field, names) -> MultiPoly:
@@ -288,4 +337,10 @@ def parse_poly(text: str, field: Field, names) -> MultiPoly:
     """
     if isinstance(names, int):
         names = default_names(names)
-    return _Parser(text, field, names).parse()
+    p = field.modulus
+    terms = _read_flat(text, p, names)
+    if terms is None:
+        terms = _Parser(text, field, names).parse()
+    if p is None:
+        terms = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items()}
+    return MultiPoly(field, len(names), terms)

@@ -388,11 +388,10 @@ def normalize_biconcurrent(config: LineConfiguration):
         v_equals_u=v_set == u_set,
         slopes_equal_u=slopes == u_set)
 
-    one = field.one.value  # a Fraction over Q, so _scaled's division stays exact
     normalized = LineConfiguration(
         field,
-        red=[ProjLine._raw(field, (one, 0, -u)) for u in u_set],
-        blue=[ProjLine._raw(field, (0, one, -v)) for v in v_set],
+        red=[ProjLine._raw(field, (1, 0, -u)) for u in u_set],
+        blue=[ProjLine._raw(field, (0, 1, -v)) for v in v_set],
         green=[ProjLine._raw(field, (s, -1, 0)) for s in slopes])
     return normalized, report
 

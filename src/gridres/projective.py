@@ -10,6 +10,7 @@ anywhere downstream.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .field import Field, FieldMismatchError
@@ -26,6 +27,8 @@ def _scaled(p, vec) -> tuple:
             if p:
                 inv = pow(lead, -1, p)
                 return tuple(x * inv % p for x in vec)
+            if type(lead) is int:  # int / int would be a float
+                lead = Fraction(lead)
             return tuple(x / lead for x in vec)
     raise ValueError("all-zero homogeneous triple")
 

@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from gridres import Field, MultiPoly, ParseError, format_poly, parse_poly
+from gridres import Field, MultiPoly, ParseError, expr, format_poly, parse_poly
+from gridres.multipoly import default_names
 
 from helpers import (element_terms, oracle_power, oracle_product, oracle_sum,
                      random_poly)
@@ -391,9 +392,10 @@ def test_expansion_up_to_the_bound_parses(text, field, terms):
 
 # -- runs of variable and literal factors ------------------------------------------
 #
-# A product stays one coefficient and one exponent list until a parenthesised
-# factor comes.  These results were recorded on the parser that multiplied one
-# term dict per factor, left to right, and are pinned here.
+# The flat-sum reader keeps a product as one coefficient and one exponent
+# list; the recursive-descent parser multiplies one term dict per factor,
+# left to right.  These results were recorded on the latter and are pinned
+# here; the texts without a parenthesis or a literal power take the reader.
 
 @pytest.mark.parametrize("text, field, terms", [
     # a zero coefficient leaves no terms, so nothing after it is range-checked
@@ -452,9 +454,87 @@ def test_parse_does_no_element_arithmetic(field, elem_ops):
     rng = Random(f"elem-ops-{field}")
     texts = ["3/2*x^4*y^-1 - 5*x*(y + 2)^3 + 2^-3*z", "0^0*x*(x - y)^2*1/3*y"]
     texts += [_render_expr(rng, _random_tree(rng, 3, 3)) for _ in range(50)]
+    # flat sums, which the one-scan reader takes
+    texts += ["-3/2*x^4*y^-1 + 5*x*y^3*z - 2/9 + x*x*2*y^-2", "z1*z2^2 - 1/3*x*z3 + 0*y"]
+    texts += [format_poly(random_poly(rng, field, 3, 6, 12)) for _ in range(20)]
     for text in texts:
         parse_poly(text, field, 3)
     assert not elem_ops
+
+
+# -- the flat-sum reader --------------------------------------------------------
+# Each text with the result recorded on the recursive-descent parser alone,
+# and whether the one-scan reader takes it (True) or hands it over (False).
+
+_EDGE_OK = [
+    ("0*x^2147483647*x^2147483647", Q, {}, True),
+    ("0*x^2147483647*x^2147483647", F7, {}, True),
+    ("7/14*x", Q, {(1, 0, 0): Fraction(1, 2)}, True),
+    ("3^2*x", Q, {(1, 0, 0): Fraction(9)}, False),
+    ("3^2*x", F7, {(1, 0, 0): 2}, False),
+    (" - 3 / 2 * x ^ - 2 * y  +  z ^ 3 - 4 ", Q,
+     {(-2, 1, 0): Fraction(-3, 2), (0, 0, 3): Fraction(1), (0, 0, 0): Fraction(-4)}, True),
+    (" - 3 / 2 * x ^ - 2 * y  +  z ^ 3 - 4 ", F7,
+     {(-2, 1, 0): 2, (0, 0, 3): 1, (0, 0, 0): 3}, True),
+    ("\t-\tx\t^\t2\t*\t1\t/\t3\t", F7, {(2, 0, 0): 2}, True),
+]
+
+_EDGE_ERRORS = [
+    ("2x", ParseError, "unexpected 'x' at offset 1"),
+    ("x^2^3", ParseError, "unexpected '^' at offset 3"),
+    ("+x", ParseError, "expected a variable, literal, or parenthesis at offset 0"),
+    ("x*", ParseError, "expected a variable, literal, or parenthesis at offset 2"),
+    ("x*-y", ParseError, "expected a variable, literal, or parenthesis at offset 2"),
+    ("x - - y", ParseError, "expected a variable, literal, or parenthesis at offset 4"),
+    ("", ParseError, "expected a variable, literal, or parenthesis at offset 0"),
+    ("x^2147483648", ParseError, "exponent 2147483648 overflows 32 bits at offset 2"),
+    ("x^2147483647*x", OverflowError, "exponent 2147483648 exceeds signed 32-bit range"),
+    ("1/0*x", ParseError, "zero denominator at offset 2"),
+    ("x + w", ParseError, "unknown variable 'w' at offset 4"),
+    ("-x*0*w", ParseError, "unknown variable 'w' at offset 5"),
+    ("_x", ParseError, "expected a variable, literal, or parenthesis at offset 0"),
+]
+
+
+@pytest.mark.parametrize("text, field, terms, flat", _EDGE_OK)
+def test_flat_edges_pinned(text, field, terms, flat):
+    assert parse_poly(text, field, 3).terms == terms
+    assert (expr._read_flat(text, field.modulus, default_names(3)) is not None) == flat
+
+
+@pytest.mark.parametrize("text, field, error, message", [
+    (text, field, error, message) for field in (Q, F7) for text, error, message in _EDGE_ERRORS
+] + [("7/14*x", F7, ZeroDivisionError, "inversion of zero field element")])
+def test_flat_edge_errors_pinned(text, field, error, message):
+    assert expr._read_flat(text, field.modulus, default_names(3)) is None
+    with pytest.raises(error) as err:
+        parse_poly(text, field, 3)
+    assert str(err.value) == message
+
+
+def test_flat_text_skips_the_recursive_descent_parser(monkeypatch):
+    """Canonical output and bench-shaped sums never reach _Parser; a
+    parenthesis always does."""
+    class Refused(Exception):
+        pass
+
+    def refuse(*args):
+        raise Refused
+
+    rng = Random("flat-path")
+    polys = [random_poly(rng, field, nvars, 5, 30)
+             for field in (Q, F7, F10007) for nvars in (1, 2, 3, 5)]
+    polys += [MultiPoly.from_terms(Q, 2, {(-2 ** 31, 3): Fraction(-7, 3), (0, 0): 5})]
+    bench_shaped = "9006*x^4*y^2*z + x^3*z^2 + 17*y^5 + 4001*x + 1"
+    expected = [parse_poly(format_poly(f), f.field, f.nvars) for f in polys]
+    bench_terms = parse_poly(bench_shaped, F10007, 3).terms
+    monkeypatch.setattr(expr, "_Parser", refuse)
+    for f, g in zip(polys, expected):
+        assert parse_poly(format_poly(f), f.field, f.nvars) == g == f
+    assert parse_poly(bench_shaped, F10007, 3).terms == bench_terms
+    for text in ("(x + 1)", "x*(y)", "2*x + (y - z)^2"):
+        with pytest.raises(Refused):
+            parse_poly(text, F10007, 3)
 
 
 # -- sympy as an independent oracle -------------------------------------------------

@@ -72,6 +72,20 @@ def test_pencil_matches_element_oracle(field):
             assert element_contains(line, point)
 
 
+@pytest.mark.parametrize("vec, coords", [
+    ((2, 0, 1), (1, 0, Fraction(1, 2))),
+    ((0, 3, -4), (0, 1, Fraction(-4, 3))),
+    ((Fraction(2), Fraction(0), Fraction(1)), (1, 0, Fraction(1, 2))),
+    ((Fraction(2, 3), 0, 5), (1, 0, Fraction(15, 2))),
+])
+@pytest.mark.parametrize("cls", [ProjPoint, ProjLine])
+def test_raw_triples_over_q_stay_exact(cls, vec, coords):
+    # an int lead must not turn the quotients into floats
+    x = cls._raw(Q, vec)
+    assert_raw_triple(x)
+    assert x.coords == coords
+
+
 def test_enumerators_store_raw_triples():
     for x in list(all_points(F5)) + list(all_lines(F5)):
         assert_raw_triple(x)
