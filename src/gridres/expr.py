@@ -30,7 +30,9 @@ ParseError at its operator before any work; the shared kernels are not bounded.
 Two readers share this grammar.  A flat sum, ['-'] c*x^a*y^b (+- ...)*
 with no parenthesis and no literal to a power, is read by one regex scan
 and one loop over its factors, which builds the terms the recursive-descent
-parser would.  Everything else goes to that parser, from the start: any
+parser would.  Each factor is matched where the last one ended, so the
+scan stops at the first character no factor reads, in time linear in the
+text.  Everything else goes to that parser, from the start: any
 parenthesised text, and any text that is not a well-formed flat sum, so
 every error and its offset come from the recursive-descent parser.
 """
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -238,13 +239,12 @@ def _aliased(name: str, nvars: int):
 
 # One factor of a flat sum with the whitespace around it: the operator
 # before it (none before the first), a literal a or a/b or a word, and an
-# optional exponent; an unmatched part reads None.  The outer group spans
-# the match.  Every part is greedy and all after the base optional, so a
-# match never stops inside a token, and the matches tile the text exactly
-# when the text is a list of such factors.
-_FACTOR = re.compile(r"(\s*([-+*]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(\w+))"
-                     r"(?:\s*\^\s*(-?)\s*([0-9]+))?\s*)")
-_CLOSE = (("", "+", "0", None, None, None, None),)
+# optional exponent; an unmatched part reads None.  Every part is greedy
+# and all after the base optional, so a match never stops inside a token.
+# No two whitespace runs are adjacent, so a match takes time linear in the
+# text it tries, and _read_flat tries it only where the last one ended.
+_FACTOR = re.compile(r"\s*(?:([-+*])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(\w+))"
+                     r"(?:\s*\^\s*(?:(-)\s*)?([0-9]+))?\s*")
 
 
 def _read_flat(text: str, p, names) -> dict | None:
@@ -260,15 +260,17 @@ def _read_flat(text: str, p, names) -> dict | None:
     nvars = len(names)
     # _Parser reads only a word that starts with a letter as a variable
     index = {name: i for i, name in enumerate(names) if name[:1].isalpha()}
+    match = _FACTOR.match
     terms: dict = {}
-    size = 0
+    pos, end = 0, len(text)
     expo = None  # the exponent list of the open term; None before the first
-    # one factor at a time: a list of them all would raise the peak memory
-    factors = map(re.Match.groups, _FACTOR.finditer(text))
     try:
-        # the sentinel "+ 0" closes the last term
-        for whole, op, num, den, name, minus, power in chain(factors, _CLOSE):
-            size += len(whole)
+        while pos < end:
+            factor = match(text, pos)
+            if factor is None:
+                return None
+            pos = factor.end()
+            op, num, den, name, minus, power = factor.groups()
             if num:
                 if power:
                     return None
@@ -324,8 +326,14 @@ def _read_flat(text: str, p, names) -> dict | None:
                 expo[k] = e
     except ValueError:  # an integer past Python's digit limit
         return None
-    if size != len(text):
+    if expo is None:  # empty text
         return None
+    if coef:  # the last term
+        if negate:
+            coef = -coef
+        m = tuple(expo)
+        s = terms.get(m)
+        terms[m] = coef if s is None else s + coef
     return _reduced(terms, p)
 
 

@@ -1,4 +1,5 @@
 import re
+import signal
 import time
 from fractions import Fraction
 from random import Random
@@ -67,6 +68,15 @@ def test_parse_error_positions():
     ("", 0, "expected a variable"),
     ("   ", 3, "expected a variable"),
     ("x_1", 0, "unknown variable 'x_1'"),
+    # misplaced operators
+    ("2x", 1, "unexpected 'x'"),
+    ("x^2^3", 3, "unexpected '^'"),
+    ("+x", 0, "expected a variable"),
+    ("x*", 2, "expected a variable"),
+    ("x*-y", 2, "expected a variable"),
+    ("x - - y", 4, "expected a variable"),
+    # a zero coefficient does not skip the name check
+    ("-x*0*w", 5, "unknown variable 'w'"),
 ])
 def test_parse_error_offsets_in_sums(text, offset, message):
     with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -280,6 +290,7 @@ def test_parser_matches_multipoly_oracle(field):
     ("x^-2147483649", ParseError, 3),
     ("x^2000000000*x^2000000000", OverflowError, 4000000000),
     ("x^-2000000000*y*x^-2000000000", OverflowError, -4000000000),
+    ("x^2147483647*x", OverflowError, 2147483648),
     ("(x + y^1500000000)^2", OverflowError, 3000000000),
     ("(x^-3)^-1000000000", OverflowError, 3000000000),
     # the first square of y^5 out of range, 5 * 2^29, as repeated squaring meets it
@@ -412,6 +423,12 @@ def test_expansion_up_to_the_bound_parses(text, field, terms):
     ("3^70000*x", F7, {(1, 0): 4}),
     ("x^2147483647*x^-2147483647*y^-3*y^3", Q, {(0, 0): 1}),
     ("3/2*x^2*(x + y)*2/3*y^-1", Q, {(3, -1): 1, (2, 0): 1}),
+    ("7/14*x", Q, {(1, 0): Fraction(1, 2)}),
+    # whitespace and tabs around every operator
+    (" - 3 / 2 * x ^ - 2 * y  +  y ^ 3 - 4 ", Q,
+     {(-2, 1): Fraction(-3, 2), (0, 3): 1, (0, 0): -4}),
+    (" - 3 / 2 * x ^ - 2 * y  +  y ^ 3 - 4 ", F7, {(-2, 1): 2, (0, 3): 1, (0, 0): 3}),
+    ("\t-\tx\t^\t2\t*\t1\t/\t3\t", F7, {(2, 0): 2}),
 ])
 def test_run_products_pinned(text, field, terms):
     assert parse_poly(text, field, 2).terms == terms
@@ -432,6 +449,7 @@ def test_run_products_pinned(text, field, terms):
     # the bound is on the factor, so a zero coefficient before it does not lift it
     ("0*3^70000", Q, ParseError,
      "power has a coefficient of about 140000 bits, over 100000 at offset 3"),
+    ("7/14*x", F7, ZeroDivisionError, "inversion of zero field element"),
 ])
 def test_run_errors_pinned(text, field, error, message):
     with pytest.raises(error) as err:
@@ -463,58 +481,50 @@ def test_parse_does_no_element_arithmetic(field, elem_ops):
 
 
 # -- the flat-sum reader --------------------------------------------------------
-# Each text with the result recorded on the recursive-descent parser alone,
-# and whether the one-scan reader takes it (True) or hands it over (False).
 
-_EDGE_OK = [
-    ("0*x^2147483647*x^2147483647", Q, {}, True),
-    ("0*x^2147483647*x^2147483647", F7, {}, True),
-    ("7/14*x", Q, {(1, 0, 0): Fraction(1, 2)}, True),
-    ("3^2*x", Q, {(1, 0, 0): Fraction(9)}, False),
-    ("3^2*x", F7, {(1, 0, 0): 2}, False),
-    (" - 3 / 2 * x ^ - 2 * y  +  z ^ 3 - 4 ", Q,
-     {(-2, 1, 0): Fraction(-3, 2), (0, 0, 3): Fraction(1), (0, 0, 0): Fraction(-4)}, True),
-    (" - 3 / 2 * x ^ - 2 * y  +  z ^ 3 - 4 ", F7,
-     {(-2, 1, 0): 2, (0, 0, 3): 1, (0, 0, 0): 3}, True),
-    ("\t-\tx\t^\t2\t*\t1\t/\t3\t", F7, {(2, 0, 0): 2}, True),
-]
-
-_EDGE_ERRORS = [
-    ("2x", ParseError, "unexpected 'x' at offset 1"),
-    ("x^2^3", ParseError, "unexpected '^' at offset 3"),
-    ("+x", ParseError, "expected a variable, literal, or parenthesis at offset 0"),
-    ("x*", ParseError, "expected a variable, literal, or parenthesis at offset 2"),
-    ("x*-y", ParseError, "expected a variable, literal, or parenthesis at offset 2"),
-    ("x - - y", ParseError, "expected a variable, literal, or parenthesis at offset 4"),
-    ("", ParseError, "expected a variable, literal, or parenthesis at offset 0"),
-    ("x^2147483648", ParseError, "exponent 2147483648 overflows 32 bits at offset 2"),
-    ("x^2147483647*x", OverflowError, "exponent 2147483648 exceeds signed 32-bit range"),
-    ("1/0*x", ParseError, "zero denominator at offset 2"),
-    ("x + w", ParseError, "unknown variable 'w' at offset 4"),
-    ("-x*0*w", ParseError, "unknown variable 'w' at offset 5"),
-    ("_x", ParseError, "expected a variable, literal, or parenthesis at offset 0"),
-]
+@pytest.mark.parametrize("text, field", [
+    ("3^2*x", Q), ("2x", Q), ("x^2147483647*x", Q), ("-x*0*w", Q), ("7/14*x", F7),
+])
+def test_flat_reader_hands_over(text, field):
+    """A literal power, and text that _Parser refuses, go to _Parser."""
+    assert expr._read_flat(text, field.modulus, default_names(2)) is None
 
 
-@pytest.mark.parametrize("text, field, terms, flat", _EDGE_OK)
-def test_flat_edges_pinned(text, field, terms, flat):
-    assert parse_poly(text, field, 3).terms == terms
-    assert (expr._read_flat(text, field.modulus, default_names(3)) is not None) == flat
+# a run of 40,000 spaces where no factor can be read: the reader tries each
+# factor only where the last one ended, so it hands the text to the
+# recursive-descent parser at once, which gives the error
+_SPACES = " " * 40_000
 
 
-@pytest.mark.parametrize("text, field, error, message", [
-    (text, field, error, message) for field in (Q, F7) for text, error, message in _EDGE_ERRORS
-] + [("7/14*x", F7, ZeroDivisionError, "inversion of zero field element")])
-def test_flat_edge_errors_pinned(text, field, error, message):
-    assert expr._read_flat(text, field.modulus, default_names(3)) is None
-    with pytest.raises(error) as err:
-        parse_poly(text, field, 3)
-    assert str(err.value) == message
+@pytest.mark.parametrize("text, offset, message", [
+    ("x +" + _SPACES, 40_003, "expected a variable"),
+    ("x*" + _SPACES, 40_002, "expected a variable"),
+    (_SPACES + "?", 40_000, "expected a variable"),
+    ("x^" + _SPACES + "y", 40_002, "expected an integer"),
+    ("x^-" + _SPACES + "y", 40_003, "expected an integer"),
+    ("x" + _SPACES + "^", 40_002, "expected an integer"),
+    ("1/" + _SPACES + "x", 40_002, "expected an integer"),
+], ids=["plus", "star", "lead", "power", "negative-power", "trailing-caret", "slash"])
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_long_whitespace_runs_fail_in_linear_time(text, offset, message):
+    def too_slow(signum, frame):
+        raise TimeoutError("parse_poly ran for over 1 s")
+
+    # the regex engine checks for signals, so a slow scan fails, not hangs
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_poly(text, Q, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert err.value.position == offset
 
 
 def test_flat_text_skips_the_recursive_descent_parser(monkeypatch):
-    """Canonical output and bench-shaped sums never reach _Parser; a
-    parenthesis always does."""
+    """Canonical output and other flat sums, spaced or tabbed, never reach
+    _Parser; a parenthesis always does."""
     class Refused(Exception):
         pass
 
@@ -525,13 +535,14 @@ def test_flat_text_skips_the_recursive_descent_parser(monkeypatch):
     polys = [random_poly(rng, field, nvars, 5, 30)
              for field in (Q, F7, F10007) for nvars in (1, 2, 3, 5)]
     polys += [MultiPoly.from_terms(Q, 2, {(-2 ** 31, 3): Fraction(-7, 3), (0, 0): 5})]
-    bench_shaped = "9006*x^4*y^2*z + x^3*z^2 + 17*y^5 + 4001*x + 1"
+    flat = ["9006*x^4*y^2*z + x^3*z^2 + 17*y^5 + 4001*x + 1",
+            " - 3 / 2 * x ^ - 2 * y  +  z ^ 3 - 4 ", "\t-\tx\t^\t2\t*\t1\t/\t3\t"]
     expected = [parse_poly(format_poly(f), f.field, f.nvars) for f in polys]
-    bench_terms = parse_poly(bench_shaped, F10007, 3).terms
+    flat_terms = [parse_poly(text, F10007, 3).terms for text in flat]
     monkeypatch.setattr(expr, "_Parser", refuse)
     for f, g in zip(polys, expected):
         assert parse_poly(format_poly(f), f.field, f.nvars) == g == f
-    assert parse_poly(bench_shaped, F10007, 3).terms == bench_terms
+    assert [parse_poly(text, F10007, 3).terms for text in flat] == flat_terms
     for text in ("(x + 1)", "x*(y)", "2*x + (y - z)^2"):
         with pytest.raises(Refused):
             parse_poly(text, F10007, 3)

@@ -49,8 +49,8 @@ def test_format_parse_round_trip(f):
 SPACES = st.sampled_from(["", "", " ", "\t", "\u3000"])
 # inserted tokens: a stray sign, a zero denominator, an exponent one past the
 # range, a non-ASCII digit, a non-ASCII letter, an underscore, a parenthesis,
-# a tab and doubled operators
-MUTANTS = ["^-", "/0", "2147483648", "\u0663", "\u00e9", "_", "(", "\t",
+# a tab, a run of whitespace and doubled operators
+MUTANTS = ["^-", "/0", "2147483648", "\u0663", "\u00e9", "_", "(", "\t", " \t\u3000  ",
            "++", "--", "**", "+-", "*-", "^^", "//"]
 
 
