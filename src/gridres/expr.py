@@ -66,7 +66,9 @@ _TOKEN = re.compile(r"[0-9]+|\w+|\S")
 # Bounds on predicted sizes: a product's term pairs, the C(e + t - 1, t - 1)
 # possible terms of a t-term sum to the e (squaring to R terms costs about
 # R^2 / 3 pairs), and over Q the bits of a coefficient other than +-1 to the e.
+# The parser recurses once per open parenthesis, so their nesting is bounded too.
 MAX_PAIRS = 100_000
+MAX_DEPTH = 100
 MAX_POWER_TERMS = 500
 MAX_POWER_BITS = 100_000
 
@@ -85,6 +87,7 @@ class _Parser:
         self.nvars = len(names)
         self.origin = (0,) * self.nvars
         self.unit = {self.origin: 1}
+        self.depth = 0  # open parentheses
         self.tokens = _TOKEN.finditer(text)  # lazy, one token ahead
         self.advance()
 
@@ -183,9 +186,13 @@ class _Parser:
         """'(' expr ')', a literal or a variable, as a term dict."""
         tok, at = self.tok, self.at
         if self.take("("):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", at)
+            self.depth += 1
             poly = self.expr()
             if not self.take(")"):
                 raise ParseError("expected ')'", self.at)
+            self.depth -= 1
             return poly
         p = self.p
         if "0" <= tok[:1] <= "9":

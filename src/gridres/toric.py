@@ -14,9 +14,10 @@ The vertex residue is a linear functional of the numerator: the series at
 a vertex depends only on the vertex, its direction and the truncation
 depth, and each numerator reads its residue off it.  So the weight solve
 expands one series per vertex, to the depth its deepest sample needs, and
-every sample reads it; it takes one support direction per vertex for the
-split of every sample, and one walk over the zeros for the residue sums
-of all samples.
+every sample reads it.  Each system derives its sum polytope and one
+strict support direction per vertex once, on first read, and the split,
+the solve and the combination share them; one walk over the zeros gives
+the residue sums of all samples through multipoly's raw evaluation.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ def newton_polytope(f: MultiPoly) -> LatticePolytope:
 
 
 class NewtonSystem:
-    """n Laurent polynomials in n variables with their support polytopes."""
-
-    __slots__ = ("field", "nvars", "polys", "polytopes", "sum_polytope")
+    """n Laurent polynomials in n variables with their support polytopes;
+    their Minkowski sum and its vertex directions are derived on first read."""
 
     def __init__(self, polys: Sequence[MultiPoly]):
         polys = tuple(polys)
@@ -62,10 +62,25 @@ class NewtonSystem:
         self.nvars = n
         self.polys = polys
         self.polytopes = tuple(newton_polytope(g) for g in polys)
+
+    @cached_property
+    def sum_polytope(self) -> LatticePolytope:
         total = self.polytopes[0]
         for p in self.polytopes[1:]:
             total = total.minkowski_sum(p)
-        self.sum_polytope = total
+        return total
+
+    @cached_property
+    def vertex_directions(self) -> dict:
+        """{vertex: strict support direction}, in sum-polytope vertex order."""
+        total = self.sum_polytope
+        directions = {}
+        for v in total.vertices:
+            u = strict_support_direction(total, v)
+            if u is None:
+                raise ValueError(f"no strict support direction at vertex {v}")
+            directions[v] = u
+        return directions
 
 
 def is_unfolded(system: NewtonSystem):
@@ -106,22 +121,16 @@ class VertexSplit:
     v_zero: tuple
 
 
-def _support_directions(system: NewtonSystem) -> dict:
-    """{vertex: strict support direction} over the sum polytope's vertices."""
-    total = system.sum_polytope
-    directions = {}
-    for v in total.vertices:
-        u = strict_support_direction(total, v)
-        if u is None:
-            raise ValueError(f"no strict support direction at vertex {v}")
-        directions[v] = u
-    return directions
+def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
+    """Split the sum polytope's vertices against N(f) + (1, ..., 1).
 
-
-def _split(system: NewtonSystem, f: MultiPoly, directions: dict) -> VertexSplit:
-    """vertex_split against the vertices' directions: a vertex whose
-    direction keeps the shifted numerator polytope weakly below it passes
-    at once, and only the others ask strict_support_direction for one."""
+    Each vertex must admit a supporting halfspace touching the sum
+    polytope only at that vertex with the shifted numerator polytope kept
+    out of its interior; violations are reported by vertex.  A vertex whose
+    vertex_directions entry keeps the shifted numerator polytope weakly
+    below it passes at once; only the others ask for another direction.
+    """
+    directions = system.vertex_directions
     if f.is_zero():
         raise ValueError("zero numerator has no support polytope")
     if f.nvars != system.nvars:
@@ -130,8 +139,7 @@ def _split(system: NewtonSystem, f: MultiPoly, directions: dict) -> VertexSplit:
     shifted = [tuple(c + 1 for c in s) for s in support.vertices]
     total = system.sum_polytope
     plus, zero = [], []
-    for v in total.vertices:
-        u = directions[v]
+    for v, u in directions.items():
         level = _dot(u, v)
         if (any(_dot(u, s) > level for s in shifted)
                 and strict_support_direction(total, v, dominated=shifted) is None):
@@ -139,16 +147,6 @@ def _split(system: NewtonSystem, f: MultiPoly, directions: dict) -> VertexSplit:
                 f"support halfspace assumption violated at vertex {v}")
         (zero if support.contains(tuple(c - 1 for c in v)) else plus).append(v)
     return VertexSplit(v_plus=tuple(plus), v_zero=tuple(zero))
-
-
-def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
-    """Split the sum polytope's vertices against N(f) + (1, ..., 1).
-
-    Each vertex must admit a supporting halfspace touching the sum
-    polytope only at that vertex with the shifted numerator polytope kept
-    out of its interior; violations are reported by vertex.
-    """
-    return _split(system, f, _support_directions(system))
 
 
 def _vertex_residues(system: NewtonSystem, numerators: Sequence[MultiPoly],
@@ -307,24 +305,12 @@ def _simple_zeros(system: NewtonSystem, zeros) -> SimpleZeros:
 def _residue_sums(system: NewtonSystem, numerators: Sequence[MultiPoly],
                   zeros: SimpleZeros) -> list:
     """Raw sums of f(z)/det J(z) over the zeros, one per numerator, in one
-    walk: each zero raises each coordinate once to every exponent that
-    some numerator holds in that coordinate."""
+    walk, each value from multipoly's raw evaluation."""
     p = system.field.modulus
-    terms = [list(f.terms.items()) for f in numerators]
-    exponents = [{m[i] for ts in terms for m, _ in ts} - {0}
-                 for i in range(system.nvars)]
-    sums = [0] * len(terms)
+    sums = [0] * len(numerators)
     for point, weight in zeros.weighted:
-        powers = [{e: pow(x, e, p) if p else x ** e for e in es}
-                  for x, es in zip(point, exponents)]
-        for j, ts in enumerate(terms):
-            value = 0
-            for m, c in ts:
-                for table, e in zip(powers, m):
-                    if e:
-                        c *= table[e]
-                value += c
-            sums[j] += value * weight
+        for j, f in enumerate(numerators):
+            sums[j] += _eval_terms(f.terms, point, p) * weight
     return [s % p for s in sums] if p else sums
 
 
@@ -363,8 +349,9 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
     full-dimensional sum polytope on the zero side of some split, meeting
     exactly n facets, with recovered weight zero is flagged as an anomaly.
 
-    Each piece of work runs once per vertex or once per zero: one support
-    direction per vertex serves the split of every sample, one series
+    Each piece of work runs once per vertex or once per zero: the support
+    directions of system.vertex_directions, derived once per system, serve
+    the split of every sample and the combination, one series
     expansion per vertex, to the depth the deepest sample needs, is read
     by every sample (every factor has nonpositive u-weight, so the deeper
     expansion leaves the terms a shallower sample reads as they were),
@@ -383,15 +370,15 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
     n = system.nvars
     total = system.sum_polytope
     vertices = total.vertices
-    directions = _support_directions(system)
+    directions = system.vertex_directions
     zero_side: set = set()
     for k, f in enumerate(samples):
-        zero_side.update(_split(system, f, directions).v_zero)
+        zero_side.update(vertex_split(system, f).v_zero)
         _require_numerator(system, f)
         if k == 0:
             zeros.weighted  # the zeros are checked before the later samples
     sign = -1 if n % 2 else 1
-    columns = [_vertex_residues(system, samples, v, directions[v]) for v in vertices]
+    columns = [_vertex_residues(system, samples, v, u) for v, u in directions.items()]
     rows = [[(sign * x) % p if p else sign * x for x in row] for row in zip(*columns)]
     rhs = _residue_sums(system, samples, zeros)
     solution = solve_linear(rows, rhs, p)
@@ -441,10 +428,15 @@ def weighted_vertex_combination(system: NewtonSystem, f: MultiPoly,
 
     Unconstrained vertices must have vanishing residue on this numerator,
     otherwise the combination is not determined and a ValueError is raised.
+    f is checked once, as vertex_residue checks it.
     """
+    directions = system.vertex_directions
+    _require_numerator(system, f)
+    if f.is_zero():
+        raise ValueError("zero numerator: truncation bound undefined")
     acc = 0
-    for v, u in _support_directions(system).items():
-        res = vertex_residue(system, f, v, u).value
+    for v, u in directions.items():
+        res, = _vertex_residues(system, [f], v, u)
         if v in coefficients.values:
             acc += coefficients.values[v] * res
         elif res:

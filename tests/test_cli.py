@@ -1,8 +1,10 @@
 import json
+import signal
 import time
 
 import pytest
 
+from gridres import toric
 from gridres.cli import main
 
 
@@ -428,6 +430,55 @@ def test_toric_verify_grid_route(capsys, tmp_path):
     assert result["residue_sum"] == "3" == result["coefficient_via_grid"]
 
 
+def test_toric_verify_derives_each_vertex_direction_once(capsys, tmp_path, monkeypatch):
+    """With the default samples the split, the solve and the combination
+    share one strict support direction per vertex of the sum polytope."""
+    asked = []
+    original = toric.strict_support_direction
+
+    def counted(polytope, vertex, *args, **kwargs):
+        asked.append(tuple(vertex))
+        return original(polytope, vertex, *args, **kwargs)
+
+    monkeypatch.setattr(toric, "strict_support_direction", counted)
+    code, report, _ = run(capsys, tmp_path, "toric-verify", {
+        "field": RATIONALS, "vars": ["x", "y"], "poly": "3*x^2*y + x*y - 2",
+        "grids": [["1", "2", "3"], ["1", "2"]]})
+    assert code == 0
+    result = report["result"]
+    vertices = [tuple(json.loads(v)) for v in result["vertex_weights"]]
+    vertices += [tuple(v) for v in result["unconstrained_vertices"]]
+    assert len(vertices) == 4
+    assert sorted(asked) == sorted(vertices)
+
+
+FOUR_VARIABLE_SYSTEM = ["1 + a^2*b + c*d^3 + a*b^3*c^2*d", "1 + b^2*c + d*a^3 + b*c^3*d^2*a",
+                        "1 + c^2*d + a*b^3 + c*d^3*a^2*b", "1 + d^2*a + b*c^3 + d*a^3*b^2*c"]
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("unfolded", {}),
+    ("toric-verify", {"zeros": [["1", "1", "1", "1"]], "poly": "a*b*c*d"}),
+])
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_four_variables_refused_before_the_sum_polytope(capsys, tmp_path, subcommand, extra):
+    """The dimension is refused before any hull of the Minkowski sum is built."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{subcommand} ran for over 1 s")
+
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, report, _ = run(capsys, tmp_path, subcommand, {
+            "field": RATIONALS, "vars": ["a", "b", "c", "d"],
+            "system": FOUR_VARIABLE_SYSTEM, **extra})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert code == 2
+    assert report["error"]["message"] == "unfolded test implemented for dimension <= 3 only"
+
+
 def test_toric_verify_rejects_zero_node(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "toric-verify", {
         "field": RATIONALS, "vars": ["x"],
@@ -816,3 +867,11 @@ def test_expansion_over_the_bound_is_input_error(capsys, tmp_path, field, poly):
         "field": field, "vars": ["x"], "poly": poly, "grids": [["0", "1"]]})
     assert time.process_time() - started < 0.1
     assert code == 2 and report["error"]["type"] == "ParseError"
+
+
+def test_deep_parentheses_are_a_parse_error(capsys, tmp_path):
+    code, report, _ = run(capsys, tmp_path, "coeff", {
+        "field": RATIONALS, "vars": ["x"], "poly": "(" * 10_000 + "x" + ")" * 10_000,
+        "grids": [["0", "1"]]})
+    assert code == 2 and report["error"]["type"] == "ParseError"
+    assert report["error"]["message"] == "parentheses nested deeper than 100 at offset 100"

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from gridres import Field, MultiPoly, ParseError, expr, format_poly, parse_poly
+from gridres.expr import MAX_DEPTH
 from gridres.multipoly import default_names
 
 from helpers import (element_terms, oracle_power, oracle_product, oracle_sum,
@@ -520,6 +521,17 @@ def test_long_whitespace_runs_fail_in_linear_time(text, offset, message):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
     assert err.value.position == offset
+
+
+def test_parenthesis_depth_bounded():
+    deepest = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert parse_poly(deepest, Q, 2) == parse_poly("x", Q, 2)
+    # a closed parenthesis leaves the depth it opened
+    assert parse_poly(f"{deepest} * {deepest}", Q, 2) == parse_poly("x^2", Q, 2)
+    for depth in (MAX_DEPTH + 1, 10_000):
+        with pytest.raises(ParseError, match="parentheses nested deeper than 100") as err:
+            parse_poly("(" * depth + "x" + ")" * depth, Q, 2)
+        assert err.value.position == MAX_DEPTH
 
 
 def test_flat_text_skips_the_recursive_descent_parser(monkeypatch):

@@ -10,6 +10,7 @@ from gridres import (Field, FieldMismatchError, MultiPoly, NewtonSystem, GridSys
                      solve_vertex_coefficients, vertex_residue, vertex_split,
                      weighted_vertex_combination)
 
+from gridres import toric
 from gridres.polytope import strict_support_direction
 from gridres.toric import _vertex_residues
 
@@ -417,3 +418,24 @@ def test_first_error_order():
         weighted_vertex_combination(system, zero, weights)
     with pytest.raises(FieldMismatchError, match="numerator field differs"):
         weighted_vertex_combination(system, other, weights)
+    with pytest.raises(ValueError, match="numerator arity differs from system arity"):
+        weighted_vertex_combination(system, parse_poly("x*y*z", Q, 3), weights)
+
+
+def test_combination_reads_the_shared_directions(monkeypatch):
+    """The split, the solve and the combination read one direction map,
+    derived on the first read; the combination makes no vertex_residue call."""
+    sep, system, zeros = separable_system(Q, [[1, 2], [1, 3]])
+    weights = solve_vertex_coefficients(system, zeros, default_samples(system))
+    directions = system.vertex_directions
+    assert list(directions) == list(system.sum_polytope.vertices)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(toric, "vertex_residue", refuse)
+    monkeypatch.setattr(toric, "strict_support_direction", refuse)
+    f = parse_poly("x*y - 2", Q, 2)
+    assert weighted_vertex_combination(system, f, weights) == coefficient_via_grid(f, sep)
+    assert vertex_split(system, parse_poly("x*y", Q, 2)).v_zero == ((2, 2),)
+    assert system.vertex_directions is directions
