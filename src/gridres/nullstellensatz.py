@@ -159,21 +159,34 @@ def _weighted_grid_sum(f: MultiPoly, nodes) -> FieldElement:
 def _grid_walk(maps, nodes, p, dead):
     """Grid points in row-major order at which the raw term maps survive.
 
-    At each node a of the first axis every map collapses to its
-    restriction z_1 = a, and the slab behind a is skipped as soon as
+    At each node a of the next axis every map collapses to its
+    restriction there, and the slab behind a is skipped as soon as
     dead(collapsed maps) holds; a leaf, where every map is a constant,
-    yields its point unless it is dead.
+    yields its point unless it is dead.  The walk keeps one frame (maps,
+    node iterator, exponents) per axis on a list, so its depth is not
+    bounded by the recursion limit.
     """
-    if not nodes:
-        yield ()
-        return
-    exps = {m[0] for g in maps for m in g}
-    for a in nodes[0]:
-        table = {e: pow(a.value, e, p) for e in exps}
-        sub = [_collapse(g, table, p) for g in maps]
-        if not dead(sub):
-            for rest in _grid_walk(sub, nodes[1:], p, dead):
-                yield (a,) + rest
+    point, stack = [], []
+    while True:
+        if len(point) == len(nodes):
+            yield tuple(point)
+        else:
+            stack.append((maps, iter(nodes[len(point)]), {m[0] for g in maps for m in g}))
+        # advance to the next surviving node, backing out of exhausted axes
+        while stack:
+            above, todo, exps = stack[-1]
+            del point[len(stack) - 1:]
+            a = next(todo, None)
+            if a is None:
+                stack.pop()
+                continue
+            table = {e: pow(a.value, e, p) for e in exps}
+            maps = [_collapse(g, table, p) for g in above]
+            if not dead(maps):
+                point.append(a)
+                break
+        else:
+            return
 
 
 def _require_polynomial(f: MultiPoly):

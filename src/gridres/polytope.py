@@ -3,22 +3,20 @@
 Each polytope computes its hull once, on exact ints.  The hull finds the
 affine dimension k of the generating points and projects them onto k
 coordinates that are injective on their affine hull (convexity is
-preserved).  It then runs the 1-D extremes, the 2-D monotone chain, or a
-3-D beneath-beyond hull.  The vertices, the facets as (primitive outer
-normal, level) pairs, point membership, strict supporting directions
-(the sum of the outer normals of the facets through a vertex) and one
-direction per maximal face are all read from it.  An exact phase-one simplex
-over Fractions is the fallback: it handles affine dimension four and up,
-and support directions that must also dominate points the normal-cone
-sum does not.  It is also the oracle
-the hull is tested against.  Facet enumeration is implemented for ambient
-dimension up to three.
+preserved).  One beneath-beyond kernel then runs for every k >= 1.  The
+vertices, the facets as (primitive outer normal, level) pairs, point
+membership, strict supporting directions (the sum of the outer normals of
+the facets through a vertex) and one direction per maximal face are all
+read from it.  Facet enumeration is exposed for ambient dimension up to
+three.  The exact phase-one simplex solve_nonnegative is kept only as the
+oracle the hull is tested against; no library path calls it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple  # tuple[int, ...]
@@ -96,26 +94,12 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence):
     return x
 
 
-def point_in_hull(point: Sequence[int], generators: Sequence[IntVec]) -> bool:
-    """Exact membership of a point in the convex hull of integer vectors."""
-    gens = list(generators)
-    if not gens:
-        return False
-    dim = len(point)
-    rows = [[Fraction(g[d]) for g in gens] for d in range(dim)]
-    rows.append([Fraction(1)] * len(gens))
-    rhs = [Fraction(c) for c in point] + [Fraction(1)]
-    return solve_nonnegative(rows, rhs) is not None
-
-
 def primitive(vec: Sequence[int]) -> IntVec:
     """Divide out the gcd; zero vectors are rejected."""
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(int(c)))
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(int(c) // g for c in vec)
+    return tuple(c // g for c in vec)
 
 
 def _cross3(u, v) -> IntVec:
@@ -125,7 +109,7 @@ def _cross3(u, v) -> IntVec:
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _sub(u, v) -> IntVec:
@@ -152,7 +136,7 @@ class _Hull:
     injective on the affine hull.  facets holds (primitive outer normal,
     level) pairs, lifted from the cols coordinates with zeros, so a point
     of the affine hull lies in the polytope exactly when <normal, x> <=
-    level for all of them; facets is None for affine dimension >= 4.
+    level for all of them.
     """
 
     __slots__ = ("vertices", "facets", "base", "rows", "cols")
@@ -168,37 +152,30 @@ class _Hull:
         return _reduce(_sub(point, self.base), self.rows, self.cols) is None
 
 
+def _echelon(vecs, limit: int):
+    """Primitive echelon rows and pivot columns of the span of vecs, and
+    the index of each vector that raised the rank; stops at rank limit."""
+    rows, cols, used = [], [], []
+    for i, v in enumerate(vecs):
+        d = _reduce(v, rows, cols)
+        if d is not None:
+            rows.append(primitive(d))
+            cols.append(next(j for j, c in enumerate(d) if c))
+            used.append(i)
+            if len(rows) == limit:
+                break
+    return rows, cols, used
+
+
 def _integer_hull(pts: list) -> _Hull:
     """Hull of distinct integer points (at least one, sorted)."""
     base = pts[0]
-    rows, cols = [], []
-    for p in pts[1:]:
-        d = _reduce(_sub(p, base), rows, cols)
-        if d is not None:
-            rows.append(primitive(d))
-            cols.append(next(i for i, c in enumerate(d) if c))
-            if len(rows) == len(base):
-                break
-    k = len(rows)
-    if k >= 4:
-        verts = tuple(p for i, p in enumerate(pts)
-                      if not point_in_hull(p, pts[:i] + pts[i + 1:]))
-        return _Hull(verts, None, base, rows, cols)
+    rows, cols, used = _echelon((_sub(p, base) for p in pts), len(base))
+    if not rows:
+        return _Hull((base,), (), base, rows, cols)
     lifted = {tuple(p[c] for c in cols): p for p in pts}
-    flat = sorted(lifted)
-    if k == 0:
-        verts, facets = flat, []
-    elif k == 1:
-        verts = [flat[0], flat[-1]]
-        facets = [((-1,), -flat[0][0]), ((1,), flat[-1][0])]
-    elif k == 2:
-        verts = _ccw_hull(flat)
-        facets = []
-        for a, b in zip(verts, verts[1:] + verts[:1]):
-            w = primitive((b[1] - a[1], a[0] - b[0]))
-            facets.append((w, _dot(w, a)))
-    else:
-        verts, facets = _hull_3d(flat)
+    simplex = [tuple(p[c] for c in cols) for p in [base] + [pts[i] for i in used]]
+    verts, facets = _beneath_beyond(simplex, list(lifted))
     n = len(base)
 
     def lift(w):
@@ -212,52 +189,93 @@ def _integer_hull(pts: list) -> _Hull:
                  base, rows, cols)
 
 
-def _hull_3d(pts: list) -> tuple[list, list]:
-    """Beneath-beyond hull of distinct 3-D integer points spanning space.
+def _simplex_normals(simplex: list) -> list:
+    """Primitive outer normal of the facet opposite each vertex of a
+    k-simplex in Z^k.
 
-    Faces are triangles (p, q, r), counterclockwise seen from outside, with
-    integer outer normal (q - p) x (r - p).  A point sees a face when it
-    lies strictly above it; visible faces are replaced by a cone from the
-    point over their horizon.  Coplanar triangles are merged into facets
-    by primitive normal.  A face vertex is a polytope vertex exactly when
-    the normals of its facets have rank 3, that is, when at least three
-    facets meet there: a point inside an edge lies on two, a point inside
-    a facet on one.
+    Bareiss's fraction-free Gauss-Jordan elimination on [H^T | I], H the
+    rows (1, s_i), divides exactly at every step and ends with det H on
+    the diagonal, so row j of the right half is det H times the affine
+    function that is 1 at s_j and 0 on the facet opposite it.
     """
-    a, b = pts[0], pts[1]
-    c = next(p for p in pts if any(_cross3(_sub(b, a), _sub(p, a))))
-    d = next(p for p in pts if _dot(_cross3(_sub(b, a), _sub(c, a)), _sub(p, a)))
-    # edges maps a directed edge to the face that last held it, which is the
-    # current face for every edge of a current face
-    faces, edges = {}, {}
+    m = len(simplex)
+    a = [[1] * m] + [list(col) for col in zip(*simplex)]
+    for i, row in enumerate(a):
+        row += [0] * m
+        row[m + i] = 1
+    det = 1
+    for c in range(m):
+        if not a[c][c]:
+            p = next(i for i in range(c + 1, m) if a[i][c])
+            a[c], a[p] = a[p], a[c]
+        pivot = a[c]
+        t = pivot[c]
+        for i in range(m):
+            if i != c:
+                g = a[i][c]
+                a[i] = [(t * x - g * y) // det for x, y in zip(a[i], pivot)]
+        det = t
+    return [primitive([-x if det > 0 else x for x in row[m + 1:]]) for row in a]
 
-    def add(p, q, r):
-        w = _cross3(_sub(q, p), _sub(r, p))
-        faces[p, q, r] = (w, _dot(w, p))
-        edges[p, q] = edges[q, r] = edges[r, p] = (p, q, r)
 
-    for p, q, r, inner in ((a, b, c, d), (a, b, d, c), (a, c, d, b), (b, c, d, a)):
-        if _dot(_cross3(_sub(q, p), _sub(r, p)), _sub(inner, p)) > 0:
-            q, r = r, q
-        add(p, q, r)
-    for x in pts:
-        visible = {f for f, (w, level) in faces.items() if _dot(w, x) > level}
-        if not visible:
-            continue
-        horizon = [(p, q) for f in visible
-                   for p, q in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0]))
-                   if edges[q, p] not in visible]
-        for f in visible:
-            del faces[f]
-        for p, q in horizon:
-            add(p, q, x)
+def _beneath_beyond(simplex: list, pts: list) -> tuple[list, list]:
+    """Vertices and facets of the hull of distinct points of Z^k that
+    contain the k-simplex simplex (Edelsbrunner, Algorithms in
+    Combinatorial Geometry, 1987).
+
+    Faces are k-point simplices, stored sorted, each with its primitive
+    outer normal and level; ridges maps each (k-1)-point ridge to the
+    faces holding it.  Points go in farthest from the simplex's centroid
+    first.  A point x sees a face when it lies strictly above it, and
+    each horizon ridge, between a seen face (w1, x at height s1 > 0) and
+    an unseen one (w2, height s2 <= 0), is coned to x with the normal
+    s1*w2 - s2*w1: it vanishes on the ridge and x, and as a positive
+    combination of outer normals it points outward.  Coplanar faces share
+    their primitive normal and so merge into one facet.  A face point is
+    a vertex exactly when the normals of its facets have rank k.
+    """
+    k = len(simplex) - 1
+    faces, ridges = {}, {}
+
+    def add(face, w):
+        faces[face] = (w, _dot(w, face[0]))
+        for i in range(k):
+            ridges.setdefault(face[:i] + face[i + 1:], []).append(face)
+
+    simplex = sorted(simplex)
+    for i, w in enumerate(_simplex_normals(simplex)):
+        add(tuple(simplex[:i] + simplex[i + 1:]), w)
+    centre = [sum(c) for c in zip(*simplex)]
+    rest = sorted((p for p in pts if p not in simplex), reverse=True,
+                  key=lambda p: sum(((k + 1) * a - c) ** 2 for a, c in zip(p, centre)))
+    for x in rest:
+        seen = {}
+        for f, (w, level) in faces.items():
+            s = _dot(w, x) - level
+            if s > 0:
+                seen[f] = s
+        cone = []
+        for f, s1 in seen.items():
+            w1 = faces.pop(f)[0]
+            for i in range(k):
+                ridge = f[:i] + f[i + 1:]
+                pair = ridges[ridge]
+                pair.remove(f)
+                if pair and pair[0] not in seen:
+                    w2, level = faces[pair[0]]
+                    s2 = _dot(w2, x) - level
+                    cone.append((tuple(sorted(ridge + (x,))),
+                                 primitive([s1 * b - s2 * a for a, b in zip(w1, w2)])))
+        for face, w in cone:
+            add(face, w)
     facets, normals = {}, {}
-    for (p, q, r), (w, _) in faces.items():
-        u = primitive(w)
-        facets[u] = _dot(u, p)
-        for v in (p, q, r):
-            normals.setdefault(v, set()).add(u)
-    verts = [v for v, ns in normals.items() if len(ns) >= 3]
+    for face, (w, level) in faces.items():
+        facets[w] = level
+        for p in face:
+            normals.setdefault(p, set()).add(w)
+    # below four dimensions k distinct facets meet only at a vertex
+    verts = [p for p, ns in normals.items()
+             if len(ns) >= k and (k < 4 or len(_echelon(ns, k)[0]) == k)]
     return verts, list(facets.items())
 
 
@@ -322,8 +340,6 @@ class LatticePolytope:
     def contains(self, point: Sequence[int]) -> bool:
         point = tuple(int(c) for c in point)
         hull = self._hull_data()
-        if hull.facets is None:
-            return point_in_hull(point, self.vertices)
         return (hull.in_affine_hull(point)
                 and all(_dot(w, point) <= level for w, level in hull.facets))
 
@@ -380,87 +396,37 @@ class LatticePolytope:
         return f"LatticePolytope({list(self.vertices)})"
 
 
-def _ccw_hull(points: Sequence[IntVec]) -> list[IntVec]:
-    """Monotone-chain hull in counterclockwise order, collinear points dropped."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return list(pts)
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def strict_support_direction(polytope: LatticePolytope, vertex: IntVec,
                              dominated: Sequence[IntVec] = ()) -> IntVec | None:
     """Integer u with <u, vertex> strictly above every other vertex and
     weakly above every dominated point, or None if no such u exists.
 
-    The first candidate is the primitive sum of the outer normals of the
-    facets through the vertex, which lies inside its normal cone; an exact
-    LP decides when that sum misses a dominated point, when the polytope
-    is a single vertex, and for affine dimension four and up.
+    The candidate is the primitive sum of the outer normals of the facets
+    through the vertex of H, the hull of the vertices and the dominated
+    points.  It lies in the relative interior of the normal cone of the
+    smallest face F of H holding the vertex, so it selects exactly F and
+    keeps H below the vertex; a certificate exists exactly when F holds no
+    other vertex, which the last check tests.  With no facet through the
+    vertex (it is interior to H in H's affine hull), the candidate is the
+    normal of H's own facet in the pyramid over H with apex vertex - e_j,
+    j the first column that is not a pivot; with no such column H is
+    full-dimensional and nothing selects the vertex alone.  No LP runs.
     """
     vertex = tuple(int(c) for c in vertex)
     if vertex not in polytope.vertices:
         raise ValueError(f"{vertex} is not a vertex")
-    n = polytope.dim
-    weak = [tuple(v - y for v, y in zip(vertex, p)) for p in dominated]
-    facets = polytope._hull_data().facets
-    if facets is not None and len(polytope.vertices) > 1:
-        total = [0] * n
-        for w, level in facets:
-            if _dot(w, vertex) == level:
-                total = [a + b for a, b in zip(total, w)]
-        u = primitive(total)
-        if all(_dot(u, d) >= 0 for d in weak):
-            return u
-    strict = [tuple(v - x for v, x in zip(vertex, other))
-              for other in polytope.vertices if other != vertex]
-    if strict:
-        return _direction_lp(n, strict, weak)
-    # single-vertex polytope: any nonzero member of the weak cone works
-    for axis in range(n):
-        for sign in (1, -1):
-            unit = tuple(sign if i == axis else 0 for i in range(n))
-            u = _direction_lp(n, [unit], weak)
-            if u is not None:
-                return u
+    extra = {tuple(int(c) for c in p) for p in dominated}.difference(polytope.vertices)
+    hull = (_integer_hull(sorted(extra.union(polytope.vertices))) if extra
+            else polytope._hull_data())
+    if not any(_dot(w, vertex) == level for w, level in hull.facets):
+        j = next((j for j in range(polytope.dim) if j not in hull.cols), None)
+        if j is None:
+            return None
+        apex = vertex[:j] + (vertex[j] - 1,) + vertex[j + 1:]
+        hull = _integer_hull(sorted(hull.vertices + (apex,)))
+    u = primitive([sum(c) for c in zip(*(w for w, level in hull.facets
+                                         if _dot(w, vertex) == level))])
+    top = _dot(u, vertex)
+    if all(_dot(u, w) < top for w in polytope.vertices if w != vertex):
+        return u
     return None
-
-
-def _direction_lp(n: int, strict: list[IntVec], weak: list[IntVec]) -> IntVec | None:
-    """Find integer u with <u, d> >= 1 on strict and >= 0 on weak rows."""
-    rows, rhs = [], []
-    m = len(strict) + len(weak)
-    slack = 0
-    for d in strict:
-        row = [Fraction(c) for c in d] + [Fraction(-c) for c in d]
-        row += [Fraction(-1 if j == slack else 0) for j in range(m)]
-        rows.append(row)
-        rhs.append(Fraction(1))
-        slack += 1
-    for d in weak:
-        row = [Fraction(c) for c in d] + [Fraction(-c) for c in d]
-        row += [Fraction(-1 if j == slack else 0) for j in range(m)]
-        rows.append(row)
-        rhs.append(Fraction(0))
-        slack += 1
-    x = solve_nonnegative(rows, rhs)
-    if x is None:
-        return None
-    u = [x[i] - x[n + i] for i in range(n)]
-    if not any(u):
-        return None
-    lcm = 1
-    for c in u:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return primitive(tuple(int(c * lcm) for c in u))

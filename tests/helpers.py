@@ -11,7 +11,7 @@ from gridres import (BudgetExceededError, CounterexampleError, Field, LineConfig
 from gridres.cover import candidate_traces, lines_through_pairs
 from gridres.field import FieldMismatchError
 from gridres.lines import grid_intersections
-from gridres.polytope import _cross3, _dot, primitive
+from gridres.polytope import _cross3, _dot, primitive, solve_nonnegative
 from gridres.projective import affine_candidate_points, infinity_line, pencil
 
 
@@ -233,6 +233,80 @@ def facet_normals_by_enumeration(vertices):
         if min(values) == level:
             normals.add(tuple(-c for c in w))
     return sorted(normals)
+
+
+def point_in_hull(point, generators) -> bool:
+    """Oracle: exact membership of a point in the convex hull of integer
+    vectors, by one phase-one LP over convex weights."""
+    gens = list(generators)
+    if not gens:
+        return False
+    rows = [[g[d] for g in gens] for d in range(len(point))] + [[1] * len(gens)]
+    return solve_nonnegative(rows, list(point) + [1]) is not None
+
+
+def ccw_hull(points) -> list:
+    """Oracle: monotone-chain hull of 2-D points in counterclockwise order,
+    collinear points dropped."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def direction_lp(strict, weak):
+    """Oracle: a rational u with <u, d> >= 1 on the strict rows and >= 0 on
+    the weak rows, or None; one LP over u = u+ - u- with a surplus per row."""
+    n = len((strict + weak)[0])
+    m = len(strict) + len(weak)
+    rows = [list(d) + [-c for c in d] + [-(j == i) for j in range(m)]
+            for i, d in enumerate(strict + weak)]
+    x = solve_nonnegative(rows, [1] * len(strict) + [0] * len(weak))
+    return None if x is None else [x[i] - x[n + i] for i in range(n)]
+
+
+def affine_dimension(points) -> int:
+    """Oracle: the rank of the differences to the first point, by Gaussian
+    elimination over Fractions."""
+    rows = [[Fraction(a - b) for a, b in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [r if not r[col] else [a - r[col] / pivot[col] * b for a, b in zip(r, pivot)]
+                for r in rows]
+        rows.insert(rank, pivot)
+        rank += 1
+    return rank
+
+
+def support_direction_exists(vertices, vertex, dominated=()) -> bool:
+    """Oracle for strict_support_direction: whether some u puts vertex
+    strictly above the other vertices and weakly above the dominated
+    points.  A single vertex asks u to be nonzero, through a strict row
+    +-e_i on some axis."""
+    weak = [tuple(v - y for v, y in zip(vertex, p)) for p in dominated]
+    strict = [tuple(v - w for v, w in zip(vertex, other))
+              for other in vertices if other != vertex]
+    if strict:
+        return direction_lp(strict, weak) is not None
+    n = len(vertex)
+    return any(direction_lp([tuple(s * (i == j) for j in range(n))], weak) is not None
+               for i in range(n) for s in (1, -1))
 
 
 # Oracles for the raw projective kernels of gridres.projective: triples of

@@ -1,11 +1,15 @@
 import json
 import signal
 import time
+from itertools import product
+from random import Random
 
 import pytest
 
 from gridres import toric
 from gridres.cli import main
+
+from helpers import affine_dimension, point_in_hull
 
 
 def run(capsys, tmp_path, subcommand, doc, *extra):
@@ -75,6 +79,16 @@ def test_witness(capsys, tmp_path):
     code, report, _ = run(capsys, tmp_path, "witness", doc)
     assert code == 1
     assert report["result"]["witness"] is None
+
+
+def test_witness_on_a_deep_grid(capsys, tmp_path):
+    """1,200 axes: the walk keeps a frame per axis, not a Python call."""
+    n = 1200
+    code, report, _ = run(capsys, tmp_path, "witness", {
+        "field": RATIONALS, "vars": [f"x{i}" for i in range(n)],
+        "poly": "1", "grids": [["1", "2"]] * n})
+    assert code == 0
+    assert report["result"]["witness"] == ["1"] * n
 
 
 def test_cb_verify(capsys, tmp_path):
@@ -392,6 +406,62 @@ def test_newton_affine_dimension_four(capsys, tmp_path):
                     [0, 0, 2, 1], [1, 1, 1, 1]],
         "affine_dim": 4,
     }
+
+
+def _monomial(names, exponents):
+    return "*".join([f"{v}^{e}" for v, e in zip(names, exponents) if e] or ["1"])
+
+
+@pytest.mark.parametrize("nvars, seed, flat", [(4, 1, False), (4, 2, True),
+                                               (5, 3, False), (5, 4, True)])
+def test_newton_in_four_and_five_variables_matches_lp_oracle(capsys, tmp_path, nvars,
+                                                             seed, flat):
+    """Random supports, and supports on the hyperplane where the first
+    exponent is the sum of the second and third."""
+    rng = Random(seed)
+    names = [f"z{i}" for i in range(1, nvars + 1)]
+    support = set()
+    while len(support) < 12:
+        m = [rng.randint(0, 3) for _ in range(nvars)]
+        if flat:
+            m[0] = m[1] + m[2]
+        support.add(tuple(m))
+    code, report, _ = run(capsys, tmp_path, "newton", {
+        "field": RATIONALS, "vars": names,
+        "poly": " + ".join(_monomial(names, m) for m in sorted(support))})
+    assert code == 0
+    points = sorted(support)
+    vertices = [q for i, q in enumerate(points)
+                if not point_in_hull(q, points[:i] + points[i + 1:])]
+    assert report["result"]["vertices"] == [list(v) for v in vertices]
+    assert report["result"]["affine_dim"] == affine_dimension(points) == nvars - flat
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_newton_four_variables_many_points_within_a_second(capsys, tmp_path):
+    """The box {1, 2, 3}^4 and the eight points 2 +- 2 e_i: 89 support
+    points, whose vertices are the 16 box corners and the 8 spikes."""
+    names = ["a", "b", "c", "d"]
+    spikes = [tuple(2 + s * 2 * (i == j) for j in range(4)) for i in range(4) for s in (-1, 1)]
+    support = set(product((1, 2, 3), repeat=4)) | set(spikes)
+    assert len(support) == 89
+
+    def too_slow(signum, frame):
+        raise TimeoutError("newton ran for over 1 s")
+
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, report, _ = run(capsys, tmp_path, "newton", {
+            "field": RATIONALS, "vars": names,
+            "poly": " + ".join(_monomial(names, m) for m in sorted(support))})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert code == 0
+    expected = sorted(set(product((1, 3), repeat=4)) | set(spikes))
+    assert report["result"]["vertices"] == [list(v) for v in expected]
+    assert report["result"]["affine_dim"] == 4
 
 
 def test_newton_planar_support_in_3d(capsys, tmp_path):

@@ -3,11 +3,11 @@ from random import Random
 import pytest
 
 from gridres import Field, LatticePolytope, parse_poly
-from gridres.polytope import (point_in_hull, solve_nonnegative,
-                              strict_support_direction)
+from gridres.polytope import solve_nonnegative, strict_support_direction
 from gridres.toric import newton_polytope
 
-from helpers import facet_normals_by_enumeration
+from helpers import (ccw_hull, facet_normals_by_enumeration, point_in_hull,
+                     support_direction_exists)
 
 Q = Field.rationals()
 
@@ -48,7 +48,6 @@ def test_minkowski_sum_examples():
     horizontal = poly([(0, 0), (2, 0)])
     vertical = poly([(0, 0), (0, 1)])
     box = horizontal.minkowski_sum(vertical)
-    assert box.vertices == ((0, 0), (0, 1), (2, 0), (2, 1))
     origin = poly([(0, 0)])
     assert horizontal.minkowski_sum(origin) == horizontal
     diag = poly([(0, 0), (1, 1)])
@@ -134,12 +133,11 @@ def test_extreme_points_degenerate():
 
 
 def test_extreme_points_against_monotone_chain():
-    from gridres.polytope import _ccw_hull
     rng = Random(55)
     for _ in range(40):
         pts = [(rng.randint(-4, 4), rng.randint(-4, 4))
                for _ in range(rng.randint(1, 12))]
-        assert sorted(LatticePolytope.from_points(pts).vertices) == sorted(_ccw_hull(pts))
+        assert sorted(LatticePolytope.from_points(pts).vertices) == sorted(ccw_hull(pts))
     for _ in range(20):
         pts1 = [(rng.randint(-9, 9),) for _ in range(rng.randint(1, 8))]
         expected = sorted({min(pts1), max(pts1)})
@@ -214,24 +212,35 @@ def test_support_directions_are_certificates():
             assert all(_dot(u, q) <= top for q in pts)
 
 
-def test_support_direction_falls_back_to_lp(monkeypatch):
-    import gridres.polytope as polytope
-    calls = []
-    original = polytope._direction_lp
-    monkeypatch.setattr(polytope, "_direction_lp",
-                        lambda *a: calls.append(a) or original(*a))
+def test_support_direction_keeps_dominated_points_below():
     box = poly([(0, 0), (2, 0), (0, 1), (2, 1)])
     # the normal-cone sum (1, 1) puts (4, 0) above (2, 1); (1, 3) does not
+    assert box.vertices == ((0, 0), (0, 1), (2, 0), (2, 1))
+    assert support_direction_exists(box.vertices, (2, 1), [(4, 0)])
     u = strict_support_direction(box, (2, 1), dominated=[(4, 0)])
-    assert len(calls) == 1
     assert _dot(u, (2, 1)) >= _dot(u, (4, 0))
     assert all(_dot(u, w) < _dot(u, (2, 1)) for w in box.vertices if w != (2, 1))
     # a triangle in the plane z = 0: the certificate must leave the plane
     tri = poly([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    assert support_direction_exists(tri.vertices, (1, 0, 0), [(2, 0, 1)])
     u = strict_support_direction(tri, (1, 0, 0), dominated=[(2, 0, 1)])
-    assert len(calls) == 2 and u[2] != 0
+    assert u[2] != 0
     assert _dot(u, (1, 0, 0)) >= _dot(u, (2, 0, 1))
     assert all(_dot(u, w) < _dot(u, (1, 0, 0)) for w in tri.vertices if w != (1, 0, 0))
+
+
+def _random_sets_4d_5d():
+    """Seeded point sets in 4-D and 5-D: random, with duplicates, and
+    integer affine images of lower-dimensional sets."""
+    rng = Random(45)
+    for dim in (4, 5):
+        for _ in range(6):
+            yield [tuple(rng.randint(-2, 2) for _ in range(dim))
+                   for _ in range(rng.randint(1, 14))]
+        for k in range(1, dim):
+            basis = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(k)]
+            yield [tuple(sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(dim))
+                   for _ in range(rng.randint(2, 10))]
 
 
 def test_hull_runs_no_lp_up_to_dimension_three(monkeypatch):
@@ -244,14 +253,31 @@ def test_hull_runs_no_lp_up_to_dimension_three(monkeypatch):
         p = poly(pts)
         p.contains(pts[0])
         p.affine_dim()
-        if len(p.vertices) > 1:
-            for v in p.vertices:
-                strict_support_direction(p, v, dominated=pts)
+        for v in p.vertices:
+            strict_support_direction(p, v)
+            strict_support_direction(p, v, dominated=pts)
         if p.affine_dim() == p.dim:
             p.facet_normals()
 
 
-def test_affine_dimension_four_uses_lp():
+def test_hull_runs_no_lp_in_dimensions_four_and_five(monkeypatch):
+    import gridres.polytope as polytope
+
+    def refuse(*args):
+        raise AssertionError("LP solved")
+    monkeypatch.setattr(polytope, "solve_nonnegative", refuse)
+    for pts in _random_sets_4d_5d():
+        p = poly(pts)
+        for q in pts + [(3,) * p.dim]:
+            p.contains(q)
+        p.affine_dim()
+        for v in p.vertices:
+            strict_support_direction(p, v)
+            strict_support_direction(p, v, dominated=pts)
+            strict_support_direction(p, v, dominated=[(3,) * p.dim])
+
+
+def test_affine_dimension_four_matches_lp_oracles():
     rng = Random(4)
     for _ in range(5):
         pts = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(9)]
