@@ -18,7 +18,7 @@ gridres.projective); cb-forced keys its value records by node index, and
 other decoded nodes, points and values are field elements.
 Reports are JSON on stdout; --summary adds human-readable lines on
 stderr.  Exit codes: 0 success/verified, 1 verdict negative, 2 invalid
-input, 3 search budget exceeded.
+input, 3 search or hull budget exceeded.
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ def _cmd_newton(doc, args):
     field = _decode_field(doc)
     names = _decode_names(doc)
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
-    polytope = toric.newton_polytope(f)
+    polytope = toric.newton_polytope(f, budget=_budget(doc, args))
     result = {
         "vertices": [list(v) for v in polytope.vertices],
         "support": [list(m) for m in f.support()],
@@ -496,8 +496,8 @@ _PARSER.add_argument("--input", required=True,
 _PARSER.add_argument("--summary", action="store_true",
                      help="also print a human-readable summary on stderr")
 _PARSER.add_argument("--budget", type=int, default=None,
-                     help="node budget for backtracking searches "
-                          f"(default {_DEFAULT_BUDGET:,})")
+                     help="node budget for backtracking searches and the "
+                          f"newton hull (default {_DEFAULT_BUDGET:,})")
 
 
 def main(argv=None) -> int:

@@ -2,9 +2,9 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """A backtracking search ran past its configured node budget.
+    """A backtracking search, or a hull build, ran past its node budget.
 
-    `nodes` is the number of nodes explored before the search stopped (the
+    `nodes` is the number of nodes explored before the work stopped (the
     budget) and `best` the smallest cover size found by then, or None.
     """
 

@@ -7,9 +7,11 @@ preserved).  One beneath-beyond kernel then runs for every k >= 1.  The
 vertices, the facets as (primitive outer normal, level) pairs, point
 membership, strict supporting directions (the sum of the outer normals of
 the facets through a vertex) and one direction per maximal face are all
-read from it.  Facet enumeration is exposed for ambient dimension up to
-three.  The exact phase-one simplex solve_nonnegative is kept only as the
-oracle the hull is tested against; no library path calls it.
+read from it.  The facets of a k-dimensional hull of m points can number
+m^(k/2), so the kernel counts its work and stops at an optional budget.
+Facet enumeration is exposed for ambient dimension up to three.  The
+exact phase-one simplex solve_nonnegative is kept only as the oracle the
+hull is tested against; no library path calls it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
+
+from .errors import BudgetExceededError
 
 IntVec = tuple  # tuple[int, ...]
 
@@ -167,15 +171,16 @@ def _echelon(vecs, limit: int):
     return rows, cols, used
 
 
-def _integer_hull(pts: list) -> _Hull:
-    """Hull of distinct integer points (at least one, sorted)."""
+def _integer_hull(pts: list, budget: int | None = None) -> _Hull:
+    """Hull of distinct integer points (at least one, sorted); budget
+    bounds the kernel's work (see _beneath_beyond), None not at all."""
     base = pts[0]
     rows, cols, used = _echelon((_sub(p, base) for p in pts), len(base))
     if not rows:
         return _Hull((base,), (), base, rows, cols)
     lifted = {tuple(p[c] for c in cols): p for p in pts}
     simplex = [tuple(p[c] for c in cols) for p in [base] + [pts[i] for i in used]]
-    verts, facets = _beneath_beyond(simplex, list(lifted))
+    verts, facets = _beneath_beyond(simplex, list(lifted), budget)
     n = len(base)
 
     def lift(w):
@@ -218,7 +223,7 @@ def _simplex_normals(simplex: list) -> list:
     return [primitive([-x if det > 0 else x for x in row[m + 1:]]) for row in a]
 
 
-def _beneath_beyond(simplex: list, pts: list) -> tuple[list, list]:
+def _beneath_beyond(simplex: list, pts: list, budget: int | None) -> tuple[list, list]:
     """Vertices and facets of the hull of distinct points of Z^k that
     contain the k-simplex simplex (Edelsbrunner, Algorithms in
     Combinatorial Geometry, 1987).
@@ -233,6 +238,10 @@ def _beneath_beyond(simplex: list, pts: list) -> tuple[list, list]:
     combination of outer normals it points outward.  Coplanar faces share
     their primitive normal and so merge into one facet.  A face point is
     a vertex exactly when the normals of its facets have rank k.
+
+    The facets can number m^(k/2) for m points, so the work is counted:
+    one unit per face tested against a point and per ridge written.  Past
+    budget units BudgetExceededError(budget) is raised.
     """
     k = len(simplex) - 1
     faces, ridges = {}, {}
@@ -248,7 +257,9 @@ def _beneath_beyond(simplex: list, pts: list) -> tuple[list, list]:
     centre = [sum(c) for c in zip(*simplex)]
     rest = sorted((p for p in pts if p not in simplex), reverse=True,
                   key=lambda p: sum(((k + 1) * a - c) ** 2 for a, c in zip(p, centre)))
+    work = 0
     for x in rest:
+        work += len(faces)
         seen = {}
         for f, (w, level) in faces.items():
             s = _dot(w, x) - level
@@ -266,6 +277,9 @@ def _beneath_beyond(simplex: list, pts: list) -> tuple[list, list]:
                     s2 = _dot(w2, x) - level
                     cone.append((tuple(sorted(ridge + (x,))),
                                  primitive([s1 * b - s2 * a for a, b in zip(w1, w2)])))
+        work += k * len(cone)
+        if budget is not None and work > budget:
+            raise BudgetExceededError(budget)
         for face, w in cone:
             add(face, w)
     facets, normals = {}, {}
@@ -295,14 +309,15 @@ class LatticePolytope:
         self._hull = None
 
     @classmethod
-    def from_points(cls, points: Iterable[IntVec]) -> "LatticePolytope":
+    def from_points(cls, points: Iterable[IntVec],
+                    budget: int | None = None) -> "LatticePolytope":
         pts = sorted(set(tuple(int(c) for c in p) for p in points))
         if not pts:
             raise ValueError("polytope needs at least one point")
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("mixed dimensions in point set")
-        hull = _integer_hull(pts)
+        hull = _integer_hull(pts, budget)
         out = cls(dim, hull.vertices, pts)
         out._hull = hull
         return out

@@ -32,11 +32,12 @@ from .multipoly import MultiPoly, _add_terms, _eval_terms, _mul_terms
 from .polytope import LatticePolytope, strict_support_direction, _dot
 
 
-def newton_polytope(f: MultiPoly) -> LatticePolytope:
-    """Convex hull of the exponent vectors of the nonzero terms."""
+def newton_polytope(f: MultiPoly, budget: int | None = None) -> LatticePolytope:
+    """Convex hull of the exponent vectors of the nonzero terms; budget
+    bounds the hull's work (see polytope._beneath_beyond)."""
     if f.is_zero():
         raise ValueError("the zero polynomial has no support polytope")
-    return LatticePolytope.from_points(f.terms.keys())
+    return LatticePolytope.from_points(f.terms.keys(), budget)
 
 
 class NewtonSystem:

@@ -464,6 +464,36 @@ def test_newton_four_variables_many_points_within_a_second(capsys, tmp_path):
     assert report["result"]["affine_dim"] == 4
 
 
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+@pytest.mark.parametrize("extra, budget, seconds", [((), 1_000_000, 15.0),
+                                                    (("--budget", "50000"), 50_000, 1.0)])
+def test_newton_twelve_variables_stops_at_the_budget(capsys, tmp_path, extra, budget,
+                                                     seconds):
+    """50 random terms in 12 variables: their hull has about 711,000
+    facets and took minutes to build unbounded; the budget stops it and
+    reports the nodes counted."""
+    rng = Random(600)
+    names = [f"x{i}" for i in range(12)]
+    support = sorted({tuple(rng.randint(0, 3) for _ in names) for _ in range(50)})
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"newton ran for over {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        code, report, _ = run(capsys, tmp_path, "newton", {
+            "field": RATIONALS, "vars": names,
+            "poly": " + ".join(_monomial(names, m) for m in support)}, *extra)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert code == 3
+    assert report["error"] == {"type": "BudgetExceededError",
+                               "message": f"search budget exceeded ({budget} nodes)",
+                               "nodes": budget, "best": None}
+
+
 def test_newton_planar_support_in_3d(capsys, tmp_path):
     # every exponent lies in the plane c = a + b; (1, 0, 1) and (1, 1, 2) are not vertices
     code, report, _ = run(capsys, tmp_path, "newton", {

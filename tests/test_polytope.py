@@ -48,6 +48,7 @@ def test_minkowski_sum_examples():
     horizontal = poly([(0, 0), (2, 0)])
     vertical = poly([(0, 0), (0, 1)])
     box = horizontal.minkowski_sum(vertical)
+    assert box.vertices == ((0, 0), (0, 1), (2, 0), (2, 1))
     origin = poly([(0, 0)])
     assert horizontal.minkowski_sum(origin) == horizontal
     diag = poly([(0, 0), (1, 1)])
@@ -215,7 +216,6 @@ def test_support_directions_are_certificates():
 def test_support_direction_keeps_dominated_points_below():
     box = poly([(0, 0), (2, 0), (0, 1), (2, 1)])
     # the normal-cone sum (1, 1) puts (4, 0) above (2, 1); (1, 3) does not
-    assert box.vertices == ((0, 0), (0, 1), (2, 0), (2, 1))
     assert support_direction_exists(box.vertices, (2, 1), [(4, 0)])
     u = strict_support_direction(box, (2, 1), dominated=[(4, 0)])
     assert _dot(u, (2, 1)) >= _dot(u, (4, 0))
@@ -275,6 +275,20 @@ def test_hull_runs_no_lp_in_dimensions_four_and_five(monkeypatch):
             strict_support_direction(p, v)
             strict_support_direction(p, v, dominated=pts)
             strict_support_direction(p, v, dominated=[(3,) * p.dim])
+
+
+def test_hull_budget_counts_the_kernel_work():
+    from gridres import BudgetExceededError
+    # a simplex is built whole before any point is tested: no work counted
+    simplex = [(0,) * 5] + [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    assert LatticePolytope.from_points(simplex, budget=0) == poly(simplex)
+    for pts in _random_sets_4d_5d():
+        p = poly(pts)
+        if len(p.vertices) > p.affine_dim() + 1:
+            assert LatticePolytope.from_points(pts, budget=10 ** 6) == p
+            with pytest.raises(BudgetExceededError) as err:
+                LatticePolytope.from_points(pts, budget=p.affine_dim())
+            assert err.value.nodes == p.affine_dim()
 
 
 def test_affine_dimension_four_matches_lp_oracles():
