@@ -355,6 +355,7 @@ BUDGET_DOCS = {
     "lines-search": {"field": {"kind": "prime-field", "modulus": "5"},
                      "red": [["1", "0", str(-c)] for c in range(5)],
                      "blue": [["0", "1", str(-c)] for c in range(5)]},
+    "newton": {"field": RATIONALS, "vars": ["x", "y"], "poly": "3*x^2*y + x*y - 2"},
 }
 
 
@@ -716,14 +717,15 @@ def test_lines_check_does_only_the_dependence_scalars(capsys, tmp_path, elem_ops
 
 SEARCHES = {"cover-bound": ("cayley_bacharach", "min_cover_size"),
             "lines-search": ("lines", "search_green_covers"),
-            "problem1-bound": ("lines", "check_problem1_bound")}
+            "problem1-bound": ("lines", "check_problem1_bound"),
+            "newton": ("toric", "newton_polytope")}
 
 
 @pytest.mark.parametrize("subcommand", sorted(SEARCHES))
 def test_default_budget(capsys, tmp_path, monkeypatch, subcommand):
-    """A search given no budget gets the CLI default; the flag beats the
-    document's "budget", which beats the default.  The library default
-    stays None (no bound)."""
+    """A search or hull given no budget gets the CLI default; the flag
+    beats the document's "budget", which beats the default.  The library
+    default stays None (no bound)."""
     import importlib
     import inspect
 
