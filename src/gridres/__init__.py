@@ -8,7 +8,7 @@ from .expr import ParseError, parse_poly
 from .field import Field, FieldElement, FieldMismatchError, is_prime
 from .lines import (LineConfiguration, NormalizationReport, check_problem1_bound,
                     concurrency_point, grid_intersections,
-                    normalize_biconcurrent, product_form, roots_of_unity_config,
+                    normalize_biconcurrent, roots_of_unity_config,
                     search_green_covers, validate_green_cover,
                     verify_product_dependence)
 from .multipoly import MultiPoly, format_poly, vanishing_poly_from_nodes

@@ -425,7 +425,8 @@ def _cmd_lines_check(doc, args):
     }
     summary = "valid green cover" if ok else "not a valid green cover"
     if ok:
-        common = ln.concurrency_point(config.green)
+        # one green line has no concurrency point to report
+        common = ln.concurrency_point(config.green) if config.n >= 2 else None
         result["greens_concurrent_at"] = _point_out(common.coords) if common else None
         if common is not None:
             alpha, beta, gamma = ln.verify_product_dependence(config)

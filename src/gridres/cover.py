@@ -2,8 +2,9 @@
 
 Candidate lines are restricted to lines through at least two of the
 points (not through the forbidden point, never the infinity line) plus
-one singleton line per point; any minimal cover can be rewritten inside
-this family, so the search space stays finite over the rationals.
+one singleton line per point, built from the point's pencil with no walk
+over the plane; any minimal cover can be rewritten inside this family, so
+the search space stays finite over the rationals.
 
 The search is branch and bound on int bitmasks.  Points are ranked once,
 by their number of candidates and then by index (a candidate through an
@@ -31,15 +32,20 @@ from typing import Sequence
 
 from .errors import BudgetExceededError
 from .field import Field
-from .projective import (ProjLine, ProjPoint, affine_candidate_points,
-                         infinity_line, line_through)
+from .projective import (ProjLine, ProjPoint, _spanning_lines, infinity_line,
+                         line_through)
 
 
 def _singleton_line(field: Field, point: ProjPoint, excluded: ProjPoint) -> ProjLine:
-    """Some line through the point that avoids the excluded point."""
+    """The first of u, v and u + v (the spanning lines of the point's pencil
+    and their sum) that is not the infinity line and avoids the excluded
+    point.  Of three lines through the point at most one is the infinity
+    line and at most one is its join with the excluded point, so one
+    qualifies unless the excluded point is the point itself."""
     inf = infinity_line(field)
-    for q in affine_candidate_points(field, [point, excluded]):
-        line = line_through(point, q)
+    u, v = _spanning_lines(point)
+    for vec in (u, v, [a + b for a, b in zip(u, v)]):
+        line = ProjLine._raw(field, vec)
         if line != inf and not line.contains(excluded):
             return line
     raise ValueError(f"no line through {point} avoids {excluded}")

@@ -6,25 +6,25 @@ certifying the product dependence alpha*R + beta*B = gamma*G when the
 greens are concurrent, normalizing biconcurrent configurations down to
 the multiplicative-subgroup model, and checking the n+m-2 lower bound for
 covers that dodge one grid point.  Below the API everything computes on
-raw values (ints mod p, Fractions over Q): normalization reads u, v and
-the green slopes off the canonical transported triples, and only the
-reported sets and the dependence scalars are field elements.
+raw values (ints mod p, Fractions over Q): the dependence is certified by
+evaluating the line products at the points of one pencil, with no
+polynomial expansion, normalization reads u, v and the green slopes off
+the canonical transported triples, and only the reported sets and the
+dependence scalars are field elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .cover import _bits, lines_through_pairs, min_line_cover
 from .errors import BudgetExceededError, CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .linalg import _inverse
-from .multipoly import MultiPoly
 from .polytope import _dot
-from .projective import (ProjLine, ProjPoint, affine_candidate_points,
-                         infinity_line, line_through, meet, pencil)
+from .projective import ProjLine, ProjPoint, infinity_line, line_through, meet, pencil
 
 
 def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> tuple:
@@ -194,26 +194,26 @@ def _assert_partition(cover, points, n):
         raise CounterexampleError("cover misses grid points")
 
 
-def product_form(lines: Sequence[ProjLine]) -> MultiPoly:
-    """Product of the canonical linear forms, homogeneous in (x, y, z)."""
-    lines = list(lines)
-    if not lines:
-        raise ValueError("empty line family")
-    field = lines[0].field
-    out = MultiPoly.constant(field, 3, 1)
-    for line in lines:
-        form = {m: c for m, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line.coords) if c}
-        out = out * MultiPoly(field, 3, form)
-    return out
+def _pencil_points(n: int) -> list[tuple]:
+    """P_n as raw triples: n + 1 points on each of the n + 1 lines x = a*z
+    (a < n) and z = 0 through (0 : 1 : 0), distinct over Q and over F_p
+    with p >= n.  A form of degree n vanishing on P_n is divisible by all
+    n + 1 lines, so it is zero."""
+    return ([(a, b, 1) for a in range(n) for b in range(n)]
+            + [(1, b, 0) for b in range(n)] + [(0, 1, 0)])
 
 
 def verify_product_dependence(config: LineConfiguration):
-    """Nonzero (alpha, beta, gamma) with alpha*R + beta*B = gamma*G, exactly.
+    """Nonzero (alpha, beta, gamma) with alpha*R + beta*B = gamma*G, exactly,
+    scaled to gamma = 1; R, B and G are the products of the line forms.
 
-    Requires a valid green cover with concurrent greens.  The scalars come
-    from evaluating at the green concurrency point plus one off-configuration
-    point; the identity is then checked term by term, and a failure raises
-    CounterexampleError because it would contradict the dependence claim.
+    Requires a valid green cover with concurrent greens, which forces
+    p >= n over F_p.  alpha = B(c) and beta = -R(c) at the green
+    concurrency point c, gamma is read at the first point of
+    `_pencil_points` off the greens, and the identity is checked on raw
+    values at every point of P_n, which is exact in degree n (Alon,
+    Lemma 2.1).  A failure raises CounterexampleError because it would
+    contradict the dependence claim.
     """
     common = concurrency_point(config.green)
     if common is None:
@@ -222,28 +222,39 @@ def verify_product_dependence(config: LineConfiguration):
     if not ok:
         raise ValueError(f"not a valid green cover: {diagnostics}")
     field = config.field
-    big_r = product_form(config.red)
-    big_b = product_form(config.blue)
-    big_g = product_form(config.green)
-    r0 = big_r.evaluate(common.coords)
-    b0 = big_b.evaluate(common.coords)
-    if r0.is_zero() or b0.is_zero():
+    p = field.modulus
+    n = config.n
+    if p and p < n:
+        # c is off the reds, so each green holds at most p grid points
+        raise CounterexampleError(
+            f"{n} concurrent greens over F_{p} cannot cover {n * n} grid points")
+
+    def mod(x):
+        return x % p if p else x
+
+    def products(q):
+        return [mod(prod(_dot(line.coords, q) for line in family))
+                for family in (config.red, config.blue, config.green)]
+
+    r0, b0, _ = products(common.coords)
+    if not r0 or not b0:
         raise CounterexampleError(
             "green concurrency point lies on a red or blue line of a valid cover")
-    alpha, beta = b0, -r0
-    mix = alpha * big_r + beta * big_b
-    probe = next((q for q in affine_candidate_points(field, ())
-                  if not big_g.evaluate(q.coords).is_zero()), None)
-    if probe is None:
-        raise ValueError("no probe point off the green family found")
-    gamma = mix.evaluate(probe.coords) * big_g.evaluate(probe.coords).inv()
-    if gamma.is_zero():
+    alpha, beta = b0, mod(-r0)
+    values = [(mod(alpha * r + beta * b), g) for r, b, g in map(products, _pencil_points(n))]
+    # gamma = mix0 / green0 at the first point off the greens
+    for mix0, green0 in values:
+        if green0:
+            break
+    else:
+        raise CounterexampleError("the green product vanishes on every pencil point")
+    if any(mod(mix * green0 - mix0 * green) for mix, green in values):
+        raise CounterexampleError("product dependence failed on the pencil points")
+    if not mix0:  # then alpha*R + beta*B vanishes on P_n, so it is zero
         raise CounterexampleError("red and blue products are proportional")
-    if mix != big_g * gamma:
-        raise CounterexampleError(
-            "product dependence failed term-by-term verification")
-    inv = gamma.inv()
-    return alpha * inv, beta * inv, field.one
+    scale = mod(green0 * _inverse(mix0, p))  # 1 / gamma
+    return (FieldElement(field, mod(alpha * scale)), FieldElement(field, mod(beta * scale)),
+            field.one)
 
 
 def _multiplicative_subgroup(field: Field, n: int) -> list[int]:
@@ -334,13 +345,13 @@ def normalize_biconcurrent(config: LineConfiguration):
     if p_red == p_blue:
         raise ValueError("red and blue pencils share their center")
 
-    anchor_line = line_through(p_red, p_blue)
-    third = next(q for q in affine_candidate_points(field, ())
-                 if not anchor_line.contains(q))
-    basis = (p_blue.coords, p_red.coords, third.coords)
-
     def mod(x):
         return x % p if p else x
+
+    # the three candidates are not collinear, so one is off the anchor line
+    anchor = line_through(p_red, p_blue).coords
+    third = next(q for q in ((0, 0, 1), (0, 1, 1), (1, 0, 1)) if mod(_dot(anchor, q)))
+    basis = (p_blue.coords, p_red.coords, third)
 
     # the point map S^{-1} (S has the three points as columns) takes a line
     # l to l.S; canonically, reds become (1, 0, c): x = -c, blues (0, 1, c):

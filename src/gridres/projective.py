@@ -3,15 +3,17 @@
 Both carriers store `coords`, the raw canonical homogeneous triple (ints
 in [0, p) over F_p, Fractions over Q, first nonzero coordinate one), so
 equality, hashing, and sorting are structural.  Joins and meets are raw
-cross products, incidence is one raw dot product.  Working projectively
-means parallel pencils (concurrency at infinity) need no special casing
-anywhere downstream.
+cross products, incidence is one raw dot product.  Lines through a point
+come from the two spanning lines of its pencil, so no library path walks
+the plane looking for a point.  Working projectively means parallel
+pencils (concurrency at infinity) need no special casing anywhere
+downstream.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .field import Field, FieldMismatchError
 from .polytope import _cross3, _dot
@@ -113,16 +115,6 @@ def infinity_line(field: Field) -> ProjLine:
     return ProjLine(field, (0, 0, 1))
 
 
-def all_points(field: Field) -> Iterator[ProjPoint]:
-    """Every projective point over F_p in canonical order."""
-    for x in field.elements():
-        for y in field.elements():
-            yield ProjPoint._raw(field, (x.value, y.value, 1))
-    for y in field.elements():
-        yield ProjPoint._raw(field, (1, y.value, 0))
-    yield ProjPoint._raw(field, (0, 1, 0))
-
-
 def all_lines(field: Field) -> Iterator[ProjLine]:
     """Every projective line over F_p (p^2 + p + 1 of them)."""
     for b in field.elements():
@@ -133,37 +125,19 @@ def all_lines(field: Field) -> Iterator[ProjLine]:
     yield infinity_line(field)
 
 
+def _spanning_lines(point: ProjPoint) -> tuple:
+    """Two distinct raw lines u, v through the point, spanning its pencil:
+    the point and the two unit vectors other than its leading one are
+    independent, so its joins with those two are distinct."""
+    lead = next(k for k, c in enumerate(point.coords) if c)
+    return tuple(_cross3(point.coords, [int(m == k) for m in range(3)])
+                 for k in range(3) if k != lead)
+
+
 def pencil(point: ProjPoint) -> list[ProjLine]:
     """Every line through the point over F_p (p + 1 of them)."""
     field = point.field
-    lead = next(k for k, c in enumerate(point.coords) if c)
-    # the point and the two unit vectors other than its leading one are
-    # independent, so the lines joining it to them span the pencil
-    u, v = (_cross3(point.coords, [int(m == k) for m in range(3)])
-            for k in range(3) if k != lead)
+    u, v = _spanning_lines(point)
     return ([ProjLine._raw(field, [a + t.value * b for a, b in zip(u, v)])
              for t in field.elements()]
             + [ProjLine._raw(field, v)])
-
-
-def affine_candidate_points(field: Field, avoid: Iterable[ProjPoint]) -> Iterator[ProjPoint]:
-    """Deterministic stream of points outside the given finite set.
-
-    Over a prime field this walks all points; over the rationals it walks
-    an ever-growing integer grid, so it terminates for any finite avoid set.
-    """
-    avoid = set(avoid)
-    if field.is_prime_field:
-        for p in all_points(field):
-            if p not in avoid:
-                yield p
-        return
-    bound = 0
-    while True:
-        for x in range(bound + 1):
-            for y in range(bound + 1):
-                if max(x, y) == bound:
-                    p = ProjPoint.affine(field, x, y)
-                    if p not in avoid:
-                        yield p
-        bound += 1

@@ -6,13 +6,13 @@ from math import gcd
 from random import Random
 
 from gridres import (BudgetExceededError, CounterexampleError, Field, LineConfiguration,
-                     MultiPoly, NormalizationReport, ProjLine, concurrency_point,
+                     MultiPoly, NormalizationReport, ProjLine, ProjPoint, concurrency_point,
                      line_through, validate_green_cover, vanishing_poly_from_nodes)
 from gridres.cover import candidate_traces, lines_through_pairs
 from gridres.field import FieldMismatchError
 from gridres.lines import grid_intersections
 from gridres.polytope import _cross3, _dot, primitive, solve_nonnegative
-from gridres.projective import affine_candidate_points, infinity_line, pencil
+from gridres.projective import infinity_line, pencil
 
 
 def random_element(rng: Random, field: Field, nonzero: bool = False):
@@ -348,6 +348,53 @@ def assert_raw_triple(x):
         else:
             assert type(c) is Fraction, x.coords
     assert next(c for c in x.coords if c) == 1, x.coords
+
+
+def all_points(field: Field):
+    """Every projective point over F_p in canonical order."""
+    for x in field.elements():
+        for y in field.elements():
+            yield ProjPoint._raw(field, (x.value, y.value, 1))
+    for y in field.elements():
+        yield ProjPoint._raw(field, (1, y.value, 0))
+    yield ProjPoint._raw(field, (0, 1, 0))
+
+
+def affine_candidate_points(field: Field, avoid):
+    """Deterministic stream of points outside the given finite set.
+
+    Over a prime field this walks all points; over the rationals it walks
+    an ever-growing integer grid, so it terminates for any finite avoid set.
+    """
+    avoid = set(avoid)
+    if field.is_prime_field:
+        for p in all_points(field):
+            if p not in avoid:
+                yield p
+        return
+    bound = 0
+    while True:
+        for x in range(bound + 1):
+            for y in range(bound + 1):
+                if max(x, y) == bound:
+                    p = ProjPoint.affine(field, x, y)
+                    if p not in avoid:
+                        yield p
+        bound += 1
+
+
+def product_form(lines) -> MultiPoly:
+    """Oracle: the product of the canonical linear forms of the lines,
+    expanded as a homogeneous MultiPoly in (x, y, z)."""
+    lines = list(lines)
+    if not lines:
+        raise ValueError("empty line family")
+    field = lines[0].field
+    out = MultiPoly.constant(field, 3, 1)
+    for line in lines:
+        form = {m: c for m, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line.coords) if c}
+        out = out * MultiPoly(field, 3, form)
+    return out
 
 
 def _det3(u, v, w):

@@ -15,7 +15,7 @@ from gridres import (Field, GridSystem, HypersurfaceSystem, MultiPoly,
                      check_relaxed_support, coefficient_via_grid,
                      default_samples, forced_value, grid_intersections,
                      is_unfolded, min_cover_size, normalize_biconcurrent,
-                     parse_poly, product_form, residue_sum_over_zeros,
+                     parse_poly, residue_sum_over_zeros,
                      roots_of_unity_config, search_green_covers,
                      solve_vertex_coefficients, validate_green_cover,
                      verify_cb, verify_hypersurface_theorem,
@@ -24,7 +24,7 @@ from gridres import (Field, GridSystem, HypersurfaceSystem, MultiPoly,
 from gridres.lines import LineConfiguration, ProjLine, check_problem1_bound
 from gridres.polytope import strict_support_direction
 
-from helpers import (random_bounded_poly, random_element, random_nodes,
+from helpers import (product_form, random_bounded_poly, random_element, random_nodes,
                      random_relaxed_poly)
 
 Q = Field.rationals()

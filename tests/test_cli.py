@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from gridres import toric
+from gridres import multipoly, toric
 from gridres.cli import main
 
 from helpers import affine_dimension, point_in_hull
@@ -709,10 +709,42 @@ def test_lines_classify_does_no_element_arithmetic(capsys, tmp_path, elem_ops, d
 def test_lines_check_does_only_the_dependence_scalars(capsys, tmp_path, elem_ops, doc):
     code, report, _ = run(capsys, tmp_path, "lines-check", doc)
     assert code == 0 and report["result"]["greens_concurrent_at"] is not None
-    # alpha, beta = b0, -r0; alpha*R and beta*B (each a FieldElement.__mul__
-    # deferring to MultiPoly); gamma = mix(q) * G(q)^-1; gamma^-1; alpha and
-    # beta times gamma^-1
-    assert len(elem_ops) == 8
+    # the scalars are computed raw and only wrapped as field elements
+    assert not elem_ops
+
+
+@pytest.mark.parametrize("doc, dependence", [(SUBGROUP_LINES, ["1", "1", "1"]),
+                                             (DIAGONALS, ["1", "-1", "1"])])
+def test_lines_check_multiplies_no_polynomials(capsys, tmp_path, monkeypatch, doc, dependence):
+    def refuse(*args):
+        raise AssertionError("lines-check multiplied polynomials")
+    monkeypatch.setattr(multipoly, "_mul_terms", refuse)
+    monkeypatch.setattr(multipoly.MultiPoly, "__mul__", refuse)
+    code, report, _ = run(capsys, tmp_path, "lines-check", doc)
+    assert code == 0
+    assert report["result"]["product_dependence"] == dependence
+
+
+ONE_POINT_GRID = {"field": F7, "red": [["0", "1", "0"]], "blue": [["1", "0", "0"]]}
+SUBGROUP_GRID = {k: SUBGROUP_LINES[k] for k in ("field", "red", "blue")}
+
+
+@pytest.mark.parametrize("grid, cover_count, concurrent", [(ONE_POINT_GRID, 6, False),
+                                                           (SUBGROUP_GRID, 1, True)])
+def test_lines_check_accepts_every_searched_cover(capsys, tmp_path, grid, cover_count,
+                                                  concurrent):
+    """A one-line cover has no concurrency point and exits 0 too."""
+    code, report, _ = run(capsys, tmp_path, "lines-search", grid)
+    assert code == 0
+    covers = report["result"]["covers"]
+    assert len(covers) == cover_count
+    for green in covers:
+        code, report, _ = run(capsys, tmp_path, "lines-check", dict(grid, green=green))
+        assert code == 0, report
+        result = report["result"]
+        assert result["valid_cover"] is True and not result["uncovered"]
+        assert (result["greens_concurrent_at"] is not None) == concurrent
+        assert ("product_dependence" in result) == concurrent
 
 
 SEARCHES = {"cover-bound": ("cayley_bacharach", "min_cover_size"),

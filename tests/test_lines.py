@@ -8,15 +8,16 @@ import pytest
 from gridres import (CounterexampleError, Field, FieldMismatchError, LineConfiguration,
                      ProjLine, ProjPoint, check_problem1_bound, concurrency_point,
                      grid_intersections, line_through, normalize_biconcurrent,
-                     parse_poly, product_form, roots_of_unity_config,
+                     parse_poly, roots_of_unity_config,
                      search_green_covers, validate_green_cover,
                      verify_product_dependence)
+from gridres import lines
 from gridres.field import is_prime
 from gridres.linalg import determinant
-from gridres.lines import _multiplicative_subgroup
-from gridres.projective import (affine_candidate_points, all_lines, all_points,
-                                infinity_line, pencil)
-from helpers import oracle_normalize_biconcurrent
+from gridres.lines import _multiplicative_subgroup, _pencil_points
+from gridres.projective import all_lines, infinity_line, pencil
+from helpers import (affine_candidate_points, all_points, oracle_normalize_biconcurrent,
+                     product_form)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -548,3 +549,83 @@ def test_dependence_on_every_searched_cover():
         assert concurrency_point(cover) is not None
         alpha, beta, gamma = verify_product_dependence(candidate)
         assert not alpha.is_zero() and not beta.is_zero()
+
+
+def assert_dependence_matches_oracle(config):
+    """The certified scalars satisfy alpha*R + beta*B = gamma*G on the
+    expanded products, with gamma = 1 and alpha, beta nonzero."""
+    alpha, beta, gamma = verify_product_dependence(config)
+    big_r, big_b, big_g = (product_form(f) for f in (config.red, config.blue, config.green))
+    assert alpha * big_r + beta * big_b == gamma * big_g
+    assert gamma == config.field.one and not alpha.is_zero() and not beta.is_zero()
+    # canonical raw values: ints in [0, p) over F_p, Fractions over Q
+    p = config.field.modulus
+    for x in (alpha, beta):
+        assert type(x.value) is (int if p else Fraction) and (not p or 0 <= x.value < p)
+
+
+def test_dependence_matches_product_oracle_on_every_concurrent_cover():
+    """p = n included: F_2 and F_3 with n = p, F_5 with n = 5, the F_7
+    subgroup grid and its projective images, and progression grids over Q."""
+    rng = Random(22)
+    subgroup = roots_of_unity_config(F7, 3)
+    grids = [([vertical(field, c) for c in range(n)], [horizontal(field, c) for c in range(n)],
+              field) for field, n in ((Field.prime(2), 2), (Field.prime(3), 3), (F5, 5))]
+    grids += [(config.red, config.blue, F7) for config in
+              [subgroup] + [transform(subgroup, random_projective_map(F7, rng)) for _ in range(3)]]
+    grids += [(*arithmetic_grid(Q, 2, rng), Q) for _ in range(4)]
+    for red, blue, field in grids:
+        concurrent = [cover for cover in search_green_covers(red, blue, field)
+                      if concurrency_point(cover) is not None]
+        assert concurrent, (field, red)
+        for cover in concurrent:
+            assert_dependence_matches_oracle(LineConfiguration(field, red, blue, cover))
+
+
+def test_pencil_points_lie_on_n_plus_one_lines_of_a_pencil():
+    for field, n in ((Field.prime(2), 2), (F5, 3), (F5, 5), (Q, 4)):
+        points = [ProjPoint(field, q) for q in _pencil_points(n)]
+        # n points off the center on each of the n + 1 lines, and the center
+        assert len(set(points)) == len(points) == n * (n + 1) + 1
+        center = ProjPoint(field, (0, 1, 0))
+        rays = [ProjLine(field, (1, 0, -a)) for a in range(n)] + [infinity_line(field)]
+        assert len(set(rays)) == n + 1
+        for ray in rays:
+            assert ray.contains(center)
+            assert sum(ray.contains(q) for q in points) == n + 1
+
+
+def test_dependence_rejects_greens_that_miss_the_grid(monkeypatch):
+    """With validation forced to pass, concurrent greens x = a that are not
+    the subgroup {1, 2, 4} fail the pencil check, and the expanded products
+    confirm that no gamma fits."""
+    monkeypatch.setattr(lines, "validate_green_cover", lambda config: (True, {}))
+    base = roots_of_unity_config(F7, 3)
+    big_r, big_b = product_form(base.red), product_form(base.blue)
+    # alpha = B(c), beta = -R(c) at the common point c = (0 : 1 : 0)
+    alpha, beta = (F7(-1), F7(-1))
+    assert verify_product_dependence(base) == (F7.one, F7.one, F7.one)
+    rejected = 0
+    for nodes in combinations(range(7), 3):
+        if nodes == (1, 2, 4):
+            continue
+        green = [vertical(F7, a) for a in nodes]
+        config = LineConfiguration(F7, base.red, base.blue, green)
+        with pytest.raises(CounterexampleError, match="failed on the pencil points"):
+            verify_product_dependence(config)
+        big_g = product_form(green)
+        assert all(alpha * big_r + beta * big_b != gamma * big_g for gamma in F7.elements())
+        rejected += 1
+    assert rejected == 34
+
+
+def test_dependence_needs_p_at_least_n(monkeypatch):
+    """Three concurrent greens over F_2 cannot cover a 3 x 3 grid; with
+    validation forced to pass, the guard says so."""
+    monkeypatch.setattr(lines, "validate_green_cover", lambda config: (True, {}))
+    F2 = Field.prime(2)
+    families = [pencil(ProjPoint(F2, center)) for center in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    config = LineConfiguration(F2, *families)
+    assert config.n == 3 and concurrency_point(config.green) is not None
+    with pytest.raises(CounterexampleError, match="cannot cover 9 grid points"):
+        verify_product_dependence(config)

@@ -9,9 +9,9 @@ import pytest
 from gridres import (Field, FieldMismatchError, ProjLine, ProjPoint,
                      grid_intersections, line_through, meet, search_green_covers)
 from gridres.cover import min_line_cover
-from gridres.projective import all_lines, all_points, pencil
+from gridres.projective import all_lines, pencil
 
-from helpers import (assert_raw_triple, element_canonical, element_contains,
+from helpers import (all_points, assert_raw_triple, element_canonical, element_contains,
                      element_coords, element_cross, random_element)
 
 Q = Field.rationals()
