@@ -11,7 +11,14 @@ The dependence is never stored point by point, and the g_i themselves are
 never built for it: the residual is the factorized grid sum.  A forced
 value keys each value record by the node indices of its point and
 contracts the value map against the per-axis weight tables of
-nullstellensatz.grid_weights, indexed by node.
+nullstellensatz.grid_weights, indexed by node.  Over Q each table is
+cleared of denominators once (scaled by the lcm of its denominators, so
+its entries are ints proportional to 1/g_i'(a), as are the W_j of
+nullstellensatz), and the values are scaled to ints by the lcm M of
+theirs.  Each axis's common factor cancels in
+-(sum of alpha_x v_x) / alpha_t, so the contraction runs on ints and the
+forced value is one division: the contracted values over M times the
+contracted indicator of t.
 The general statement over F_p is checked on the common zeros in F_p^n,
 found by walking the grid F_p^n one axis at a time (the walk of
 nullstellensatz): each g_i collapses to its restriction at the next node,
@@ -21,6 +28,7 @@ and a slab is dropped as soon as some g_i is a nonzero constant on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Mapping, Sequence
@@ -29,8 +37,9 @@ from .cover import min_line_cover
 from .errors import CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .multipoly import MultiPoly
-from .nullstellensatz import (GridSystem, _collapse, _grid_walk, _require_compatible,
-                              _require_polynomial, _weighted_grid_sum, grid_weights)
+from .nullstellensatz import (GridSystem, _clear_denominators, _collapse, _grid_walk,
+                              _require_compatible, _require_polynomial, _weighted_grid_sum,
+                              grid_weights)
 from .projective import ProjPoint
 
 
@@ -116,13 +125,19 @@ def _forced_by_index(system: GridSystem, given: dict, stray, target: tuple,
         raise ValueError(f"unexpected points in values, "
                          f"e.g. {tuple(map(str, min(extra)))}")
     field = system.field
-    tables = [dict(enumerate(grid_weights(ns).values())) for ns in system.nodes]
+    p = field.modulus
+    tables = [dict(enumerate(_clear_denominators(grid_weights(ns), p)[0].values()))
+              for ns in system.nodes]
 
-    def contract(vals) -> FieldElement:
+    def contract(vals) -> int:
         for t in tables:
-            vals = _collapse(vals, t, field.modulus)
-        return field(vals.get((), 0))
-    return -contract(given) * contract({at: 1}).inv()
+            vals = _collapse(vals, t, p)
+        return vals.get((), 0)
+    given, m = _clear_denominators(given, p)
+    total, alpha = contract(given), contract({at: 1})
+    if p:
+        return -field(total) * field(alpha).inv()
+    return field(Fraction(-total, m * alpha))
 
 
 def min_cover_size(points: Sequence, excluded, field: Field,

@@ -21,13 +21,25 @@ restricts f to z_i = a.  The witness search walks the grid in row-major
 order with the second kind, and skips the slab behind a node as soon as
 f collapses to zero there.  The weights 1/phi_i'(a) are a raw table too
 (grid_weights), so only the final scalar becomes a FieldElement.
+
+Over Q the kernels clear denominators once per axis, so _collapse sees
+only ints.  Write the s nodes of an axis as a_j = alpha_j / D with integer
+alpha_j and D the lcm of their denominators, P_j = prod over k != j of
+(alpha_j - alpha_k), L = lcm |P_j| and W_j = L / P_j; then
+1/phi'(a_j) = W_j * D^(s-1) / L.  With E the largest exponent of the axis
+in the term map, the integer table T(e) = sum_j W_j alpha_j^e D^(E-e) is
+S(e) times D^E L / D^(s-1), and f is scaled by M, the lcm of its
+coefficient denominators.  The grid sum is then an integer, and one
+division by M and the axis factors gives the single Fraction.  The walk
+restricts M f against alpha^e D^(E-e), a positive multiple of a^e, so it
+tests the same vanishing.  Over F_p, D = L = 1 and W_j = 1/phi'(a_j).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .field import Field, FieldElement, FieldMismatchError
@@ -100,9 +112,43 @@ def grid_weights(nodes: Sequence[FieldElement]) -> dict:
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate nodes")
     p = nodes[0].field.modulus
-    values = [a.value for a in nodes]
-    derivs = [prod(a - b for b in values if b != a) for a in values]
-    return {a: pow(d, -1, p) if p else 1 / Fraction(d) for a, d in zip(values, derivs)}
+    d, weights, l = _axis_weights([a.value for a in nodes], p)
+    if p:
+        return weights
+    scale = d ** (len(nodes) - 1)
+    return {a: Fraction(w * scale, l) for a, w in weights.items()}
+
+
+def _clear_denominators(raw: dict, p) -> tuple:
+    """(M * raw, M) with M the lcm of the denominators of the values, so
+    every value of M * raw is an int; over F_p (raw, 1)."""
+    if p:
+        return raw, 1
+    m = lcm(*(c.denominator for c in raw.values()))
+    return {k: c.numerator * (m // c.denominator) for k, c in raw.items()}, m
+
+
+def _axis_weights(values, p) -> tuple:
+    """(D, W, L) for one axis of raw node values, W keyed by node value in
+    the given order: 1/phi'(a) = W[a] * D^(s-1) / L with W[a] an int (see
+    above)."""
+    alphas, d = _clear_denominators(dict(zip(values, values)), p)
+    derivs = {a: prod(x - y for y in alphas.values() if y != x) for a, x in alphas.items()}
+    if p:
+        return 1, {a: pow(q, -1, p) for a, q in derivs.items()}, 1
+    l = lcm(*derivs.values())
+    return d, {a: l // q for a, q in derivs.items()}, l
+
+
+def _power_table(a, d: int, exps, p) -> dict:
+    """{e: alpha^e D^(E-e)} for the raw node a = alpha / D, e in exps and
+    E = max(exps): the powers a^e scaled by D^E, as ints; over F_p
+    {e: a^e mod p}."""
+    if p:
+        return {e: pow(a, e, p) for e in exps}
+    alpha = a.numerator * (d // a.denominator)
+    top = max(exps, default=0)
+    return {e: alpha ** e * d ** (top - e) for e in exps}
 
 
 def check_classical_degree(f: MultiPoly, c: Sequence[int]) -> bool:
@@ -143,17 +189,25 @@ def _collapse(terms: dict, table: dict, p) -> dict:
 def _weighted_grid_sum(f: MultiPoly, nodes) -> FieldElement:
     """Sum over the grid of f(x) * prod_i 1/phi_i'(x_i), one axis at a time.
 
-    Axis i's table S_i(e) is itself a collapse: the power map
-    {(a, e): a^e} summed over a against the weights of A_i.
+    Axis i's table T_i(e) is itself a collapse: the scaled power map
+    {(a, e): alpha^e D^(E-e)} summed over a against the integer weights
+    W; over Q the result is the int total divided once by M and by
+    D^E L / D^(s-1) per axis.
     """
-    field, terms = f.field, f.terms
+    field = f.field
     p = field.modulus
+    terms, den = _clear_denominators(f.terms, p)
+    num = 1
     for ns in nodes:
-        weights = grid_weights(ns)
+        d, weights, l = _axis_weights([a.value for a in ns], p)
         exps = {m[0] for m in terms}
-        sums = _collapse({(a, e): pow(a, e, p) for a in weights for e in exps}, weights, p)
+        powers = {(a, e): t for a in weights for e, t in _power_table(a, d, exps, p).items()}
+        sums = _collapse(powers, weights, p)
         terms = _collapse(terms, {e: s for (e,), s in sums.items()}, p)
-    return field(terms.get((), 0))
+        num *= d ** (len(ns) - 1)
+        den *= l * d ** max(exps, default=0)
+    total = terms.get((), 0)
+    return field(total if p else Fraction(total * num, den))
 
 
 def _grid_walk(maps, nodes, p, dead):
@@ -163,24 +217,28 @@ def _grid_walk(maps, nodes, p, dead):
     restriction there, and the slab behind a is skipped as soon as
     dead(collapsed maps) holds; a leaf, where every map is a constant,
     yields its point unless it is dead.  The walk keeps one frame (maps,
-    node iterator, exponents) per axis on a list, so its depth is not
-    bounded by the recursion limit.
+    node iterator, D, exponents) per axis on a list, so its depth is not
+    bounded by the recursion limit.  Over Q the maps have int coefficients
+    and each node a = alpha / D restricts against alpha^e D^(E-e), which
+    scales every restriction by D^E > 0.
     """
+    scales = [1 if p else lcm(*(a.value.denominator for a in ns)) for ns in nodes]
     point, stack = [], []
     while True:
         if len(point) == len(nodes):
             yield tuple(point)
         else:
-            stack.append((maps, iter(nodes[len(point)]), {m[0] for g in maps for m in g}))
+            k = len(point)
+            stack.append((maps, iter(nodes[k]), scales[k], {m[0] for g in maps for m in g}))
         # advance to the next surviving node, backing out of exhausted axes
         while stack:
-            above, todo, exps = stack[-1]
+            above, todo, d, exps = stack[-1]
             del point[len(stack) - 1:]
             a = next(todo, None)
             if a is None:
                 stack.pop()
                 continue
-            table = {e: pow(a.value, e, p) for e in exps}
+            table = _power_table(a.value, d, exps, p)
             maps = [_collapse(g, table, p) for g in above]
             if not dead(maps):
                 point.append(a)
@@ -224,5 +282,6 @@ def find_nonvanishing_witness(f: MultiPoly, grid: GridSystem):
     """
     _require_compatible(f, grid)
     _require_polynomial(f)
-    return next(_grid_walk([f.terms], grid.nodes, f.field.modulus,
-                           lambda maps: not maps[0]), None)
+    p = f.field.modulus
+    terms, _ = _clear_denominators(f.terms, p)
+    return next(_grid_walk([terms], grid.nodes, p, lambda maps: not maps[0]), None)

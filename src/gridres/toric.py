@@ -130,14 +130,21 @@ def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
     out of its interior; violations are reported by vertex.  A vertex whose
     vertex_directions entry keeps the shifted numerator polytope weakly
     below it passes at once; only the others ask for another direction.
+    A one-term numerator (every default sample) is its own polytope, so
+    it builds no hull.
     """
     directions = system.vertex_directions
     if f.is_zero():
         raise ValueError("zero numerator has no support polytope")
     if f.nvars != system.nvars:
         raise ValueError("numerator arity differs from system arity")
-    support = newton_polytope(f)
-    shifted = [tuple(c + 1 for c in s) for s in support.vertices]
+    if len(f.terms) == 1:
+        vertices = tuple(f.terms)
+        contains = vertices.__contains__
+    else:
+        support = newton_polytope(f)
+        vertices, contains = support.vertices, support.contains
+    shifted = [tuple(c + 1 for c in s) for s in vertices]
     total = system.sum_polytope
     plus, zero = [], []
     for v, u in directions.items():
@@ -146,7 +153,7 @@ def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
                 and strict_support_direction(total, v, dominated=shifted) is None):
             raise ValueError(
                 f"support halfspace assumption violated at vertex {v}")
-        (zero if support.contains(tuple(c - 1 for c in v)) else plus).append(v)
+        (zero if contains(tuple(c - 1 for c in v)) else plus).append(v)
     return VertexSplit(v_plus=tuple(plus), v_zero=tuple(zero))
 
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from random import Random
 
 from gridres import (BudgetExceededError, CounterexampleError, Field, LineConfiguration,
@@ -202,6 +202,84 @@ def pointwise_alpha(nodes) -> dict:
             d = d * g.evaluate((xi,))
         out[x] = d.inv()
     return out
+
+
+# Oracles for the integer grid kernels of gridres.nullstellensatz and
+# gridres.cayley_bacharach: the same one-axis-at-a-time collapse, run on
+# raw Fractions over Q (ints mod p over F_p), one Fraction operation per
+# term, with the weights 1/phi'(a) taken from the products of differences
+# directly.
+
+def fraction_weights(values, p) -> dict:
+    """Raw map node value -> 1/prod_{b != a}(a - b)."""
+    derivs = [prod(a - b for b in values if b != a) for a in values]
+    return {a: pow(d, -1, p) if p else 1 / Fraction(d) for a, d in zip(values, derivs)}
+
+
+def fraction_collapse(terms: dict, table: dict, p) -> dict:
+    """The first variable of a raw term map summed against a raw table."""
+    out: dict = {}
+    for m, c in terms.items():
+        t = table.get(m[0])
+        if t:
+            rest = m[1:]
+            out[rest] = out.get(rest, 0) + c * t
+    if p:
+        return {m: r for m, c in out.items() if (r := c % p)}
+    return {m: c for m, c in out.items() if c}
+
+
+def fraction_grid_sum(f: MultiPoly, nodes):
+    """Oracle: sum over the grid of f(x) * prod_i 1/phi_i'(x_i), one axis
+    at a time, against the tables S_i(e) = sum_a a^e / phi_i'(a)."""
+    field, terms = f.field, f.terms
+    p = field.modulus
+    for ns in nodes:
+        weights = fraction_weights([a.value for a in ns], p)
+        exps = {m[0] for m in terms}
+        sums = fraction_collapse({(a, e): pow(a, e, p) for a in weights for e in exps},
+                                 weights, p)
+        terms = fraction_collapse(terms, {e: s for (e,), s in sums.items()}, p)
+    return field(terms.get((), 0))
+
+
+def fraction_forced_value(values: dict, grid, target):
+    """Oracle: -(sum over x != t of alpha_x v_x) / alpha_t, the values keyed
+    by node indices and contracted one axis at a time against the weights
+    indexed by node; every grid point but target is given exactly once."""
+    field = grid.field
+    p = field.modulus
+    index = [{a: j for j, a in enumerate(ns)} for ns in grid.nodes]
+
+    def key(pt):
+        return tuple(ix[field(x)] for ix, x in zip(index, pt))
+    tables = [dict(enumerate(fraction_weights([a.value for a in ns], p).values()))
+              for ns in grid.nodes]
+
+    def contract(vals):
+        for t in tables:
+            vals = fraction_collapse(vals, t, p)
+        return field(vals.get((), 0))
+    given = {key(pt): field(v).value for pt, v in values.items()}
+    return -contract(given) * contract({key(target): 1}).inv()
+
+
+def fraction_witness(f: MultiPoly, grid):
+    """Oracle: the row-major walk on f's raw terms, restricting f to each
+    node of the next axis in turn and skipping the slab behind a node
+    where the restriction is zero; None when f vanishes on the grid."""
+    p = f.field.modulus
+
+    def walk(terms, point):
+        if len(point) == grid.nvars:
+            return tuple(point)
+        exps = {m[0] for m in terms}
+        for a in grid.nodes[len(point)]:
+            rest = fraction_collapse(terms, {e: pow(a.value, e, p) for e in exps}, p)
+            if rest and (found := walk(rest, point + [a])):
+                return found
+        return None
+    return walk(f.terms, []) if f.terms else None
 
 
 def facet_normals_by_enumeration(vertices):

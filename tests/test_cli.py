@@ -272,6 +272,62 @@ def test_cb_forced_does_only_the_final_scalar_operations(capsys, tmp_path, elem_
     assert len(elem_ops) <= 3  # the final -v * alpha_t^-1
 
 
+Q_GRIDS = [["-2", "0", "1/3", "5/7"], ["1/1000003", "-4/11", "6"]]
+
+
+@pytest.mark.parametrize("subcommand, doc, expected", [
+    ("coeff", {"poly": "1/5*x^3*y^2 - 7/9*x^9*y + 1/13*x*y + 2"},
+     {"coefficient_via_grid": "1/5"}),
+    ("cb-verify", {"poly": "1/3*x^2*y - 5/2*x*y + 1/7"}, {"residual": "0"}),
+    ("witness", {"poly": "x*(x + 2)*(2/3*x*y^2 + 1/17)"},
+     {"coefficient_via_grid": "2/3", "witness": ["1/3", "-4/11"]}),
+    ("cb-forced", {"target": ["1/3", "6"],
+                   "values": [{"point": [a, b], "value": f"{k}/{k + 1}"}
+                              for k, (a, b) in enumerate(product(*Q_GRIDS))
+                              if [a, b] != ["1/3", "6"]]}, {}),
+])
+def test_q_grid_kernels_collapse_only_ints(capsys, tmp_path, monkeypatch, subcommand, doc,
+                                           expected):
+    """Over Q the sum, the forced contraction and the witness walk clear
+    denominators first: every coefficient and table value _collapse
+    receives is an int."""
+    from gridres import cayley_bacharach, nullstellensatz
+    original = nullstellensatz._collapse
+    calls, stray = [], []
+
+    def checked(terms, table, p):
+        calls.append(1)
+        stray.extend(c for c in [*terms.values(), *table.values()] if type(c) is not int)
+        return original(terms, table, p)
+    for module in (nullstellensatz, cayley_bacharach):
+        monkeypatch.setattr(module, "_collapse", checked)
+    code, report, _ = run(capsys, tmp_path, subcommand, {
+        "field": RATIONALS, "vars": ["x", "y"], "grids": Q_GRIDS, **doc})
+    assert code == 0, report
+    assert calls and not stray
+    assert {k: report["result"][k] for k in expected} == expected
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_q_coeff_with_a_huge_spike_within_a_second(capsys, tmp_path):
+    """The axis tables hold only the exponents present in f, so x^200000
+    costs one power per node, not a table over every exponent up to it."""
+    def too_slow(signum, frame):
+        raise TimeoutError("coeff ran for over 1 s")
+
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, report, _ = run(capsys, tmp_path, "coeff", {
+            "field": RATIONALS, "vars": ["x", "y"], "poly": "x^200000*y + 3*x*y^2 + x*y",
+            "grids": [["1/2", "3"], ["2/7", "5", "-1/3"]]})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert code == 0
+    assert report["result"]["coefficient_via_grid"] == "3"
+
+
 def test_line_and_point_coordinates_are_coerced_once(monkeypatch):
     # the JSON strings go straight to ProjLine/ProjPoint, which coerce them
     from gridres.cli import _decode_lines, _decode_point
@@ -551,6 +607,26 @@ def test_toric_verify_derives_each_vertex_direction_once(capsys, tmp_path, monke
     vertices += [tuple(v) for v in result["unconstrained_vertices"]]
     assert len(vertices) == 4
     assert sorted(asked) == sorted(vertices)
+
+
+def test_toric_verify_default_samples_build_no_hull(capsys, tmp_path, monkeypatch):
+    """Each default sample z^(w - 1) is one term, its own support polytope:
+    the split builds hulls only for the system's g_i."""
+    built = []
+    original = toric.newton_polytope
+
+    def counted(f, *args, **kwargs):
+        built.append(f)
+        return original(f, *args, **kwargs)
+
+    monkeypatch.setattr(toric, "newton_polytope", counted)
+    code, report, _ = run(capsys, tmp_path, "toric-verify", {
+        "field": RATIONALS, "vars": ["x", "y", "z"], "poly": "3*x^2*y*z + x*y - 2",
+        "grids": [["1", "2", "3"], ["1", "2"], ["-1", "1/2"]]})
+    assert code == 0
+    assert report["result"]["agree"] is True
+    assert len(report["result"]["vertex_weights"]) == 8
+    assert len(built) == 3  # g_1, g_2, g_3
 
 
 FOUR_VARIABLE_SYSTEM = ["1 + a^2*b + c*d^3 + a*b^3*c^2*d", "1 + b^2*c + d*a^3 + b*c^3*d^2*a",
