@@ -1,4 +1,4 @@
-"""Parser for polynomial expressions.
+"""Reader for polynomial expressions.
 
 Grammar:
 
@@ -10,31 +10,33 @@ Grammar:
 Variables are x, y, z (when the arity allows) or z1..zn.  Literals are
 integers, optionally written as a fraction a/b so that canonical output
 over the rationals reparses.  Negative exponents build Laurent monomials;
-they are only legal on single-term bases.  Errors carry the offset of the
-offending character.  The recursive-descent parser takes every token
-from one compiled pattern.
+they are only legal on single-term bases.  Tokens are ASCII integers,
+words (\\w+, so str.isalnum() or "_") and single other characters, and
+any str.isspace() run separates them.  Errors carry the offset of the
+offending character.
+
+One reader takes a sum factor by factor: one regex matches a factor (the
+operator before it, a literal or a word, an optional exponent) where the
+last match ended, and only where it misses does a second one try '(',
+which recurses into the parenthesised sum.  A product of variables and
+literals is kept as one coefficient and one exponent list; a parenthesised
+factor turns its term into a term dict.  Where both patterns miss, the sum
+ends: at its ')', at the end of the text or at an error, which the
+characters there determine.  Every match starts where the last one ended,
+so the reader runs in time linear in the text, malformed text included.
 
 The rules work on raw coefficients: ints mod p (over F_p) or
-ints/Fractions (over Q).  Every factor is a dict from exponent tuples to
-nonzero coefficients, and products and powers go through the raw kernels
-of gridres.multipoly, the ones MultiPoly's own ring operations use.  So a
-parsed product is the product MultiPoly computes, overflow checks
+ints/Fractions (over Q).  Products and powers of term dicts go through the
+raw kernels of gridres.multipoly, the ones MultiPoly's own ring operations
+use, so a parsed product is the product MultiPoly computes, overflow checks
 included: a product out of the signed 32-bit range raises OverflowError,
-a literal exponent out of it raises ParseError.  Over Q the integer
-coefficients left at the end become Fractions, the raw form MultiPoly
-stores.
+a literal exponent out of it raises ParseError.  Errors come in reading
+order, each at the first point where the text is refused.  Over Q the
+integer coefficients left at the end become Fractions, the raw form
+MultiPoly stores.
 
 A product or power whose predicted size passes a fixed bound raises
 ParseError at its operator before any work; the shared kernels are not bounded.
-
-Two readers share this grammar.  A flat sum, ['-'] c*x^a*y^b (+- ...)*
-with no parenthesis and no literal to a power, is read by one regex scan
-and one loop over its factors, which builds the terms the recursive-descent
-parser would.  Each factor is matched where the last one ended, so the
-scan stops at the first character no factor reads, in time linear in the
-text.  Everything else goes to that parser, from the start: any
-parenthesised text, and any text that is not a well-formed flat sum, so
-every error and its offset come from the recursive-descent parser.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .field import Field
 from .multipoly import (MAX_EXPONENT, MIN_EXPONENT, MultiPoly, _mul_terms,
@@ -57,178 +58,220 @@ class ParseError(ValueError):
         self.position = position
 
 
-# One token: an ASCII integer, a word or one other character.  So only an
-# integer starts with an ASCII digit and only a word with a letter.  \w is
-# exactly str.isalnum() or "_", \S exactly not str.isspace(), so a scan
-# skips exactly the whitespace between tokens.
-_TOKEN = re.compile(r"[0-9]+|\w+|\S")
-
 # Bounds on predicted sizes: a product's term pairs, the C(e + t - 1, t - 1)
 # possible terms of a t-term sum to the e (squaring to R terms costs about
 # R^2 / 3 pairs), and over Q the bits of a coefficient other than +-1 to the e.
-# The parser recurses once per open parenthesis, so their nesting is bounded too.
+# The reader recurses once per open parenthesis, so their nesting is bounded too.
 MAX_PAIRS = 100_000
 MAX_DEPTH = 100
 MAX_POWER_TERMS = 500
 MAX_POWER_BITS = 100_000
 
+# One factor with the whitespace around it: the operator before it (none
+# before the first), a literal a or a/b or a word, and an optional exponent;
+# an unmatched part reads None.  Every part is greedy and all after the base
+# optional, so a match never stops inside a token.  No two whitespace runs
+# are adjacent, so a match takes time linear in the text it tries.
+_FACTOR = re.compile(r"\s*(?:([-+*])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(\w+))"
+                     r"(?:\s*\^\s*(?:(-)\s*)?([0-9]+))?\s*")
+# An opening parenthesis with the operator before it, and a closing one with
+# an optional exponent.
+_OPEN = re.compile(r"\s*(?:([-+*])\s*)?\(")
+_CLOSE = re.compile(r"\)(?:\s*\^\s*(?:(-)\s*)?([0-9]+))?\s*")
+_SPACE = re.compile(r"\s*")
+_EXPECTED = "expected a variable, literal, or parenthesis"
+
 
 def is_variable_name(name: str) -> bool:
     """Whether the grammar can read name as a variable: one word token
     that starts with a letter."""
-    return name[:1].isalpha() and _TOKEN.fullmatch(name) is not None
+    return name[:1].isalpha() and all(ch.isalnum() or ch == "_" for ch in name)
 
 
-class _Parser:
-    def __init__(self, text: str, field: Field, names: Sequence[str]):
-        self.text = text
-        self.p = field.modulus  # None over Q: no reduction
-        self.index = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
-        self.origin = (0,) * self.nvars
-        self.unit = {self.origin: 1}
-        self.depth = 0  # open parentheses
-        self.tokens = _TOKEN.finditer(text)  # lazy, one token ahead
-        self.advance()
-
-    def advance(self):
-        """The next token becomes tok ("" at the end), at its offset."""
-        m = next(self.tokens, None)
-        if m is None:
-            self.tok, self.at = "", len(self.text)
-        else:
-            self.tok = m[0]
-            self.at = m.start()
-
-    def take(self, ch: str) -> bool:
-        if self.tok == ch:
-            self.advance()
-            return True
-        return False
-
-    def _integer(self) -> int:
-        if not "0" <= self.tok[:1] <= "9":
-            raise ParseError("expected an integer", self.at)
-        value = int(self.tok)
-        self.advance()
-        return value
-
-    def parse(self) -> dict:
-        terms = self.expr()
-        if self.tok:
-            raise ParseError(f"unexpected {self.tok[0]!r}", self.at)
-        return terms
-
-    def expr(self) -> dict:
-        # one dict for all terms; reduced, and zeros dropped, once at the end
-        terms: dict = {}
-        negate = self.take("-")
-        while True:
-            for m, c in self.term().items():
-                if negate:
-                    c = -c
-                s = terms.get(m)
-                terms[m] = c if s is None else s + c
-            if self.take("+"):
-                negate = False
-            elif self.take("-"):
-                negate = True
+def _read(text: str, pos: int, p, index: dict, nvars: int, depth: int):
+    """The sum at pos, as terms reduced mod p (p None over Q), and the
+    offset of the first non-space character after it: the end of the text,
+    or a character that the caller reads or refuses.  index maps each name
+    that starts with a letter to its variable; depth counts open parentheses.
+    """
+    match = _FACTOR.match
+    terms: dict = {}
+    expo = None  # the exponent list of the open term; None before the first
+    coef = 0     # its coefficient, 0 once a parenthesis made the term
+    poly = None  # this term dict
+    negate = False
+    last = None  # the last factor's match
+    while True:
+        factor = match(text, pos)
+        if factor is None:
+            factor = _OPEN.match(text, pos) if pos < len(text) else None
+            if factor is None:
+                break
+            op = factor[1]
+            if not (op in (None, "-") if expo is None else op):
+                break
+            if depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", factor.end() - 1)
+            f, at = _read(text, factor.end(), p, index, nvars, depth + 1)
+            last = _CLOSE.match(text, at)
+            if last is None:
+                raise ParseError("expected ')'", at)
+            if last[2]:
+                f = _power(f, last, 1, p, nvars)
+            pos = last.end()
+            term = {tuple(expo): coef} if coef else poly or {}
+            if op == "*":
+                _dangling(last)
+                f = _product(term, f, p, factor.start(1))
             else:
-                return _reduced(terms, self.p)
-
-    def term(self) -> dict:
-        """A product: the term dicts of its factors multiplied left to right
-        by the raw kernel, the term pairs checked at each '*'."""
-        poly = self.factor()
-        while self.tok == "*":
-            at = self.at
-            self.advance()
-            f = self.factor()
-            if len(poly) * len(f) > MAX_PAIRS:
-                raise ParseError(f"product of {len(poly)} by {len(f)} terms is over "
-                                 f"{MAX_PAIRS} term pairs", at)
-            poly = _mul_terms(poly, f, self.p)
-        return poly
-
-    def factor(self) -> dict:
-        base = self.base()
-        op = self.at
-        if self.tok != "^":
-            return base
-        self.advance()
-        # errors point just past a sign, else at the exponent's first digit
-        at = self.at + (self.tok == "-")
-        sign = -1 if self.take("-") else 1
-        e = sign * self._integer()
-        if not MIN_EXPONENT <= e <= MAX_EXPONENT:
-            raise ParseError(f"exponent {e} overflows 32 bits", at)
-        if e < 0 and len(base) != 1:  # 0^-e included: zero has no term to invert
-            raise ParseError("negative power of a non-monomial", at)
-        t = len(base)
-        # comb(e + t - 1, t - 1) >= e + t - 1, so a large e or t is refused before comb runs
-        if t > 1 and (e + t - 1 > MAX_POWER_TERMS or comb(e + t - 1, t - 1) > MAX_POWER_TERMS):
-            raise ParseError(f"power of a {t}-term sum may expand to over "
-                             f"{MAX_POWER_TERMS} terms", op)
-        self._check_bits(base.values(), e, op)
-        return _pow_terms(base, e, self.p, self.unit)
-
-    def _check_bits(self, coefficients, e: int, op: int):
-        """Over Q, refuse a power whose coefficients other than +-1 grow
-        past MAX_POWER_BITS."""
-        if self.p is None:
-            bits = abs(e) * max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                                 for c in coefficients if abs(c) != 1), default=0)
-            if bits > MAX_POWER_BITS:
-                raise ParseError(f"power has a coefficient of about {bits} bits, over "
-                                 f"{MAX_POWER_BITS}", op)
-
-    def base(self) -> dict:
-        """'(' expr ')', a literal or a variable, as a term dict."""
-        tok, at = self.tok, self.at
-        if self.take("("):
-            if self.depth == MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", at)
-            self.depth += 1
-            poly = self.expr()
-            if not self.take(")"):
-                raise ParseError("expected ')'", self.at)
-            self.depth -= 1
-            return poly
-        p = self.p
-        if "0" <= tok[:1] <= "9":
-            value = self._integer()
-            at = self.at + 1  # a zero denominator points just past the '/'
-            if self.take("/"):
-                den = self._integer()
-                if den == 0:
-                    raise ParseError("zero denominator", at)
-                if p is None:
-                    value = Fraction(value, den)
-                elif den % p:
-                    value = value * pow(den, -1, p)
-                else:
-                    raise ZeroDivisionError("inversion of zero field element")
+                _add(terms, term, negate)
+                negate = op == "-"
+            expo, coef, poly = (), 0, f
+            continue
+        op, num, den, name, minus, power = factor.groups()
+        if not (op in (None, "-") if expo is None else op):
+            break  # a '+' or '*' before the first factor, or no operator after it
+        last = factor
+        pos = factor.end()
+        if num:
+            c = int(num)
+            if den:
+                d = int(den)
+                if not (d % p if p else d):
+                    if d:
+                        raise ZeroDivisionError("inversion of zero field element")
+                    raise ParseError("zero denominator", text.index("/", factor.end(2)) + 1)
+                c = c * pow(d, -1, p) if p else Fraction(c, d)
             if p:
-                value %= p
-            return {self.origin: value} if value else {}
-        if tok[:1].isalpha():
-            self.advance()
-            index = self.index.get(tok)
-            if index is None:
-                index = _aliased(tok, self.nvars)
-            if index is None:
-                raise ParseError(f"unknown variable {tok!r}", at)
-            m = [0] * self.nvars
-            m[index] = 1
-            return {tuple(m): 1}
-        raise ParseError("expected a variable, literal, or parenthesis", at)
-
-
-def _reduced(terms: dict, p) -> dict:
-    """A sum's terms reduced mod p (p None over Q), zeros dropped."""
+                c %= p
+            if power:
+                c = next(iter(_power({(0,) * nvars: c} if c else {}, factor, 5, p,
+                                     nvars).values()), 0)
+            k = None
+        else:
+            k = index.get(name)
+            if k is None:
+                k = _aliased(name, nvars)
+                if k is None:
+                    raise ParseError(f"unknown variable {name!r}" if name[:1].isalpha()
+                                     else _EXPECTED, factor.start(4))
+            e = 1
+            if power:
+                e = -int(power) if minus else int(power)
+                if not MIN_EXPONENT <= e <= MAX_EXPONENT:
+                    raise ParseError(f"exponent {e} overflows 32 bits",
+                                     factor.start(5) + 1 if minus else factor.start(6))
+        if op == "*":
+            if coef:  # a zero coefficient skips the rest of its term
+                if k is None:
+                    coef = coef * c % p if p else coef * c
+                else:
+                    e += expo[k]
+                    if not MIN_EXPONENT <= e <= MAX_EXPONENT:
+                        _dangling(factor)
+                        raise OverflowError(f"exponent {e} exceeds signed 32-bit range")
+                    expo[k] = e
+            elif poly is not None:
+                _dangling(factor)
+                f = ({(0,) * nvars: c} if c else {}) if k is None else {
+                    (0,) * k + (e,) + (0,) * (nvars - k - 1): 1}
+                poly = _product(poly, f, p, factor.start(1))
+            continue
+        if coef:
+            m = tuple(expo)
+            s = terms.get(m)
+            if negate:
+                coef = -coef
+            terms[m] = coef if s is None else s + coef
+        elif poly:
+            _add(terms, poly, negate)
+        poly = None
+        negate = op == "-"
+        expo = [0] * nvars
+        if k is None:
+            coef = c
+        else:
+            coef = 1
+            expo[k] = e
+    _add(terms, {tuple(expo): coef} if coef else poly or {}, negate)
+    if last is None or pos < len(text):
+        pos = _stop(text, pos, last)
     if p:
-        return {m: c % p for m, c in terms.items() if c % p}
-    return {m: c for m, c in terms.items() if c}
+        return {m: c % p for m, c in terms.items() if c % p}, pos
+    return {m: c for m, c in terms.items() if c}, pos
+
+
+def _stop(text: str, pos: int, last) -> int:
+    """pos, the first non-space character after the sum whose last factor
+    match is last (None if it has none), unless what stands there starts a
+    factor or a part of one and no factor reads it: then its error."""
+    if last is None:
+        at = _SPACE.match(text, pos).end()
+        if text.startswith("-", at):
+            at = _SPACE.match(text, at + 1).end()
+        raise ParseError(_EXPECTED, at)
+    _dangling(last)
+    if text[pos:pos + 1] in ("+", "-", "*"):
+        raise ParseError(_EXPECTED, _SPACE.match(text, pos + 1).end())
+    return pos
+
+
+def _dangling(last):
+    """Refuse a '^', or a '/' after a bare integer, that follows the factor
+    match last with no integer after it.  Reading that factor fails there,
+    before its product is formed."""
+    text, at = last.string, last.end()
+    ch = text[at:at + 1]
+    power = "^" in last[0]
+    if (ch == "^" and not power or ch == "/" and not power
+            and last.re is _FACTOR and last[2] and not last[3]):
+        at = _SPACE.match(text, at + 1).end()
+        if ch == "^" and text.startswith("-", at):
+            at = _SPACE.match(text, at + 1).end()
+        raise ParseError("expected an integer", at)
+
+
+def _power(base: dict, m, g: int, p, nvars: int) -> dict:
+    """base to the exponent that match m holds, its '-' in group g and its
+    digits in g + 1.  An exponent error points just past the '-' if there is
+    one, else at the first digit; a size bound's error at the '^'."""
+    e, at = int(m[g + 1]), m.start(g + 1)
+    if m[g]:
+        e, at = -e, m.start(g) + 1
+    if not MIN_EXPONENT <= e <= MAX_EXPONENT:
+        raise ParseError(f"exponent {e} overflows 32 bits", at)
+    t = len(base)
+    if e < 0 and t != 1:  # 0^-e included: zero has no term to invert
+        raise ParseError("negative power of a non-monomial", at)
+    op = m.string.index("^", m.start())
+    # comb(e + t - 1, t - 1) >= e + t - 1, so a large e or t is refused before comb runs
+    if t > 1 and (e + t - 1 > MAX_POWER_TERMS or comb(e + t - 1, t - 1) > MAX_POWER_TERMS):
+        raise ParseError(f"power of a {t}-term sum may expand to over "
+                         f"{MAX_POWER_TERMS} terms", op)
+    if p is None:  # the bits of the coefficients other than +-1
+        bits = abs(e) * max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                             for c in base.values() if abs(c) != 1), default=0)
+        if bits > MAX_POWER_BITS:
+            raise ParseError(f"power has a coefficient of about {bits} bits, over "
+                             f"{MAX_POWER_BITS}", op)
+    return _pow_terms(base, e, p, {(0,) * nvars: 1})
+
+
+def _product(a: dict, b: dict, p, at: int) -> dict:
+    """a * b, refused at the '*' at offset at past MAX_PAIRS term pairs."""
+    if len(a) * len(b) > MAX_PAIRS:
+        raise ParseError(f"product of {len(a)} by {len(b)} terms is over "
+                         f"{MAX_PAIRS} term pairs", at)
+    return _mul_terms(a, b, p)
+
+
+def _add(terms: dict, poly: dict, negate: bool):
+    """Add poly, or its negative, into a sum's unreduced terms."""
+    for m, c in poly.items():
+        s = terms.get(m)
+        if negate:
+            c = -c
+        terms[m] = c if s is None else s + c
 
 
 def _aliased(name: str, nvars: int):
@@ -244,106 +287,6 @@ def _aliased(name: str, nvars: int):
     return None
 
 
-# One factor of a flat sum with the whitespace around it: the operator
-# before it (none before the first), a literal a or a/b or a word, and an
-# optional exponent; an unmatched part reads None.  Every part is greedy
-# and all after the base optional, so a match never stops inside a token.
-# No two whitespace runs are adjacent, so a match takes time linear in the
-# text it tries, and _read_flat tries it only where the last one ended.
-_FACTOR = re.compile(r"\s*(?:([-+*])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(\w+))"
-                     r"(?:\s*\^\s*(?:(-)\s*)?([0-9]+))?\s*")
-
-
-def _read_flat(text: str, p, names) -> dict | None:
-    """The terms of a flat sum ['-'] c*x^a*y^b (+- ...)*, as _Parser builds
-    them: the same order, values, reduction and exponent checks.
-
-    None for text that has a parenthesis, a literal to a power or anything
-    _Parser would refuse; _Parser then reads it from the start, so every
-    error is _Parser's.  This never raises.
-    """
-    if "(" in text:
-        return None
-    nvars = len(names)
-    # _Parser reads only a word that starts with a letter as a variable
-    index = {name: i for i, name in enumerate(names) if name[:1].isalpha()}
-    match = _FACTOR.match
-    terms: dict = {}
-    pos, end = 0, len(text)
-    expo = None  # the exponent list of the open term; None before the first
-    try:
-        while pos < end:
-            factor = match(text, pos)
-            if factor is None:
-                return None
-            pos = factor.end()
-            op, num, den, name, minus, power = factor.groups()
-            if num:
-                if power:
-                    return None
-                c = int(num)
-                if den:
-                    d = int(den)
-                    if not (d % p if p else d):
-                        return None
-                    c = c * pow(d, -1, p) if p else Fraction(c, d)
-                if p:
-                    c %= p
-                k = None
-            else:
-                k = index.get(name)
-                if k is None:
-                    k = _aliased(name, nvars)
-                    if k is None:
-                        return None
-                e = 1
-                if power:
-                    e = -int(power) if minus else int(power)
-                    if not MIN_EXPONENT <= e <= MAX_EXPONENT:
-                        return None
-            if op == "*":
-                if expo is None:
-                    return None
-                if coef:  # a zero coefficient skips the rest of its term
-                    if k is None:
-                        coef = coef * c % p if p else coef * c
-                    else:
-                        e += expo[k]
-                        if not MIN_EXPONENT <= e <= MAX_EXPONENT:
-                            return None
-                        expo[k] = e
-                continue
-            if expo is None:
-                if op == "+":
-                    return None
-            elif not op:
-                return None
-            elif coef:
-                m = tuple(expo)
-                s = terms.get(m)
-                if negate:
-                    coef = -coef
-                terms[m] = coef if s is None else s + coef
-            negate = op == "-"
-            expo = [0] * nvars
-            if k is None:
-                coef = c
-            else:
-                coef = 1
-                expo[k] = e
-    except ValueError:  # an integer past Python's digit limit
-        return None
-    if expo is None:  # empty text
-        return None
-    if coef:  # the last term
-        if negate:
-            coef = -coef
-        m = tuple(expo)
-        s = terms.get(m)
-        terms[m] = coef if s is None else s + coef
-    return _reduced(terms, p)
-
-
 def parse_poly(text: str, field: Field, names) -> MultiPoly:
     """Parse an expression into an exact polynomial.
 
@@ -353,9 +296,11 @@ def parse_poly(text: str, field: Field, names) -> MultiPoly:
     if isinstance(names, int):
         names = default_names(names)
     p = field.modulus
-    terms = _read_flat(text, p, names)
-    if terms is None:
-        terms = _Parser(text, field, names).parse()
+    # only a word that starts with a letter reads as a variable
+    index = {name: i for i, name in enumerate(names) if name[:1].isalpha()}
+    terms, at = _read(text, 0, p, index, len(names), 0)
+    if at < len(text):
+        raise ParseError(f"unexpected {text[at]!r}", at)
     if p is None:
         terms = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items()}
     return MultiPoly(field, len(names), terms)

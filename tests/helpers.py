@@ -1,16 +1,19 @@
 """Seeded random generators and slow oracles shared across the test modules."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import comb, gcd, prod
 from random import Random
 
 from gridres import (BudgetExceededError, CounterexampleError, Field, LineConfiguration,
                      MultiPoly, NormalizationReport, ProjLine, ProjPoint, concurrency_point,
                      line_through, validate_green_cover, vanishing_poly_from_nodes)
 from gridres.cover import candidate_traces, lines_through_pairs
+from gridres.expr import MAX_DEPTH, MAX_PAIRS, MAX_POWER_BITS, MAX_POWER_TERMS, ParseError
 from gridres.field import FieldMismatchError
 from gridres.lines import grid_intersections
+from gridres.multipoly import MAX_EXPONENT, MIN_EXPONENT, _mul_terms, _pow_terms
 from gridres.polytope import _cross3, _dot, primitive, solve_nonnegative
 from gridres.projective import infinity_line, pencil
 
@@ -803,3 +806,185 @@ def oracle_normalize_biconcurrent(config: LineConfiguration):
         blue=[ProjLine(field, (0, 1, -v)) for v in v_set],
         green=[ProjLine(field, (s, -1, 0)) for s in slopes])
     return normalized, report
+
+
+# -- the reference parser ---------------------------------------------------------
+
+# One token: an ASCII integer, a word or one other character.  So only an
+# integer starts with an ASCII digit and only a word with a letter.  \w is
+# exactly str.isalnum() or "_", \S exactly not str.isspace(), so a scan
+# skips exactly the whitespace between tokens.
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")
+
+
+class ReferenceParser:
+    """The grammar of gridres.expr read token by token by recursive descent:
+    the reference that expr's factor-pattern reader is compared against.
+
+    ReferenceParser(text, field, names).parse() gives the raw terms (ints
+    or Fractions over Q, ints mod p) or raises the error the reader must
+    raise, with its type, message and offset.
+    """
+
+    def __init__(self, text: str, field: Field, names):
+        self.text = text
+        self.p = field.modulus  # None over Q: no reduction
+        self.index = {name: i for i, name in enumerate(names)}
+        self.nvars = len(names)
+        self.origin = (0,) * self.nvars
+        self.unit = {self.origin: 1}
+        self.depth = 0  # open parentheses
+        self.tokens = _TOKEN.finditer(text)  # lazy, one token ahead
+        self.advance()
+
+    def advance(self):
+        """The next token becomes tok ("" at the end), at its offset."""
+        m = next(self.tokens, None)
+        if m is None:
+            self.tok, self.at = "", len(self.text)
+        else:
+            self.tok = m[0]
+            self.at = m.start()
+
+    def take(self, ch: str) -> bool:
+        if self.tok == ch:
+            self.advance()
+            return True
+        return False
+
+    def _integer(self) -> int:
+        if not "0" <= self.tok[:1] <= "9":
+            raise ParseError("expected an integer", self.at)
+        value = int(self.tok)
+        self.advance()
+        return value
+
+    def parse(self) -> dict:
+        terms = self.expr()
+        if self.tok:
+            raise ParseError(f"unexpected {self.tok[0]!r}", self.at)
+        return terms
+
+    def expr(self) -> dict:
+        # one dict for all terms; reduced, and zeros dropped, once at the end
+        terms: dict = {}
+        negate = self.take("-")
+        while True:
+            for m, c in self.term().items():
+                if negate:
+                    c = -c
+                s = terms.get(m)
+                terms[m] = c if s is None else s + c
+            if self.take("+"):
+                negate = False
+            elif self.take("-"):
+                negate = True
+            else:
+                return _reduced(terms, self.p)
+
+    def term(self) -> dict:
+        """A product: the term dicts of its factors multiplied left to right
+        by the raw kernel, the term pairs checked at each '*'."""
+        poly = self.factor()
+        while self.tok == "*":
+            at = self.at
+            self.advance()
+            f = self.factor()
+            if len(poly) * len(f) > MAX_PAIRS:
+                raise ParseError(f"product of {len(poly)} by {len(f)} terms is over "
+                                 f"{MAX_PAIRS} term pairs", at)
+            poly = _mul_terms(poly, f, self.p)
+        return poly
+
+    def factor(self) -> dict:
+        base = self.base()
+        op = self.at
+        if self.tok != "^":
+            return base
+        self.advance()
+        # errors point just past a sign, else at the exponent's first digit
+        at = self.at + (self.tok == "-")
+        sign = -1 if self.take("-") else 1
+        e = sign * self._integer()
+        if not MIN_EXPONENT <= e <= MAX_EXPONENT:
+            raise ParseError(f"exponent {e} overflows 32 bits", at)
+        if e < 0 and len(base) != 1:  # 0^-e included: zero has no term to invert
+            raise ParseError("negative power of a non-monomial", at)
+        t = len(base)
+        # comb(e + t - 1, t - 1) >= e + t - 1, so a large e or t is refused before comb runs
+        if t > 1 and (e + t - 1 > MAX_POWER_TERMS or comb(e + t - 1, t - 1) > MAX_POWER_TERMS):
+            raise ParseError(f"power of a {t}-term sum may expand to over "
+                             f"{MAX_POWER_TERMS} terms", op)
+        self._check_bits(base.values(), e, op)
+        return _pow_terms(base, e, self.p, self.unit)
+
+    def _check_bits(self, coefficients, e: int, op: int):
+        """Over Q, refuse a power whose coefficients other than +-1 grow
+        past MAX_POWER_BITS."""
+        if self.p is None:
+            bits = abs(e) * max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                                 for c in coefficients if abs(c) != 1), default=0)
+            if bits > MAX_POWER_BITS:
+                raise ParseError(f"power has a coefficient of about {bits} bits, over "
+                                 f"{MAX_POWER_BITS}", op)
+
+    def base(self) -> dict:
+        """'(' expr ')', a literal or a variable, as a term dict."""
+        tok, at = self.tok, self.at
+        if self.take("("):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", at)
+            self.depth += 1
+            poly = self.expr()
+            if not self.take(")"):
+                raise ParseError("expected ')'", self.at)
+            self.depth -= 1
+            return poly
+        p = self.p
+        if "0" <= tok[:1] <= "9":
+            value = self._integer()
+            at = self.at + 1  # a zero denominator points just past the '/'
+            if self.take("/"):
+                den = self._integer()
+                if den == 0:
+                    raise ParseError("zero denominator", at)
+                if p is None:
+                    value = Fraction(value, den)
+                elif den % p:
+                    value = value * pow(den, -1, p)
+                else:
+                    raise ZeroDivisionError("inversion of zero field element")
+            if p:
+                value %= p
+            return {self.origin: value} if value else {}
+        if tok[:1].isalpha():
+            self.advance()
+            index = self.index.get(tok)
+            if index is None:
+                index = _aliased(tok, self.nvars)
+            if index is None:
+                raise ParseError(f"unknown variable {tok!r}", at)
+            m = [0] * self.nvars
+            m[index] = 1
+            return {tuple(m): 1}
+        raise ParseError("expected a variable, literal, or parenthesis", at)
+
+
+def _reduced(terms: dict, p) -> dict:
+    """A sum's terms reduced mod p (p None over Q), zeros dropped."""
+    if p:
+        return {m: c % p for m, c in terms.items() if c % p}
+    return {m: c for m, c in terms.items() if c}
+
+
+def _aliased(name: str, nvars: int):
+    # z1..zn always work; x, y, z address low arities unambiguously
+    if name.startswith("z") and name[1:].isascii() and name[1:].isdigit():
+        k = int(name[1:])
+        if 1 <= k <= nvars:
+            return k - 1
+    if nvars <= 3:
+        shorthand = {"x": 0, "y": 1, "z": 2}.get(name)
+        if shorthand is not None and shorthand < nvars:
+            return shorthand
+    return None

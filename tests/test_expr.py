@@ -6,9 +6,8 @@ from random import Random
 
 import pytest
 
-from gridres import Field, MultiPoly, ParseError, expr, format_poly, parse_poly
+from gridres import Field, MultiPoly, ParseError, format_poly, parse_poly
 from gridres.expr import MAX_DEPTH
-from gridres.multipoly import default_names
 
 from helpers import (element_terms, oracle_power, oracle_product, oracle_sum,
                      random_poly)
@@ -302,6 +301,11 @@ def test_parser_matches_multipoly_oracle(field):
     ("1/\u00b2", ParseError, 2),
     ("x + z\u00b2", ParseError, 4),
     ("z\u0661*x", ParseError, 0),
+    # a '^' with no integer after it ends the factor before its product
+    # overflows: the product is never formed
+    ("x*y^2147483647*y^-*x", ParseError, 18),
+    ("(x^2147483647 + y)*x^y", ParseError, 21),
+    ("(x^2147483647 + y)*(x)^ y", ParseError, 24),
 ])
 @pytest.mark.parametrize("field", [Q, F7, Field.prime(10007)], ids=str)
 def test_error_parity(field, text, error, detail):
@@ -404,10 +408,10 @@ def test_expansion_up_to_the_bound_parses(text, field, terms):
 
 # -- runs of variable and literal factors ------------------------------------------
 #
-# The flat-sum reader keeps a product as one coefficient and one exponent
-# list; the recursive-descent parser multiplies one term dict per factor,
-# left to right.  These results were recorded on the latter and are pinned
-# here; the texts without a parenthesis or a literal power take the reader.
+# The reader keeps a product of variables and literals as one coefficient
+# and one exponent list; the recursive-descent reference of helpers.py
+# multiplies one term dict per factor, left to right.  These results were
+# recorded on the latter and are pinned here.
 
 @pytest.mark.parametrize("text, field, terms", [
     # a zero coefficient leaves no terms, so nothing after it is range-checked
@@ -473,7 +477,7 @@ def test_parse_does_no_element_arithmetic(field, elem_ops):
     rng = Random(f"elem-ops-{field}")
     texts = ["3/2*x^4*y^-1 - 5*x*(y + 2)^3 + 2^-3*z", "0^0*x*(x - y)^2*1/3*y"]
     texts += [_render_expr(rng, _random_tree(rng, 3, 3)) for _ in range(50)]
-    # flat sums, which the one-scan reader takes
+    # flat sums, read by the factor pattern alone
     texts += ["-3/2*x^4*y^-1 + 5*x*y^3*z - 2/9 + x*x*2*y^-2", "z1*z2^2 - 1/3*x*z3 + 0*y"]
     texts += [format_poly(random_poly(rng, field, 3, 6, 12)) for _ in range(20)]
     for text in texts:
@@ -481,19 +485,9 @@ def test_parse_does_no_element_arithmetic(field, elem_ops):
     assert not elem_ops
 
 
-# -- the flat-sum reader --------------------------------------------------------
-
-@pytest.mark.parametrize("text, field", [
-    ("3^2*x", Q), ("2x", Q), ("x^2147483647*x", Q), ("-x*0*w", Q), ("7/14*x", F7),
-])
-def test_flat_reader_hands_over(text, field):
-    """A literal power, and text that _Parser refuses, go to _Parser."""
-    assert expr._read_flat(text, field.modulus, default_names(2)) is None
-
-
 # a run of 40,000 spaces where no factor can be read: the reader tries each
-# factor only where the last one ended, so it hands the text to the
-# recursive-descent parser at once, which gives the error
+# factor, and a parenthesis, only where the last one ended, so it stops
+# there at once and gives the error
 _SPACES = " " * 40_000
 
 
@@ -505,7 +499,11 @@ _SPACES = " " * 40_000
     ("x^-" + _SPACES + "y", 40_003, "expected an integer"),
     ("x" + _SPACES + "^", 40_002, "expected an integer"),
     ("1/" + _SPACES + "x", 40_002, "expected an integer"),
-], ids=["plus", "star", "lead", "power", "negative-power", "trailing-caret", "slash"])
+    ("(x" + _SPACES, 40_002, re.escape("expected ')'")),
+    ("(x)^" + _SPACES + "y", 40_004, "expected an integer"),
+    ("x*(" + _SPACES + "+", 40_003, "expected a variable"),
+], ids=["plus", "star", "lead", "power", "negative-power", "trailing-caret", "slash",
+        "open", "group-power", "open-star"])
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
 def test_long_whitespace_runs_fail_in_linear_time(text, offset, message):
     def too_slow(signum, frame):
@@ -532,32 +530,6 @@ def test_parenthesis_depth_bounded():
         with pytest.raises(ParseError, match="parentheses nested deeper than 100") as err:
             parse_poly("(" * depth + "x" + ")" * depth, Q, 2)
         assert err.value.position == MAX_DEPTH
-
-
-def test_flat_text_skips_the_recursive_descent_parser(monkeypatch):
-    """Canonical output and other flat sums, spaced or tabbed, never reach
-    _Parser; a parenthesis always does."""
-    class Refused(Exception):
-        pass
-
-    def refuse(*args):
-        raise Refused
-
-    rng = Random("flat-path")
-    polys = [random_poly(rng, field, nvars, 5, 30)
-             for field in (Q, F7, F10007) for nvars in (1, 2, 3, 5)]
-    polys += [MultiPoly.from_terms(Q, 2, {(-2 ** 31, 3): Fraction(-7, 3), (0, 0): 5})]
-    flat = ["9006*x^4*y^2*z + x^3*z^2 + 17*y^5 + 4001*x + 1",
-            " - 3 / 2 * x ^ - 2 * y  +  z ^ 3 - 4 ", "\t-\tx\t^\t2\t*\t1\t/\t3\t"]
-    expected = [parse_poly(format_poly(f), f.field, f.nvars) for f in polys]
-    flat_terms = [parse_poly(text, F10007, 3).terms for text in flat]
-    monkeypatch.setattr(expr, "_Parser", refuse)
-    for f, g in zip(polys, expected):
-        assert parse_poly(format_poly(f), f.field, f.nvars) == g == f
-    assert [parse_poly(text, F10007, 3).terms for text in flat] == flat_terms
-    for text in ("(x + 1)", "x*(y)", "2*x + (y - z)^2"):
-        with pytest.raises(Refused):
-            parse_poly(text, F10007, 3)
 
 
 # -- sympy as an independent oracle -------------------------------------------------
