@@ -17,17 +17,29 @@ residual sizes and a histogram of them (sizes are at most the largest
 trace) are updated on each branch, only for the traces through the newly
 covered points, and restored from a copy on backtrack, so the bound is a
 short loop over the histogram.  One budget node is one call of the
-search, pruned or not.
+search, pruned or not.  A transposition table maps each uncovered mask
+that passed the bound to the fewest lines with which it was expanded;
+a revisit with as many lines or more returns at once, since the earlier
+visit already searched every completion with at least as much room, so
+the search returns the same first minimum cover from fewer nodes.  The
+bound depends on the mask alone, so a mask the bound cut is not stored;
+the table holds at most one entry per node, so the budget bounds it.
 
 `lines_through_pairs` is the one source of candidate lines: the green
 cover search in `lines` draws its candidates from it as well.  A trace
 is the union of its pairs, so no incidence test is needed to find it.
+The pairs are joined on ints: over F_p the key of a pair is the raw
+`_scaled` cross product of the canonical triples, over Q each point is
+scaled once to its primitive integer triple and the key is their cross
+product over its gcd, with its first nonzero entry positive.  One
+`ProjLine` is built per distinct key, not one per pair.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import BudgetExceededError
@@ -51,14 +63,57 @@ def _singleton_line(field: Field, point: ProjPoint, excluded: ProjPoint) -> Proj
     raise ValueError(f"no line through {point} avoids {excluded}")
 
 
+def _primitive(coords) -> tuple:
+    """The primitive integer multiple of a canonical triple over Q.  Over the
+    lcm of the denominators the entries are coprime, and the first nonzero
+    one stays positive."""
+    scale = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (scale // c.denominator) for c in coords)
+
+
 def lines_through_pairs(points: Sequence[ProjPoint]) -> dict:
     """Map each line through two or more of the points -> frozenset of the
     indices of the points on it.  A trace is the union of its pairs, since
-    each point on such a line pairs with another one on it."""
-    traces: dict[ProjLine, set] = {}
-    for i, j in combinations(range(len(points)), 2):
-        traces.setdefault(line_through(points[i], points[j]), set()).update((i, j))
-    return {line: frozenset(trace) for line, trace in traces.items()}
+    each point on such a line pairs with another one on it.  Repeated
+    points and mixed fields raise the error `line_through` raises for the
+    first such pair."""
+    points = list(points)
+    n = len(points)
+    if n < 2:
+        return {}
+    field = points[0].field
+    if len(set(points)) < n or any(q.field is not field and q.field != field
+                                   for q in points):
+        for a, b in combinations(points, 2):
+            line_through(a, b)
+    p = field.modulus
+    vecs = [q.coords for q in points] if p else [_primitive(q.coords) for q in points]
+    traces: dict = {}
+    for i, (a0, a1, a2) in enumerate(vecs):
+        for j in range(i + 1, n):
+            b0, b1, b2 = vecs[j]
+            c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+            if p:  # the _scaled triple, inlined
+                c0, c1, c2 = c0 % p, c1 % p, c2 % p
+                if c0:
+                    inv = pow(c0, -1, p)
+                    key = (1, c1 * inv % p, c2 * inv % p)
+                elif c1:
+                    key = (0, 1, c2 * pow(c1, -1, p) % p)
+                else:
+                    key = (0, 0, 1)
+            else:
+                g = gcd(c0, c1, c2)
+                if c0 < 0 or not c0 and (c1 < 0 or not c1 and c2 < 0):
+                    g = -g
+                key = (c0 // g, c1 // g, c2 // g)
+            # pairs come in index order, so the line's first point is in already
+            trace = traces.get(key)
+            if trace is None:
+                traces[key] = {i, j}
+            else:
+                trace.add(j)
+    return {ProjLine._raw(field, key): frozenset(trace) for key, trace in traces.items()}
 
 
 def candidate_traces(points: Sequence[ProjPoint], excluded: ProjPoint,
@@ -121,6 +176,7 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
     best_cover: tuple = ()
     chosen: list = []
     nodes = 0
+    expanded: dict = {}  # uncovered mask -> fewest lines it was expanded with
 
     def search(uncovered: int):
         nonlocal best_size, best_cover, nodes
@@ -132,8 +188,11 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
                 best_size = len(chosen)
                 best_cover = tuple(chosen)
             return
+        depth = len(chosen)
+        if expanded.get(uncovered, depth + 1) <= depth:
+            return
         # residual-trace bound, cut short once it fills the room left
-        room = best_size - len(chosen)
+        room = best_size - depth
         need = uncovered.bit_count()
         bound = 0
         for size in range(max_trace, 0, -1):
@@ -147,12 +206,16 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
                 break
         if bound >= room:
             return
+        expanded[uncovered] = depth
         saved = residual[:], hist[:]
         for c in containing[(uncovered & -uncovered).bit_length() - 1]:
             newly = masks[c] & uncovered
             # each trace through a newly covered point loses it
-            for k in _bits(newly):
-                for t in containing[k]:
+            rest = newly
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                for t in containing[low.bit_length() - 1]:
                     size = residual[t]
                     hist[size] -= 1
                     hist[size - 1] += 1

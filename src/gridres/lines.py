@@ -104,8 +104,14 @@ def validate_green_cover(config: LineConfiguration):
     diagnostics: dict = {"grid_size": len(grid)}
     clashes = sorted(set(config.green) & (set(config.red) | set(config.blue)))
     diagnostics["identity_violations"] = tuple(clashes)
-    coverage = {g: tuple(sorted(p for p in grid if g.contains(p)))
-                for g in config.green}
+    # raw incidence on the canonical triples; the grid is sorted already
+    p = config.field.modulus
+    triples = [q.coords for q in grid]
+    coverage = {}
+    for g in config.green:
+        a, b, c = g.coords
+        dots = [a * x + b * y + c * z for x, y, z in triples]
+        coverage[g] = tuple(q for q, d in zip(grid, dots) if not (d % p if p else d))
     diagnostics["covered_by_green"] = coverage
     covered = set().union(*coverage.values())
     uncovered = tuple(sorted(set(grid) - covered))

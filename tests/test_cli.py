@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from gridres import multipoly, toric
+from gridres import multipoly, nullstellensatz, toric
 from gridres.cli import main
 
 from helpers import affine_dimension, point_in_hull
@@ -587,6 +587,30 @@ def test_toric_verify_grid_route(capsys, tmp_path):
     assert result["residue_sum"] == "3" == result["coefficient_via_grid"]
 
 
+@pytest.mark.parametrize("poly, residue_sum", [
+    # x^3 = 7x - 6 mod (x - 1)(x - 2), so the (1, 1) coefficient is 7 + 1
+    ("x^3*y + x*y + 7", "8"),
+    # 1/y = (8 - y)/15 mod (y - 3)(y - 5)
+    ("x*y^-1 + 2", "-1/15"),
+])
+def test_toric_verify_grid_route_outside_grid_formula(capsys, tmp_path, monkeypatch,
+                                                      poly, residue_sum):
+    """A poly outside the grid formula's domain keeps the two-way answer:
+    the grid cross-check is not run and reads null."""
+    def refuse(*args):
+        raise AssertionError("coefficient_via_grid called outside its domain")
+
+    monkeypatch.setattr(nullstellensatz, "coefficient_via_grid", refuse)
+    code, report, _ = run(capsys, tmp_path, "toric-verify", {
+        "field": RATIONALS, "vars": ["x", "y"], "poly": poly,
+        "grids": [["1", "2"], ["3", "5"]],
+    })
+    assert code == 0, report
+    result = report["result"]
+    assert result["residue_sum"] == residue_sum == result["vertex_combination"]
+    assert result["agree"] is True and result["coefficient_via_grid"] is None
+
+
 def test_toric_verify_derives_each_vertex_direction_once(capsys, tmp_path, monkeypatch):
     """With the default samples the split, the solve and the combination
     share one strict support direction per vertex of the sum polytope."""
@@ -857,7 +881,7 @@ def test_default_budget(capsys, tmp_path, monkeypatch, subcommand):
                               *(("--budget", flag) if flag else ()))
         assert code == 0, report
     assert budgets == [_DEFAULT_BUDGET, 100000, 200000, 200000]
-    # above the 642,293 nodes of the 5x6 grid over Q minus a corner
+    # above the 205,412 nodes of the 5x6 grid over Q minus a corner
     assert _DEFAULT_BUDGET == 1_000_000
 
 

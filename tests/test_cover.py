@@ -1,9 +1,11 @@
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from gridres import BudgetExceededError, Field, ProjPoint
+from gridres import (BudgetExceededError, Field, FieldMismatchError, ProjLine, ProjPoint,
+                     line_through)
 from gridres.cover import candidate_traces, lines_through_pairs, min_line_cover
 
 from helpers import (assert_cover, collinear, element_contains, oracle_min_line_cover,
@@ -79,15 +81,58 @@ def test_node_counts_pinned(rows, nodes):
     assert min_line_cover(points, pt(Q, 0, 0), Q, budget=nodes) == expected
 
 
-@pytest.mark.parametrize("rows, nodes", [(3, 26), (4, 135)])
-def test_residual_bound_node_counts_pinned(rows, nodes):
-    # the branching order and the residual-trace bound fix the tree, so
-    # --budget keeps its meaning
+# exact node counts of the residual-trace search with its transposition table
+RESIDUAL_NODES = {3: 26, 4: 114}
+
+
+@pytest.mark.parametrize("rows, untabled_nodes", [(3, 26), (4, 135)])
+def test_residual_bound_node_counts_pinned(rows, untabled_nodes):
+    # the branching order, the residual-trace bound and the transposition
+    # table fix the tree, so --budget keeps its meaning; the table only cuts
+    # revisits, so the counts of the search without it still suffice
     points = [pt(Q, a, b) for a in range(3) for b in range(rows) if (a, b) != (0, 0)]
-    size, _ = min_line_cover(points, pt(Q, 0, 0), Q, budget=nodes)
-    assert size == 3 + rows - 2
+    nodes = RESIDUAL_NODES[rows]
+    expected = min_line_cover(points, pt(Q, 0, 0), Q, budget=untabled_nodes)
+    assert expected[0] == 3 + rows - 2
+    assert min_line_cover(points, pt(Q, 0, 0), Q, budget=nodes) == expected
     with pytest.raises(BudgetExceededError):
         min_line_cover(points, pt(Q, 0, 0), Q, budget=nodes - 1)
+
+
+def test_candidate_build_makes_one_line_per_distinct_line(monkeypatch):
+    """The pairs of a Q 4x5 grid, on the progressions of the benchmark's
+    grids, are joined on ints: one `ProjLine` per distinct line."""
+    xs = [Fraction(-7) + i * Fraction(5, 3) for i in range(4)]
+    ys = [Fraction(4) - j * Fraction(3, 2) for j in range(5)]
+    points = [pt(Q, x, y) for x in xs for y in ys if (x, y) != (xs[1], ys[1])]
+    built = []
+    original = ProjLine._raw.__func__
+
+    def counted(cls, field, vec):
+        built.append(vec)
+        return original(cls, field, vec)
+
+    monkeypatch.setattr(ProjLine, "_raw", classmethod(counted))
+    traces = lines_through_pairs(points)
+    assert len(built) == len(traces) < len(points) * (len(points) - 1) // 2
+    monkeypatch.undo()
+    assert set(traces.values()) == traces_by_incidence_scan(points)
+    for line, trace in traces.items():
+        i, j = sorted(trace)[:2]
+        assert line == line_through(points[i], points[j])
+
+
+def test_lines_through_pairs_errors():
+    with pytest.raises(ValueError, match="need two distinct points"):
+        lines_through_pairs([pt(Q, 0, 1), pt(Q, 1, 1), pt(Q, 0, 1)])
+    with pytest.raises(FieldMismatchError, match="mixed fields"):
+        lines_through_pairs([pt(Q, 0, 1), pt(Q, 1, 1), pt(F5, 2, 1)])
+    # the first offending pair decides, as for line_through
+    with pytest.raises(ValueError, match="need two distinct points, got \\(0 : 1 : 1\\)"):
+        lines_through_pairs([pt(Q, 0, 1), pt(Q, 0, 1), pt(F5, 2, 1)])
+    with pytest.raises(FieldMismatchError, match="mixed fields"):
+        lines_through_pairs([pt(Q, 0, 1), pt(F5, 2, 1), pt(Q, 0, 1)])
+    assert lines_through_pairs([pt(Q, 0, 1)]) == {} == lines_through_pairs([])
 
 
 def _check_traces_against_scan(points):

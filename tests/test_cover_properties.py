@@ -1,17 +1,21 @@
 """Property tests: the bitmask cover searches against their frozenset oracles."""
 
 import re
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from gridres import BudgetExceededError, Field, ProjLine, ProjPoint, search_green_covers
-from gridres.cover import min_line_cover
+from gridres import (BudgetExceededError, Field, FieldMismatchError, ProjLine, ProjPoint,
+                     line_through, search_green_covers)
+from gridres.cover import lines_through_pairs, min_line_cover
 from gridres.projective import all_lines
 
-from helpers import assert_cover, oracle_green_covers, oracle_min_line_cover
+from helpers import (assert_cover, oracle_green_covers, oracle_min_line_cover,
+                     traces_by_incidence_scan)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -45,6 +49,54 @@ def test_min_cover_matches_oracle(case):
     size, lines = min_line_cover(points, excluded, field)
     assert (size, lines) == oracle_min_line_cover(points, excluded, field)
     assert_cover(points, excluded, lines, size)
+
+
+# primes above 10^6, one for each of the at most 20 coordinates a set draws
+BIG_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121,
+              1000133, 1000151, 1000159, 1000171, 1000183, 1000187, 1000193, 1000199,
+              1000211, 1000213, 1000231, 1000249)
+
+
+@st.composite
+def big_denominator_sets(draw):
+    """Distinct Q points with coordinates over distinct primes above 10^6 and
+    of either sign: a few runs P + t*D on lines, the runs' points at infinity
+    (D : 0), and loose points."""
+    primes = iter(draw(st.permutations(BIG_PRIMES)))
+
+    def coord():
+        q = next(primes)
+        return Fraction(draw(st.integers(-5 * q, 5 * q)), q)
+
+    points = []
+    for _ in range(draw(st.integers(0, 3))):
+        x, y, dx, dy = coord(), coord(), coord(), coord()
+        if not (dx or dy):
+            continue
+        for t in draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True)):
+            points.append(ProjPoint.affine(Q, x + t * dx, y + t * dy))
+        if draw(st.booleans()):
+            points.append(ProjPoint(Q, (dx, dy, 0)))
+    points += [ProjPoint.affine(Q, coord(), coord()) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        points.append(ProjPoint(Q, (0, 1, 0)))
+    return list(dict.fromkeys(points))
+
+
+@SETTINGS
+@given(big_denominator_sets())
+def test_integer_keyed_pairs_match_incidence_scan(points):
+    traces = lines_through_pairs(points)
+    assert set(traces.values()) == traces_by_incidence_scan(points)
+    assert len(set(traces.values())) == len(traces)
+    for line, trace in traces.items():
+        for i, j in combinations(sorted(trace), 2):
+            assert line == line_through(points[i], points[j])
+    if points:
+        with pytest.raises(ValueError, match="need two distinct points"):
+            lines_through_pairs(points + [points[-1]])
+        with pytest.raises(FieldMismatchError, match="mixed fields"):
+            lines_through_pairs(points + [ProjPoint.affine(F7, 1, 2)])
 
 
 def _min_budget(search, *args):

@@ -1,10 +1,16 @@
 """The README's export table names only what its modules define, and
-exactly what the package imports from each of them."""
+exactly what the package imports from each of them; the figures it states
+are the ones the code computes."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
+
+import pytest
+
+from gridres import BudgetExceededError, Field, ProjPoint
+from gridres.cover import min_line_cover
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"^\| `(gridres\.\w+)` \| (.+) \|$")
@@ -78,3 +84,18 @@ def test_install_note_names_every_optional_test_dependency():
         assert f"tests/{name}" in install, f"the install note does not name {name}"
         for package in packages:
             assert f"`{package}`" in install, f"the install note does not name {package}"
+
+
+def test_readme_cover_node_count_is_what_the_search_counts():
+    """The 3x3 node count the README's budget paragraph states is the
+    fewest nodes `min_line_cover` decides that instance in."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    match = re.search(r"(\d+) instead of \d+ for a 3×3 grid minus a corner over Q", text)
+    assert match, "the README's budget paragraph no longer states the 3x3 count"
+    nodes = int(match.group(1))
+    Q = Field.rationals()
+    points = [ProjPoint.affine(Q, a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    corner = ProjPoint.affine(Q, 0, 0)
+    assert min_line_cover(points, corner, Q, budget=nodes)[0] == 4
+    with pytest.raises(BudgetExceededError):
+        min_line_cover(points, corner, Q, budget=nodes - 1)
