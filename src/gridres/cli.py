@@ -11,11 +11,15 @@ or {"kind": "rationals"}) plus subcommand-specific sections; numbers are
 decimal strings ("a/b" for rationals) to avoid integer-width ambiguity.
 List sections (system, samples, zeros, values, target) must be JSON lists,
 and so must each zero and each value record's point; a repeated value
-point is invalid input.  Node lists decode to one GridSystem, which is
-also the separable system of cb-verify, cb-forced and toric-verify.
-Polynomials and lines hold raw ints/Fractions (see gridres.expr and
-gridres.projective); cb-forced keys its value records by node index, and
-other decoded nodes, points and values are field elements.
+point is invalid input.  Every scalar is read by the field's one scalar
+reader (gridres.field); a scalar it refuses is an InputError that names
+the section and the scalar.  Node lists decode to one GridSystem, which is
+also the separable system of cb-verify, cb-forced and toric-verify; the
+grid route of toric-verify takes its zeros and their weights from it.
+Polynomials, lines and points hold raw ints/Fractions (see gridres.expr
+and gridres.projective); cb-forced keys its value records by node index
+and reads each value straight to its raw value, and other decoded nodes
+and zeros are field elements.
 Reports are JSON on stdout; --summary adds human-readable lines on
 stderr.  Exit codes: 0 success/verified, 1 verdict negative, 2 invalid
 input, 3 search or hull budget exceeded.
@@ -35,7 +39,7 @@ from . import nullstellensatz as ns
 from . import toric
 from .errors import BudgetExceededError, CounterexampleError
 from .expr import ParseError, is_variable_name, parse_poly
-from .field import Field
+from .field import Field, _read_scalar
 from .multipoly import MultiPoly, default_names
 from .projective import ProjLine, ProjPoint
 
@@ -65,15 +69,36 @@ def _require_list(doc: dict, key: str, kind: str) -> list:
 _SCALARS = (str, int, float)
 
 
-def _decode_coords(field, raw, error: str,
+def _scalar(read, v, section: str):
+    """read(str(v)) for a JSON scalar v of section; a scalar that read
+    refuses raises InputError naming the section and the scalar."""
+    try:
+        return read(str(v))
+    except (ValueError, ZeroDivisionError) as err:
+        raise InputError(f'cannot read the scalar {v!r} in "{section}": {err}') from None
+
+
+def _raw_reader(field: Field):
+    """The raw value (see gridres.field) of a scalar string, with no element."""
+    return functools.partial(_read_scalar, p=field.modulus)
+
+
+def _decode_coords(read, raw, section: str, error: str,
                    lengths: tuple[int, ...] | None = None) -> tuple:
-    """The scalars (strings or JSON numbers) of a JSON list, read by field
-    (a Field, a memo of one, or str to keep them as strings).  Anything else, or a list whose length is not in lengths,
-    raises error formatted with {raw}."""
+    """The scalars (strings or JSON numbers) of a JSON list in section,
+    each read by read: a Field, a memo of one, a raw reader, or str to
+    keep the strings.  Anything else, or a list whose length is not in
+    lengths, raises error formatted with {raw}; a scalar that read refuses
+    raises as _scalar says."""
     if (not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths)
             or not all(type(v) in _SCALARS for v in raw)):
         raise InputError(error.format(raw=raw))
-    return tuple([field(str(v)) for v in raw])
+    try:
+        return tuple([read(str(v)) for v in raw])
+    except (ValueError, ZeroDivisionError):
+        for v in raw:  # name the first scalar refused
+            _scalar(read, v, section)
+        raise
 
 
 def _decode_field(doc: dict) -> Field:
@@ -126,15 +151,16 @@ def _decode_grids(field, doc: dict, key: str = "grids") -> list[tuple]:
     error = f'"{key}" must be a list of node lists'
     if not isinstance(raw, list) or not raw or not all(isinstance(g, list) for g in raw):
         raise InputError(error)
-    return [_decode_coords(field, g, error) for g in raw]
+    return [_decode_coords(field, g, key, error) for g in raw]
 
 
 def _decode_lines(field: Field, doc: dict, key: str) -> list[ProjLine]:
     raw = _require(doc, key, "list of coefficient triples")
     if not isinstance(raw, list) or not raw:
         raise InputError(f'"{key}" must be a nonempty list of lines')
-    return [ProjLine(field, _decode_coords(
-        str, l, "a line is a coefficient triple [a, b, c], got {raw!r}", (3,)))
+    read = _raw_reader(field)
+    return [ProjLine._raw(field, _decode_coords(
+        read, l, key, "a line is a coefficient triple [a, b, c], got {raw!r}", (3,)))
         for l in raw]
 
 
@@ -144,8 +170,9 @@ def _decode_config(field: Field, doc: dict) -> ln.LineConfiguration:
 
 
 def _decode_point(field: Field, raw) -> ProjPoint:
-    coords = _decode_coords(str, raw, "a point is [x, y] or [x, y, z], got {raw!r}", (2, 3))
-    return ProjPoint(field, coords if len(coords) == 3 else coords + (1,))
+    coords = _decode_coords(_raw_reader(field), raw, "excluded",
+                            "a point is [x, y] or [x, y, z], got {raw!r}", (2, 3))
+    return ProjPoint._raw(field, coords if len(coords) == 3 else coords + (1,))
 
 
 def _budget(doc: dict, args) -> int:
@@ -232,30 +259,31 @@ def _cmd_cb_forced(doc, args):
     # the points repeat the few node strings of the grid: parse each once
     parse = functools.cache(field)
     system = ns.GridSystem(field, _decode_grids(parse, doc))
-    target = _decode_coords(parse, _require(doc, "target", "grid point"),
+    target = _decode_coords(parse, _require(doc, "target", "grid point"), "target",
                             '"target" must be a list of coordinates, got {raw!r}')
     raw_values = _require_list(doc, "values", "list of {point, value} records")
+    read = _raw_reader(field)
     index = cb._node_index(system)
     # per axis, each coordinate string once to its node index (None off the
     # grid), through its value, so "1/2" and "2/4" name the same node
     memo = [{} for _ in index]
 
     def node(i, s):
-        j = memo[i][s] = index[i].get(parse(s).value)
+        j = memo[i][s] = index[i].get(_scalar(parse, s, "values").value)
         return j
 
     given, stray = {}, set()
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
             raise InputError("each value record needs point and value")
-        point = _decode_coords(str, rec["point"],
+        point = _decode_coords(str, rec["point"], "values",
                                "a value point must be a list of coordinates, got {raw!r}")
         key = (tuple([m[s] if s in m else node(i, s) for i, (m, s) in enumerate(zip(memo, point))])
                if len(point) == len(memo) else (None,))
         off = None in key
         if off:
             # off the grid: the raw point serves the messages only
-            key = tuple(parse(s).value for s in point)
+            key = tuple(_scalar(parse, s, "values").value for s in point)
             if key in stray:
                 raise InputError(f"value point {_point_out(key)} is given twice")
             stray.add(key)
@@ -265,7 +293,7 @@ def _cmd_cb_forced(doc, args):
         value = rec["value"]
         if type(value) not in _SCALARS:
             raise InputError("a value is a scalar")
-        value = field(str(value)).value
+        value = _scalar(read, value, "values")
         if not off:
             given[key] = value
     raw_target = tuple(t.value for t in target)
@@ -281,7 +309,7 @@ def _cmd_cover_bound(doc, args):
     if len(grids) != 2:
         raise InputError("cover-bound handles planar grids (two node lists)")
     excluded = _decode_coords(field, _require(doc, "excluded", "affine point [x, y]"),
-                              "excluded must be an affine point [x, y]", (2,))
+                              "excluded", "excluded must be an affine point [x, y]", (2,))
     if excluded[0] not in grids[0] or excluded[1] not in grids[1]:
         raise InputError("excluded point is not a grid point")
     points = [(a, b) for a in grids[0] for b in grids[1]
@@ -357,13 +385,14 @@ def _cmd_toric_verify(doc, args):
                     "zeros lie in the torus")
         names = _decode_names(doc, default_arity=len(nodes))
         grid = ns.GridSystem(field, nodes)
-        system = toric.NewtonSystem(grid.polys_multivariate())
-        zeros = list(grid.points())
+        zeros = toric.SimpleZeros.of_grid(grid)
+        system = zeros.system
     else:
         names = _decode_names(doc)
         system = toric.NewtonSystem(_decode_system(field, names, doc))
-        zeros = [_decode_coords(field, z, "a zero must be a list of coordinates, got {raw!r}")
-                 for z in _require_list(doc, "zeros", "list of points")]
+        zeros = toric.SimpleZeros(system, [
+            _decode_coords(field, z, "zeros", "a zero must be a list of coordinates, got {raw!r}")
+            for z in _require_list(doc, "zeros", "list of points")])
         grid = None
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
     flag, witness = toric.is_unfolded(system)
@@ -374,7 +403,6 @@ def _cmd_toric_verify(doc, args):
                    _require_list(doc, "samples", "list of expression strings")]
     else:
         samples = toric.default_samples(system)
-    zeros = toric.SimpleZeros(system, zeros)
     weights = toric.solve_vertex_coefficients(system, zeros, samples)
     lhs = toric.residue_sum_over_zeros(system, f, zeros)
     rhs = toric.weighted_vertex_combination(system, f, weights)

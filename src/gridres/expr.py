@@ -15,15 +15,27 @@ words (\\w+, so str.isalnum() or "_") and single other characters, and
 any str.isspace() run separates them.  Errors carry the offset of the
 offending character.
 
-One reader takes a sum factor by factor: one regex matches a factor (the
-operator before it, a literal or a word, an optional exponent) where the
-last match ended, and only where it misses does a second one try '(',
-which recurses into the parenthesised sum.  A product of variables and
-literals is kept as one coefficient and one exponent list; a parenthesised
-factor turns its term into a term dict.  Where both patterns miss, the sum
-ends: at its ')', at the end of the text or at an error, which the
-characters there determine.  Every match starts where the last one ended,
-so the reader runs in time linear in the text, malformed text included.
+One reader takes a sum a term at a time where it can.  At a term start
+(the first term, or a '+' or '-' where the last match ended) one regex
+matches the whole term: its sign, then a run of factors joined by '*'
+with no whitespace inside.  str methods read the factors off an ASCII
+run: an optional literal a or a/b, then names with optional exponents.
+Whatever that cannot settle (whitespace inside the term, '(', '^-', a
+literal after a name, an unknown or aliased name, a non-ASCII character,
+a denominator that vanishes, an exponent past the range) is read from the
+same offset factor by factor: one regex matches a factor (the operator
+before it, a literal or a word, an optional exponent) where the last match
+ended, and only where it misses does a third one try '(', which recurses
+into the parenthesised sum.  So the factor loop gives every message,
+offset and error order, and the term read only skips it on text it would
+accept.
+A product of variables and literals is kept as one coefficient and one
+exponent list; a parenthesised factor turns its term into a term dict.
+Where no pattern matches, the sum ends: at its ')', at the end of the
+text or at an error, which the characters there determine.  Every match
+starts where the last one ended, and the term pattern is tried once per
+term, so the reader runs in time linear in the text, malformed text
+included.
 
 The rules work on raw coefficients: ints mod p (over F_p) or
 ints/Fractions (over Q).  Products and powers of term dicts go through the
@@ -79,6 +91,14 @@ _FACTOR = re.compile(r"\s*(?:([-+*])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(\w+))"
 _OPEN = re.compile(r"\s*(?:([-+*])\s*)?\(")
 _CLOSE = re.compile(r"\)(?:\s*\^\s*(?:(-)\s*)?([0-9]+))?\s*")
 _SPACE = re.compile(r"\s*")
+# A whole term at a term start: its sign with the whitespace around it, a
+# run of word characters, '^', '/' and '*' with no whitespace inside, and
+# the whitespace after it, where a term may end.  _term reads the factors
+# off the run.  Neighbouring parts share no character (the run holds no
+# whitespace, sign or ')'), so a miss gives each character back once: one
+# pass over the term, and the factor loop then reads it.  (Possessive
+# quantifiers would say so directly, but need Python 3.11.)
+_TERM = re.compile(r"\s*(?:([-+])\s*)?([\w^/*]+)\s*(?=[-+)]|\Z)")
 _EXPECTED = "expected a variable, literal, or parenthesis"
 
 
@@ -100,8 +120,25 @@ def _read(text: str, pos: int, p, index: dict, nvars: int, depth: int):
     coef = 0     # its coefficient, 0 once a parenthesis made the term
     poly = None  # this term dict
     negate = False
-    last = None  # the last factor's match
+    last = None  # the last factor's or whole term's match
     while True:
+        if expo is None or text.startswith(("+", "-"), pos):
+            term = _TERM.match(text, pos)
+            if term and (expo is not None or term[1] != "+"):
+                read = _term(term[2], p, index, nvars)
+                if read:
+                    if coef or poly:  # close a term the factor loop read
+                        _add(terms, {tuple(expo): coef} if coef else poly, negate)
+                    c, m = read
+                    if c:
+                        if term[1] == "-":
+                            c = -c
+                        s = terms.get(m)
+                        terms[m] = c if s is None else s + c
+                    expo, coef, poly, last, pos = (), 0, None, term, term.end()
+                    if pos < len(text) and text[pos] != ")":
+                        continue  # a '+' or '-': the next term
+                    break
         factor = match(text, pos)
         if factor is None:
             factor = _OPEN.match(text, pos) if pos < len(text) else None
@@ -199,6 +236,47 @@ def _read(text: str, pos: int, p, index: dict, nvars: int, depth: int):
     if p:
         return {m: c % p for m, c in terms.items() if c % p}, pos
     return {m: c for m, c in terms.items() if c}, pos
+
+
+def _term(body: str, p, index: dict, nvars: int):
+    """(coefficient, exponent tuple) of an ASCII term body: an optional
+    literal a or a/b, then names of index with optional exponents, joined
+    by '*'; the coefficient as the factor loop computes it.  None when the
+    factor loop must read the body: a non-ASCII character, any other
+    factor, a denominator that vanishes (mod p), or an exponent past the
+    range."""
+    if not body.isascii():  # so isdigit() means [0-9]
+        return None
+    factors = body.split("*")
+    num, slash, den = factors[0].partition("/")
+    coef, first = 1, 0
+    if num.isdigit():
+        coef, first = int(num), 1
+        if slash:
+            if not den.isdigit():
+                return None
+            d = int(den)
+            if not (d % p if p else d):
+                return None
+            coef = coef * pow(d, -1, p) if p else Fraction(coef, d)
+        if p:
+            coef %= p
+    expo = [0] * nvars
+    for factor in factors[first:]:
+        name, caret, power = factor.partition("^")
+        k = index.get(name)
+        if k is None:
+            return None
+        if caret:
+            if not power.isdigit():
+                return None
+            e = expo[k] + int(power)
+        else:
+            e = expo[k] + 1
+        if e > MAX_EXPONENT:
+            return None
+        expo[k] = e
+    return coef, tuple(expo)
 
 
 def _stop(text: str, pos: int, last) -> int:

@@ -6,6 +6,12 @@ the bare values.  Prime-field values are residues in [0, p) with p below
 2^31 so products fit a double-width machine integer; rational values are
 reduced Fractions with positive denominator.  There is no floating point
 anywhere: equality of elements is structural equality of canonical forms.
+
+One scalar reader, _read_scalar, turns a decimal or 'a/b' string into its
+canonical raw value: ASCII 'a' and 'a/b' by int(), everything else by the
+Fraction string parser, so both accept and refuse the same strings.
+Field.__call__ wraps it in an element; the job decoder calls it directly
+where it needs only the raw value.
 """
 
 from __future__ import annotations
@@ -39,6 +45,39 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _read_scalar(text: str, p):
+    """The canonical raw value of a decimal or 'a/b' string: an int in
+    [0, p) over F_p, a Fraction over Q (p None).
+
+    An optional '-' and ASCII digits, with an optional '/' and nonzero
+    ASCII digits, are read by int(); the fraction is reduced before its
+    denominator is checked mod p.  Every other string goes to the
+    Fraction string parser, so what is accepted, and every error, is what
+    Fraction(text) and the coercion of a Fraction give.
+    """
+    num, slash, den = text.partition("/")
+    body = num[1:] if num[:1] == "-" else num
+    if body.isascii() and body.isdigit():
+        if not slash:
+            n = int(num)
+            return n % p if p else Fraction(n)
+        if den.isascii() and den.isdigit():
+            d = int(den)
+            if d:
+                return _reduce(Fraction(int(num), d), p)
+    return _reduce(Fraction(text), p)
+
+
+def _reduce(value: Fraction, p):
+    """The raw value of a Fraction: itself over Q, the residue over F_p."""
+    if not p:
+        return value
+    den = value.denominator % p
+    if not den:
+        raise ZeroDivisionError(f"denominator {value.denominator} vanishes mod {p}")
+    return value.numerator * pow(den, -1, p) % p
 
 
 class FieldMismatchError(ValueError):
@@ -90,30 +129,16 @@ class Field:
 
     def __call__(self, value) -> "FieldElement":
         """Coerce an int, Fraction, decimal/'a/b' string, or element."""
+        if isinstance(value, str):
+            return FieldElement(self, _read_scalar(value, self.modulus))
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"element of {value.field} used in {self}")
             return value
-        if isinstance(value, str):
-            # plain ASCII integers skip the Fraction parser; every other
-            # string takes it, so what is accepted does not change
-            body = value[1:] if value[:1] == "-" else value
-            value = int(value) if body.isascii() and body.isdigit() else Fraction(value)
-        if isinstance(value, Fraction) and value.denominator == 1:
-            value = value.numerator
         if isinstance(value, int):
-            if self.is_prime_field:
-                return FieldElement(self, value % self.modulus)
-            return FieldElement(self, Fraction(value))
+            return FieldElement(self, value % self.modulus if self.modulus else Fraction(value))
         if isinstance(value, Fraction):
-            if self.is_prime_field:
-                num = value.numerator % self.modulus
-                den = value.denominator % self.modulus
-                if den == 0:
-                    raise ZeroDivisionError(
-                        f"denominator {value.denominator} vanishes mod {self.modulus}")
-                return FieldElement(self, num * pow(den, -1, self.modulus) % self.modulus)
-            return FieldElement(self, value)
+            return FieldElement(self, _reduce(value, self.modulus))
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     @property

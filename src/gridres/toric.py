@@ -24,11 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
+from math import prod
 from typing import Sequence
 
 from .field import FieldElement, FieldMismatchError
 from .linalg import _inverse, determinant, solve_linear
 from .multipoly import MultiPoly, _add_terms, _eval_terms, _mul_terms
+from .nullstellensatz import grid_weights
 from .polytope import LatticePolytope, strict_support_direction, _dot
 
 
@@ -263,16 +266,32 @@ class SimpleZeros:
     ``weighted``: a caller summing several numerators over the same zeros
     pays for them once, and an invalid zero raises where the first residue
     sum would.
+
+    ``SimpleZeros.of_grid(grid)`` holds the grid's points as the zeros of
+    the separable system g_i = phi_i(z_i) that it builds.  There every
+    point is a distinct common zero and the Jacobian is diagonal, so the
+    weight is prod_i 1/phi_i'(x_i), read from grid_weights per axis, and
+    only the torus is checked, once per node.
     """
 
     def __init__(self, system: NewtonSystem, points: Sequence[Sequence]):
         self.system = system
         self.points = points
+        self.grid = None
+
+    @classmethod
+    def of_grid(cls, grid) -> "SimpleZeros":
+        """The points of a GridSystem, zeros of its separable system."""
+        zeros = cls(NewtonSystem(grid.polys_multivariate()), tuple(grid.points()))
+        zeros.grid = grid
+        return zeros
 
     @cached_property
     def weighted(self) -> list[tuple]:
         """(point, 1/det J(point)) per zero, in the given order, as raw
         values (ints mod p, Fractions over Q)."""
+        if self.grid is not None:
+            return self._grid_weighted()
         system = self.system
         field = system.field
         p = field.modulus
@@ -299,6 +318,20 @@ class SimpleZeros:
                 raise ValueError(
                     f"singular Jacobian at {tuple(map(str, point))}: zero is not simple")
             out.append((point, _inverse(det, p)))
+        return out
+
+    def _grid_weighted(self) -> list[tuple]:
+        """weighted for a grid: the points in row-major order, each weight
+        the product of its nodes' weights."""
+        grid = self.grid
+        p = grid.field.modulus
+        for i, nodes in enumerate(grid.nodes):
+            if any(a.is_zero() for a in nodes):
+                raise ValueError(f"node set {i} contains 0: its points leave the torus")
+        out = []
+        for axes in product(*(grid_weights(nodes).items() for nodes in grid.nodes)):
+            point, weights = zip(*axes)
+            out.append((point, prod(weights) % p if p else prod(weights)))
         return out
 
 

@@ -140,16 +140,24 @@ def test_cb_forced_repeated_point(capsys, tmp_path):
                                "message": "value point ['0', '0'] is given twice"}
 
 
-def test_cb_forced_parses_each_point_string_once(capsys, tmp_path, monkeypatch):
-    # the points repeat the grid's node strings; values are parsed one by one
-    from gridres.field import Field
-    parsed, original = [], Field.__call__
+def _count_scalar_reads(monkeypatch) -> list:
+    """The strings read by the one scalar reader, which Field.__call__
+    wraps and the CLI also calls directly for raw values."""
+    from gridres import cli, field
+    read, original = [], field._read_scalar
 
-    def counted(self, value):
-        if isinstance(value, str):
-            parsed.append(value)
-        return original(self, value)
-    monkeypatch.setattr(Field, "__call__", counted)
+    def counted(text, p):
+        read.append(text)
+        return original(text, p)
+    monkeypatch.setattr(field, "_read_scalar", counted)
+    monkeypatch.setattr(cli, "_read_scalar", counted)
+    return read
+
+
+def test_cb_forced_parses_each_point_string_once(capsys, tmp_path, monkeypatch):
+    # the points repeat the grid's node strings; values are read one by one,
+    # to raw values with no element
+    parsed = _count_scalar_reads(monkeypatch)
     grids = [["0", "1/2", "3"], ["0", "1/2"]]
     points = [[a, b] for a in grids[0] for b in grids[1] if [a, b] != ["3", "1/2"]]
     values = [{"point": pt, "value": str(10 + k)} for k, pt in enumerate(points)]
@@ -329,15 +337,10 @@ def test_q_coeff_with_a_huge_spike_within_a_second(capsys, tmp_path):
 
 
 def test_line_and_point_coordinates_are_coerced_once(monkeypatch):
-    # the JSON strings go straight to ProjLine/ProjPoint, which coerce them
+    # each JSON string is read once to a raw value; the affine z is a raw 1
     from gridres.cli import _decode_lines, _decode_point
     from gridres.field import Field
-    calls, original = [], Field.__call__
-
-    def counted(self, value):
-        calls.append(value)
-        return original(self, value)
-    monkeypatch.setattr(Field, "__call__", counted)
+    calls = _count_scalar_reads(monkeypatch)
     doc = {"red": [["1", "0", "0"], ["1", "0", "-1"]], "blue": [["0", "1", "-1/2"]]}
     for field in (Field.rationals(), Field.prime(7)):
         calls.clear()
@@ -347,7 +350,7 @@ def test_line_and_point_coordinates_are_coerced_once(monkeypatch):
         calls.clear()
         _decode_point(field, ["1/2", "3"])
         _decode_point(field, ["1", "2", "0"])
-        assert calls == ["1/2", "3", 1, "1", "2", "0"]
+        assert calls == ["1/2", "3", "1", "2", "0"]
 
 
 def test_cover_bound(capsys, tmp_path):
@@ -1000,6 +1003,51 @@ def test_string_point_is_input_error(capsys, tmp_path, subcommand, doc, what):
     assert f"{what} must be a list" in report["error"]["message"]
 
 
+def _scalar_docs(bad):
+    """(subcommand, document, section) with the scalar bad in that section."""
+    grid = [["0", "1"], ["0", "1"]]
+    lines = {"red": [["1", "0", "0"], ["1", "0", "-1"]], "blue": [["0", "1", "0"], ["0", "1", "-1"]]}
+    values = [{"point": list(pt), "value": "1"} for pt in product(*grid) if pt != ("1", "1")]
+    return [
+        ("coeff", {"vars": ["x", "y"], "poly": "x*y", "grids": [["0", bad], ["0", "1"]]}, "grids"),
+        ("cb-verify", {"vars": ["x", "y"], "poly": "x", "grids": [["0", "1"], [bad]]}, "grids"),
+        ("cover-bound", {"grid": [["0", bad], ["0", "1"]], "excluded": ["0", "0"]}, "grid"),
+        ("cover-bound", {"grid": grid, "excluded": ["0", bad]}, "excluded"),
+        ("cb-forced", {"grids": [["0", bad], ["0", "1"]], "target": ["1", "1"], "values": values},
+         "grids"),
+        ("cb-forced", {"grids": grid, "target": ["1", bad], "values": values}, "target"),
+        ("cb-forced", {"grids": grid, "target": ["1", "1"],
+                       "values": values + [{"point": [bad, "1"], "value": "1"}]}, "values"),
+        ("cb-forced", {"grids": grid, "target": ["1", "1"],
+                       "values": values + [{"point": [bad], "value": "1"}]}, "values"),
+        ("cb-forced", {"grids": grid, "target": ["1", "1"],
+                       "values": values[:2] + [{"point": ["1", "0"], "value": bad}]}, "values"),
+        ("toric-verify", dict(TORIC_ZEROS_DOC, zeros=[["1", "2"], [bad, "2"]]), "zeros"),
+        ("toric-verify", {"vars": ["x", "y"], "poly": "x*y", "grids": [["1", "2"], ["1", bad]]},
+         "grids"),
+        ("lines-search", dict(lines, red=[["1", "0", bad]]), "red"),
+        ("lines-search", dict(lines, blue=[["1", "0", "0"], [bad, "1", "0"]]), "blue"),
+        ("lines-check", dict(lines, green=[["1", "-1", "0"], ["1", bad, "0"]]), "green"),
+        ("lines-classify", dict(lines, green=[[bad, "1", "1"]]), "green"),
+        ("problem1-bound", dict(lines, excluded=["0", bad]), "excluded"),
+    ]
+
+
+@pytest.mark.parametrize("field, bad", [(F7, "1/0"), (F7, "abc"), (F7, "3/7"),
+                                        (RATIONALS, "1/0"), (RATIONALS, "1/ 2x")],
+                         ids=["zero-denominator", "not-a-number", "vanishes-mod-p",
+                              "Q-zero-denominator", "Q-not-a-number"])
+def test_refused_scalar_is_input_error(capsys, tmp_path, field, bad):
+    """A scalar that the field cannot read is invalid input: exit 2 with an
+    InputError that names the section and the scalar."""
+    for subcommand, doc, section in _scalar_docs(bad):
+        code, report, _ = run(capsys, tmp_path, subcommand, dict(doc, field=field))
+        assert code == 2, (subcommand, section)
+        error = report["error"]
+        assert error["type"] == "InputError", (subcommand, section, error)
+        assert f'{bad!r} in "{section}"' in error["message"], (subcommand, error)
+
+
 def test_toric_verify_checks_each_zero_once(capsys, tmp_path, monkeypatch):
     from gridres import toric
     calls, original = [], toric.determinant
@@ -1013,12 +1061,13 @@ def test_toric_verify_checks_each_zero_once(capsys, tmp_path, monkeypatch):
     # default samples: one per vertex of the sum polytope (4 here), plus f
     assert len(calls) == len(TORIC_ZEROS_DOC["zeros"])
 
+    # the grid route reads each weight off the per-axis grid weights
     calls.clear()
     code, report, _ = run(capsys, tmp_path, "toric-verify", {
         "field": RATIONALS, "vars": ["x", "y"], "poly": "3*x^2*y + x*y - 2",
         "grids": [["1", "2", "3"], ["1", "2"]]})
     assert code == 0 and report["result"]["agree"] is True
-    assert len(calls) == 6
+    assert calls == []
 
 
 def test_vanishing_polys_built_only_for_toric_grid_route(capsys, tmp_path, monkeypatch):

@@ -521,6 +521,34 @@ def test_long_whitespace_runs_fail_in_linear_time(text, offset, message):
     assert err.value.position == offset
 
 
+# 40,000 factors that the term pattern reads up to the end and then refuses
+# (whitespace inside the term): the pattern is tried once, at the term start,
+# and the factor loop reads the term; a pattern tried at every factor would
+# take quadratic time.  So does a sum of 10,000 such terms.
+_PRODUCT = "x" + "*x" * 40_000
+
+
+@pytest.mark.parametrize("text, expected", [
+    (_PRODUCT + " *y", {(40_001, 1): 1}),
+    (_PRODUCT + " ^2", {(40_002, 0): 1}),
+    (" + ".join(["x *y"] * 10_000), {(1, 1): 10_000}),
+    (" - ".join(["2*x^3 *y"] * 10_001), {(3, 1): -19_998}),
+], ids=["trailing-factor", "trailing-power", "sum", "signed-sum"])
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_terms_refused_late_read_in_linear_time(text, expected):
+    def too_slow(signum, frame):
+        raise TimeoutError("parse_poly ran for over 1 s")
+
+    handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        f = parse_poly(text, Q, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert f.terms == {m: Fraction(c) for m, c in expected.items()}
+
+
 def test_parenthesis_depth_bounded():
     deepest = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
     assert parse_poly(deepest, Q, 2) == parse_poly("x", Q, 2)

@@ -186,3 +186,74 @@ def test_flat_sums_take_the_flat_path(case):
     finally:
         expr._OPEN = parenthesis
     assert outcome == reference
+
+
+# -- where the term pattern stops part way ----------------------------------------
+
+# Each text puts a term that the term pattern matches only in part, or
+# reads and hands back, between terms it reads whole; the factor loop must
+# then read it exactly as the reference does: the same terms, or the same
+# error type, message and offset.
+TERM_BOUNDARIES = [
+    "2*x*(y + 1) - x", "x + 3*(x - y)^2*y - 1", "x*y^-2 + 1", "x + 3*x^-1*y - y",
+    "2/x + y", "x - 2/3/4*y", "x*2 + y", "x + y*1/2", "x * y - 1", "x + 2 *y - y* x",
+    "x + w*y", "x + y*w - 1", "x + z1*y", "x - z2^3", "x^2147483647*x + y",
+    "y + x*x^2147483647", "0*x^2147483648 + y", "x + 0*y^2147483647*y", "y + 7*x^2147483647*x",
+    "x + 7/14*y", "x + 3/0*y", "x - 0/5*y", "2^3*x + y", "x^2^3 + y", "x*y^ + 1", "x + y*",
+    "x + +y", "+x - y", "-x - -y", "x - 00012*y^007", "x + ٣*y", "x + y^٣",
+    "xé + y", "x + y) - 1", "(x + 2*y) - 3*x*y",
+]
+
+
+@pytest.mark.parametrize("text", TERM_BOUNDARIES)
+@pytest.mark.parametrize("names", [["x", "y"], ["x", "y", "é"]], ids=["xy", "xy-accent"])
+def test_term_pattern_hand_over_matches_reference(text, names):
+    for field in FIELDS:
+        outcome = _outcome(lambda: parse_poly(text, field, names).terms)
+        assert outcome == _reference(text, field, names), (text, field)
+
+
+def test_term_pattern_boundary_errors():
+    """A few of the outcomes above, pinned: the errors come from the factor
+    loop, at the offsets it has always given."""
+    F7 = Field.prime(7)
+    cases = [("x + 7/14*y", F7, ZeroDivisionError, "inversion of zero field element"),
+             ("x + 3/0*y", F7, expr.ParseError, "zero denominator at offset 6"),
+             ("x^2147483647*x + y", F7, OverflowError,
+              "exponent 2147483648 exceeds signed 32-bit range"),
+             ("0*x^2147483648 + y", F7, expr.ParseError,
+              "exponent 2147483648 overflows 32 bits at offset 4"),
+             ("x + w*y", F7, expr.ParseError, "unknown variable 'w' at offset 4")]
+    for text, field, kind, message in cases:
+        with pytest.raises(kind) as err:
+            parse_poly(text, field, ["x", "y"])
+        assert str(err.value) == message
+    # a zero coefficient skips the sum of its exponents, as before
+    assert parse_poly("x + 0*y^2147483647*y", F7, ["x", "y"]).terms == {(1, 0): 1}
+    assert parse_poly("y + 7*x^2147483647*x", F7, ["x", "y"]).terms == {(0, 1): 1}
+    # a literal after a name, and an alias of another name list
+    assert parse_poly("x*2 + y", F7, ["x", "y"]).terms == {(1, 0): 2, (0, 1): 1}
+    assert parse_poly("a + z1*b", F7, ["a", "b"]).terms == {(1, 0): 1, (1, 1): 1}
+
+
+class _NoFactor:
+    """Stands in for expr._FACTOR and refuses to be tried."""
+
+    def match(self, text, pos):
+        raise AssertionError(f"the factor pattern was tried at offset {pos}")
+
+
+@SETTINGS
+@given(laurent_polys())
+def test_canonical_text_is_read_term_by_term(f):
+    """Canonical text with no negative exponent is read by the term pattern
+    alone: the factor pattern is never tried on it."""
+    f = MultiPoly.from_terms(f.field, f.nvars, {
+        tuple(min(abs(e), MAX_EXPONENT) for e in m): c for m, c in f.terms.items()})
+    text = format_poly(f)
+    factor, expr._FACTOR = expr._FACTOR, _NoFactor()
+    try:
+        g = parse_poly(text, f.field, f.nvars)
+    finally:
+        expr._FACTOR = factor
+    assert g.terms == f.terms

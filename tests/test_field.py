@@ -5,6 +5,7 @@ import pytest
 
 from gridres import (Field, FieldMismatchError, LatticePolytope, MultiPoly,
                      is_prime, parse_poly)
+from gridres.field import _read_scalar
 
 from helpers import random_element
 
@@ -160,3 +161,76 @@ def test_string_decoding_matches_fraction(field):
     for text in DECODED_STRINGS:
         expected = _outcome(lambda: field(Fraction(text)))
         assert _outcome(lambda: field(text)) == expected, text
+
+
+# -- the scalar reader against Fraction and the coercion of a Fraction ---------------
+
+def _coerced(text: str, p):
+    """The reference: Fraction(text), then the coercion of a Fraction into
+    the field as it stood before the scalar reader, written out here."""
+    value = Fraction(text)
+    if p is None:
+        return value
+    if value.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator {value.denominator} vanishes mod {p}")
+    return value.numerator * pow(value.denominator % p, -1, p) % p
+
+
+def _read_outcome(read):
+    try:
+        value = read()
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+SCALAR_EXAMPLES = DECODED_STRINGS + [
+    "-3", "+3", "3/0", "-3/0", "0/0", "6/4", "-6/4", "-0/5", "0/5", "7/7", "14/7", "-7/14",
+    "3/7", "1/14", "21/49", "3 / 4", "3/ 4", " 3/4", "3/4 ", "1_000/3", "1/1_0", "3/-4",
+    "-3/-4", "+3/4", "3/+4", "1/٣", "٣/4", "3/4/5", "3//4", "/4", "3/", "", "1" * 4301 + "/3",
+    "3/" + "1" * 4301, "0" * 50 + "7/" + "0" * 50 + "14",
+]
+
+
+@pytest.mark.parametrize("p", [None, 2, 7, 10007, 2 ** 31 - 1])
+def test_scalar_reader_examples(p):
+    field = Field.prime(p) if p else Q
+    for text in SCALAR_EXAMPLES:
+        expected = _read_outcome(lambda: _coerced(text, p))
+        assert _read_outcome(lambda: _read_scalar(text, p)) == expected, text
+        element = _read_outcome(lambda: field(text).value)
+        assert element == expected, text
+
+
+def test_scalar_reader_reduces_before_the_denominator_check():
+    assert _read_scalar("7/7", 7) == 1
+    assert _read_scalar("14/21", 7) == 2 * pow(3, -1, 7) % 7
+    with pytest.raises(ZeroDivisionError, match="denominator 7 vanishes mod 7"):
+        _read_scalar("3/7", 7)
+    with pytest.raises(ZeroDivisionError, match=r"denominator 7 vanishes mod 7"):
+        _read_scalar("6/14", 7)  # 3/7 once reduced
+    assert _read_scalar("-0/5", None) == 0 and type(_read_scalar("-0/5", None)) is Fraction
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007])
+def test_scalar_reader_matches_fraction(p):
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # signs, digits (ASCII and not), '/', '_', whitespace and letters, in any order
+    pieces = st.sampled_from(["-", "+", "/", "_", " ", "\t", "0", "1", "7", "14", "49",
+                              "٣", "１", "²", "e", ".", "x", "10007"])
+
+    # and well-formed a or a/b, with multiples of p on either side
+    numbers = st.integers(0, 10 ** 30) | st.integers(0, 50).map(lambda k: k * (p or 1))
+    fractions = st.tuples(st.sampled_from(["", "-", "+"]), numbers,
+                          st.none() | numbers).map(
+        lambda t: f"{t[0]}{t[1]}" + ("" if t[2] is None else f"/{t[2]}"))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(pieces, max_size=8).map("".join) | fractions)
+    def check(text):
+        expected = _read_outcome(lambda: _coerced(text, p))
+        assert _read_outcome(lambda: _read_scalar(text, p)) == expected
+
+    check()

@@ -164,6 +164,48 @@ def test_simple_zeros_checked_once_and_tied_to_their_system():
         residue_sum_over_zeros(system, f, bad)
 
 
+def _jacobian_weight(polys, point):
+    """1/det J at point, from the Jacobian's entries evaluated as field
+    elements and a Leibniz expansion of the determinant."""
+    from itertools import permutations
+    n = len(polys)
+    jac = [[g.partial_derivative(j).evaluate(point) for j in range(n)] for g in polys]
+    det = point[0].field.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = point[0].field.one
+        for i, j in enumerate(perm):
+            term = term * jac[i][j]
+        det = det - term if inversions % 2 else det + term
+    return det.inv()
+
+
+@pytest.mark.parametrize("field", [Q, F7, F10007], ids=str)
+def test_grid_zeros_weights_match_jacobian_oracle(field):
+    """SimpleZeros.of_grid reads each weight off the per-axis grid weights;
+    it must be 1/det J of the separable system at that point, in row-major
+    order, as the system route computes it too."""
+    rng = Random(f"grid-weights-{field}")
+    for _ in range(12):
+        nvars = rng.randint(1, 3)
+        nodes = [random_nodes(rng, field, rng.randint(1, 4), avoid_zero=True)
+                 for _ in range(nvars)]
+        grid = GridSystem(field, nodes)
+        zeros = SimpleZeros.of_grid(grid)
+        assert zeros.system.polys == grid.polys_multivariate()
+        points = list(grid.points())
+        expected = [(tuple(a.value for a in pt), _jacobian_weight(zeros.system.polys, pt).value)
+                    for pt in points]
+        assert zeros.weighted == expected
+        assert SimpleZeros(zeros.system, points).weighted == expected
+
+
+def test_grid_zeros_stay_in_the_torus():
+    zeros = SimpleZeros.of_grid(GridSystem(Q, [[1, 2], [0, 3]]))
+    with pytest.raises(ValueError, match="node set 1 contains 0"):
+        zeros.weighted
+
+
 def test_solve_vertex_coefficients_worked():
     system = NewtonSystem([parse_poly("x^2 - 1", Q, 1)])
     zeros = [(Q(1),), (Q(-1),)]
