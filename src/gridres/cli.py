@@ -22,7 +22,7 @@ and reads each value straight to its raw value, and other decoded nodes
 and zeros are field elements.
 Reports are JSON on stdout; --summary adds human-readable lines on
 stderr.  Exit codes: 0 success/verified, 1 verdict negative, 2 invalid
-input, 3 search or hull budget exceeded.
+input, 3 search, hull or series budget exceeded.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .field import Field, _read_scalar
 from .multipoly import MultiPoly, default_names
 from .projective import ProjLine, ProjPoint
 
-_DEFAULT_BUDGET = 1_000_000  # nodes; the 5x6 grid over Q minus a corner takes 205,412
+_DEFAULT_BUDGET = 1_000_000  # nodes; the 5x6 grid over Q minus a corner takes 115,131
 
 
 class InputError(ValueError):
@@ -403,9 +403,10 @@ def _cmd_toric_verify(doc, args):
                    _require_list(doc, "samples", "list of expression strings")]
     else:
         samples = toric.default_samples(system)
-    weights = toric.solve_vertex_coefficients(system, zeros, samples)
+    budget = _budget(doc, args)
+    weights = toric.solve_vertex_coefficients(system, zeros, samples, budget=budget)
     lhs = toric.residue_sum_over_zeros(system, f, zeros)
-    rhs = toric.weighted_vertex_combination(system, f, weights)
+    rhs = toric.weighted_vertex_combination(system, f, weights, budget=budget)
     agree = lhs == rhs
     result = {
         "residue_sum": str(lhs),
@@ -529,8 +530,8 @@ _PARSER.add_argument("--input", required=True,
 _PARSER.add_argument("--summary", action="store_true",
                      help="also print a human-readable summary on stderr")
 _PARSER.add_argument("--budget", type=int, default=None,
-                     help="node budget for backtracking searches and the "
-                          f"newton hull (default {_DEFAULT_BUDGET:,})")
+                     help="node budget for backtracking searches, the newton "
+                          f"hull and toric-verify series (default {_DEFAULT_BUDGET:,})")
 
 
 def main(argv=None) -> int:

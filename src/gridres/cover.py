@@ -1,13 +1,16 @@
 """Exact minimum line cover of planar point sets avoiding a forbidden point.
 
 Candidate lines are restricted to lines through at least two of the
-points (not through the forbidden point, never the infinity line) plus
-one singleton line per point, built from the point's pencil with no walk
-over the plane; any minimal cover can be rewritten inside this family, so
-the search space stays finite over the rationals.
+points (not through the forbidden point, never the infinity line) plus a
+singleton line for each point that no such line covers, built from the
+point's pencil with no walk over the plane; any minimal cover can be
+rewritten inside this family, so the search space stays finite over the
+rationals.  A point on a kept pair line needs no singleton: the pair line
+covers all the singleton does, so a cover using the singleton is no
+smaller with the pair line in its place.
 
 The search is branch and bound on int bitmasks.  Points are ranked once,
-by their number of candidates and then by index (a candidate through an
+by their number of pair traces and then by index (a candidate through an
 uncovered point always covers it, so that count never changes), and bit k
 of a mask is the point of rank k.  Each trace and the uncovered set are
 ints, and the branch point is the lowest set bit of the uncovered set.
@@ -25,14 +28,22 @@ the search returns the same first minimum cover from fewer nodes.  The
 bound depends on the mask alone, so a mask the bound cut is not stored;
 the table holds at most one entry per node, so the budget bounds it.
 
+Sibling dominance: at a node, a candidate whose residual |t & uncovered|
+is a subset of the residual of a sibling tried before it is skipped, and
+a skipped sibling is not a node.  Every completion of the skipped branch
+completes the earlier one with as many lines, and a cover is recorded
+only when strictly smaller, so the first minimum cover stays the same.
+
 `lines_through_pairs` is the one source of candidate lines: the green
 cover search in `lines` draws its candidates from it as well.  A trace
 is the union of its pairs, so no incidence test is needed to find it.
 The pairs are joined on ints: over F_p the key of a pair is the raw
 `_scaled` cross product of the canonical triples, over Q each point is
 scaled once to its primitive integer triple and the key is their cross
-product over its gcd, with its first nonzero entry positive.  One
-`ProjLine` is built per distinct key, not one per pair.
+product over its gcd, with its first nonzero entry positive.
+`lines_through_pairs` builds one `ProjLine` per distinct key, not one per
+pair.  The cover search filters the keys on ints and builds a `ProjLine`
+only for the lines of the cover it returns.
 """
 
 from __future__ import annotations
@@ -44,8 +55,8 @@ from typing import Sequence
 
 from .errors import BudgetExceededError
 from .field import Field
-from .projective import (ProjLine, ProjPoint, _spanning_lines, infinity_line,
-                         line_through)
+from .projective import (ProjLine, ProjPoint, _same_field, _spanning_lines,
+                         infinity_line, line_through)
 
 
 def _singleton_line(field: Field, point: ProjPoint, excluded: ProjPoint) -> ProjLine:
@@ -71,13 +82,9 @@ def _primitive(coords) -> tuple:
     return tuple(c.numerator * (scale // c.denominator) for c in coords)
 
 
-def lines_through_pairs(points: Sequence[ProjPoint]) -> dict:
-    """Map each line through two or more of the points -> frozenset of the
-    indices of the points on it.  A trace is the union of its pairs, since
-    each point on such a line pairs with another one on it.  Repeated
-    points and mixed fields raise the error `line_through` raises for the
-    first such pair."""
-    points = list(points)
+def _pair_keys(points: list) -> dict:
+    """Map the integer key of each line through two or more of the points
+    -> set of the indices of the points on it (see `lines_through_pairs`)."""
     n = len(points)
     if n < 2:
         return {}
@@ -113,20 +120,48 @@ def lines_through_pairs(points: Sequence[ProjPoint]) -> dict:
                 traces[key] = {i, j}
             else:
                 trace.add(j)
-    return {ProjLine._raw(field, key): frozenset(trace) for key, trace in traces.items()}
+    return traces
+
+
+def lines_through_pairs(points: Sequence[ProjPoint]) -> dict:
+    """Map each line through two or more of the points -> frozenset of the
+    indices of the points on it.  A trace is the union of its pairs, since
+    each point on such a line pairs with another one on it.  Repeated
+    points and mixed fields raise the error `line_through` raises for the
+    first such pair."""
+    points = list(points)
+    return {ProjLine._raw(points[0].field, key): frozenset(trace)
+            for key, trace in _pair_keys(points).items()}
 
 
 def candidate_traces(points: Sequence[ProjPoint], excluded: ProjPoint,
                      field: Field) -> dict:
-    """Map frozenset-of-point-indices -> representative covering line."""
-    inf = infinity_line(field)
+    """Map frozenset-of-point-indices -> raw triple of a line through exactly
+    those points that avoids excluded and is not the infinity line
+    (`ProjLine._raw(field, triple)` builds it).
+
+    The pair keys are filtered on ints: the infinity line is the key
+    (0, 0, k), and a line passes through excluded when its key's dot
+    product with excluded's triple (primitive over Q) vanishes.  A point
+    on a kept pair trace gets no singleton line, since that trace
+    dominates it."""
+    points = list(points)
+    if points:
+        _same_field(points[0], excluded)
+    p = field.modulus
+    e0, e1, e2 = excluded.coords if p else _primitive(excluded.coords)
     # a line through two points is fixed by its trace, so traces stay distinct
-    traces = {trace: line for line, trace in lines_through_pairs(points).items()
-              if line != inf and not line.contains(excluded)}
-    for i in range(len(points)):
-        trace = frozenset([i])
-        if trace not in traces:
-            traces[trace] = _singleton_line(field, points[i], excluded)
+    traces: dict = {}
+    covered: set = set()
+    for key, trace in _pair_keys(points).items():
+        k0, k1, k2 = key
+        dot = k0 * e0 + k1 * e1 + k2 * e2
+        if (k0 or k1) and (dot % p if p else dot):
+            traces[frozenset(trace)] = key
+            covered |= trace
+    for i, point in enumerate(points):
+        if i not in covered:
+            traces[frozenset([i])] = _singleton_line(field, point, excluded).coords
     return traces
 
 
@@ -142,9 +177,10 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
                    field: Field, budget: int | None = None):
     """(size, lines) of a minimum cover of the points avoiding excluded.
 
-    Candidates are tried big traces first, then by point indices.  The
-    branch point is the uncovered point with the fewest candidates, then
-    the lowest index.  A node is pruned once the chosen lines plus the
+    Candidates are tried big traces first, then by point indices, and one
+    whose residual an earlier sibling's holds is skipped.  The branch
+    point is the uncovered point with the fewest pair traces, then the
+    lowest index.  A node is pruned once the chosen lines plus the
     residual-trace bound reach the best size found so far; the bound adds
     up residual sizes |t & uncovered| from the largest down until they
     reach |uncovered|.  Every valid bound returns the same first minimum
@@ -160,8 +196,12 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
     traces = candidate_traces(points, excluded, field)
     # deterministic candidate order: big traces first, then by point indices
     order = sorted(traces, key=lambda t: (-len(t), sorted(t)))
-    through = Counter(i for t in order for i in t)
-    bit = {i: 1 << k for k, i in enumerate(sorted(through, key=lambda i: (through[i], i)))}
+    # points ranked by their pair traces, then index: the order the full
+    # family, with a singleton for every point, gives, so the first minimum
+    # cover found is that family's
+    through = Counter(i for t in order if len(t) > 1 for i in t)
+    ranked = sorted(range(len(points)), key=lambda i: (through[i], i))
+    bit = {i: 1 << k for k, i in enumerate(ranked)}
     masks = [sum(bit[i] for i in t) for t in order]
     # the candidates through the point of rank k, in candidate order
     containing = [[c for c, m in enumerate(masks) if m >> k & 1]
@@ -208,22 +248,29 @@ def min_line_cover(points: Sequence[ProjPoint], excluded: ProjPoint,
             return
         expanded[uncovered] = depth
         saved = residual[:], hist[:]
+        tried: list = []
         for c in containing[(uncovered & -uncovered).bit_length() - 1]:
             newly = masks[c] & uncovered
-            # each trace through a newly covered point loses it
-            rest = newly
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                for t in containing[low.bit_length() - 1]:
-                    size = residual[t]
-                    hist[size] -= 1
-                    hist[size - 1] += 1
-                    residual[t] = size - 1
-            chosen.append(c)
-            search(uncovered ^ newly)
-            chosen.pop()
-            residual[:], hist[:] = saved
+            # a sibling that covered a superset leaves no more to cover
+            for seen in tried:
+                if newly | seen == seen:
+                    break
+            else:
+                tried.append(newly)
+                # each trace through a newly covered point loses it
+                rest = newly
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    for t in containing[low.bit_length() - 1]:
+                        size = residual[t]
+                        hist[size] -= 1
+                        hist[size - 1] += 1
+                        residual[t] = size - 1
+                chosen.append(c)
+                search(uncovered ^ newly)
+                chosen.pop()
+                residual[:], hist[:] = saved
 
     search((1 << len(points)) - 1)
-    return best_size, tuple(traces[order[c]] for c in best_cover)
+    return best_size, tuple(ProjLine._raw(field, traces[order[c]]) for c in best_cover)

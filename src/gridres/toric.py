@@ -18,6 +18,8 @@ every sample reads it.  Each system derives its sum polytope and one
 strict support direction per vertex once, on first read, and the split,
 the solve and the combination share them; one walk over the zeros gives
 the residue sums of all samples through multipoly's raw evaluation.
+The depth of a series grows with the numerator's exponents, so each
+expansion counts its work against an optional budget.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
+from .errors import BudgetExceededError
 from .field import FieldElement, FieldMismatchError
 from .linalg import _inverse, determinant, solve_linear
 from .multipoly import MultiPoly, _add_terms, _eval_terms, _mul_terms
@@ -161,7 +164,7 @@ def vertex_split(system: NewtonSystem, f: MultiPoly) -> VertexSplit:
 
 
 def _vertex_residues(system: NewtonSystem, numerators: Sequence[MultiPoly],
-                     vertex: tuple, u: tuple) -> list:
+                     vertex: tuple, u: tuple, budget: int | None = None) -> list:
     """Raw vertex residues at vertex, one per nonzero numerator, read off
     one expansion.
 
@@ -171,6 +174,11 @@ def _vertex_residues(system: NewtonSystem, numerators: Sequence[MultiPoly],
     weight at least -T_f are those an expansion to that floor gives.  Each
     f reads sum_m f_m * S[v - (1,...,1) - m] / prod c_i, and a numerator
     with T_f < 0 reads 0.
+
+    The depth grows with the numerator's exponents, so the expansion
+    counts its work: one unit per pair of terms a product multiplies and
+    per term a partial sum of a series holds.  Past budget units
+    BudgetExceededError(budget) is raised.
     """
     p = system.field.modulus
     n = system.nvars
@@ -199,7 +207,16 @@ def _vertex_residues(system: NewtonSystem, numerators: Sequence[MultiPoly],
     if depth < 0:
         return [zero] * len(numerators)
 
+    work = 0
+
+    def spend(units):
+        nonlocal work
+        work += units
+        if budget is not None and work > budget:
+            raise BudgetExceededError(budget)
+
     def truncated_product(a, b):
+        spend(len(a) * len(b))
         return {m: c for m, c in _mul_terms(a, b, p).items() if _dot(u, m) >= -depth}
 
     unit = {(0,) * n: 1}
@@ -216,6 +233,7 @@ def _vertex_residues(system: NewtonSystem, numerators: Sequence[MultiPoly],
             if not power:
                 break
             series = _add_terms(series, power, p)
+            spend(len(series))
         series_product = truncated_product(series_product, series)
 
     out = []
@@ -379,7 +397,8 @@ class VertexCoefficients:
 
 
 def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
-                              samples: Sequence[MultiPoly]) -> VertexCoefficients:
+                              samples: Sequence[MultiPoly],
+                              budget: int | None = None) -> VertexCoefficients:
     """Solve residue-sum = (-1)^n * sum_v k_v * vertex-residue for the k_v.
 
     One equation per sample numerator; every sample must satisfy the
@@ -401,7 +420,7 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
     bound <u, w - v> < 0 at every other vertex v.  The checks keep the
     order of a sample-by-sample solve: the first sample's split and field,
     then the zeros, then the later samples'.  The system is solved on raw
-    values.
+    values.  budget bounds each vertex's expansion (see _vertex_residues).
     """
     samples = list(samples)
     if not samples:
@@ -419,7 +438,8 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
         if k == 0:
             zeros.weighted  # the zeros are checked before the later samples
     sign = -1 if n % 2 else 1
-    columns = [_vertex_residues(system, samples, v, u) for v, u in directions.items()]
+    columns = [_vertex_residues(system, samples, v, u, budget)
+               for v, u in directions.items()]
     rows = [[(sign * x) % p if p else sign * x for x in row] for row in zip(*columns)]
     rhs = _residue_sums(system, samples, zeros)
     solution = solve_linear(rows, rhs, p)
@@ -464,12 +484,14 @@ def default_samples(system: NewtonSystem) -> list[MultiPoly]:
 
 
 def weighted_vertex_combination(system: NewtonSystem, f: MultiPoly,
-                                coefficients: VertexCoefficients) -> FieldElement:
+                                coefficients: VertexCoefficients,
+                                budget: int | None = None) -> FieldElement:
     """(-1)^n * sum of k_v * vertex residues of f/(g_1...g_n).
 
     Unconstrained vertices must have vanishing residue on this numerator,
     otherwise the combination is not determined and a ValueError is raised.
-    f is checked once, as vertex_residue checks it.
+    f is checked once, as vertex_residue checks it.  budget bounds each
+    vertex's expansion (see _vertex_residues).
     """
     directions = system.vertex_directions
     _require_numerator(system, f)
@@ -477,7 +499,7 @@ def weighted_vertex_combination(system: NewtonSystem, f: MultiPoly,
         raise ValueError("zero numerator: truncation bound undefined")
     acc = 0
     for v, u in directions.items():
-        res, = _vertex_residues(system, [f], v, u)
+        res, = _vertex_residues(system, [f], v, u, budget)
         if v in coefficients.values:
             acc += coefficients.values[v] * res
         elif res:

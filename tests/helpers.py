@@ -9,7 +9,7 @@ from random import Random
 from gridres import (BudgetExceededError, CounterexampleError, Field, LineConfiguration,
                      MultiPoly, NormalizationReport, ProjLine, ProjPoint, concurrency_point,
                      line_through, validate_green_cover, vanishing_poly_from_nodes)
-from gridres.cover import candidate_traces, lines_through_pairs
+from gridres.cover import _singleton_line, lines_through_pairs
 from gridres.expr import MAX_DEPTH, MAX_PAIRS, MAX_POWER_BITS, MAX_POWER_TERMS, ParseError
 from gridres.field import FieldMismatchError
 from gridres.lines import grid_intersections
@@ -507,10 +507,26 @@ def assert_cover(points, excluded, lines, size):
         assert any(element_contains(line, p) for line in lines), p
 
 
+def oracle_candidates(points, excluded, field):
+    """Oracle: the full candidate family, trace -> line, by incidence scan.
+    A trace of two or more points qualifies unless its line passes through
+    excluded or is the infinity line; every point also gets the singleton
+    line `cover._singleton_line` picks, dominated or not."""
+    out = {frozenset([i]): _singleton_line(field, p, excluded) for i, p in enumerate(points)}
+    for trace in traces_by_incidence_scan(points):
+        i, j = sorted(trace)[:2]
+        on_infinity = all(points[k].is_infinite() for k in trace)
+        if not on_infinity and not collinear(points[i], points[j], excluded):
+            out[trace] = line_through(points[i], points[j])
+    return out
+
+
 def oracle_min_line_cover(points, excluded, field, budget=None):
     """Oracle: the frozenset cover search whose only bound is
-    ceil(|uncovered| / largest trace), on the same candidates and in the
-    same branching order as `cover.min_line_cover`."""
+    ceil(|uncovered| / largest trace), on the full candidate family of
+    `oracle_candidates` with no dominance, branching on the point with the
+    fewest candidates, then the lowest index, as `cover.min_line_cover`
+    does."""
     points = list(points)
     if len(set(points)) != len(points):
         raise ValueError("cover points must be distinct")
@@ -518,7 +534,7 @@ def oracle_min_line_cover(points, excluded, field, budget=None):
         raise ValueError(f"excluded point {excluded} is among the points to cover")
     if not points:
         return 0, ()
-    traces = candidate_traces(points, excluded, field)
+    traces = oracle_candidates(points, excluded, field)
     # deterministic candidate order: big traces first, then by point indices
     order = sorted(traces, key=lambda t: (-len(t), sorted(t)))
     containing = {i: [t for t in order if i in t] for i in range(len(points))}

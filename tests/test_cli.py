@@ -392,9 +392,10 @@ def test_negative_budget_is_invalid_input(capsys, tmp_path, budget, exit_code,
     assert report["error"]["message"] == message
 
 
-@pytest.mark.parametrize("budget, exit_code", [("80", 0), ("26", 0), ("25", 3)])
+@pytest.mark.parametrize("budget, exit_code", [("80", 0), ("26", 0), ("13", 0), ("12", 3)])
 def test_cover_bound_budget_pins_node_count(capsys, tmp_path, budget, exit_code):
-    # 26 nodes decide the instance; 80, the previous search's count, still does
+    # 13 nodes decide the instance; 26 and 80, the counts of the searches
+    # without sibling dominance and without the residual-trace bound, still do
     code, report, _ = run(capsys, tmp_path, "cover-bound", {
         "field": RATIONALS, "grid": [["0", "1", "2"], ["0", "1", "2"]],
         "excluded": ["0", "0"],
@@ -415,11 +416,13 @@ BUDGET_DOCS = {
                      "red": [["1", "0", str(-c)] for c in range(5)],
                      "blue": [["0", "1", str(-c)] for c in range(5)]},
     "newton": {"field": RATIONALS, "vars": ["x", "y"], "poly": "3*x^2*y + x*y - 2"},
+    "toric-verify": {"field": RATIONALS, "vars": ["x", "y"], "poly": "x^3*y + x*y + 7",
+                     "grids": [["1", "2"], ["3", "5"]]},
 }
 
 
 @pytest.mark.parametrize("subcommand, budget, best", [
-    ("cover-bound", 0, None), ("cover-bound", 4, None), ("cover-bound", 25, 4),
+    ("cover-bound", 0, None), ("cover-bound", 4, None), ("cover-bound", 12, 4),
     ("problem1-bound", 0, None), ("problem1-bound", 4, None), ("problem1-bound", 10, 4),
     ("lines-search", 0, None), ("lines-search", 5, None), ("lines-search", 20, 5)])
 def test_budget_error_reports_progress(capsys, tmp_path, subcommand, budget, best):
@@ -612,6 +615,26 @@ def test_toric_verify_grid_route_outside_grid_formula(capsys, tmp_path, monkeypa
     result = report["result"]
     assert result["residue_sum"] == residue_sum == result["vertex_combination"]
     assert result["agree"] is True and result["coefficient_via_grid"] is None
+
+
+def test_toric_verify_series_takes_the_budget(capsys, tmp_path):
+    """A large exponent in poly makes a vertex series deep; its expansion
+    counts its work against the budget and stops with exit 3, while a
+    shallow series answers within the same budget as it does without one."""
+    doc = {"field": RATIONALS, "vars": ["x", "y"], "poly": "x*y^100000 + 1",
+           "grids": [["1", "2"], ["1", "3"]]}
+    code, report, _ = run(capsys, tmp_path, "toric-verify", doc, "--budget", "1000")
+    assert code == 3
+    assert report["error"] == {"type": "BudgetExceededError",
+                               "message": "search budget exceeded (1000 nodes)",
+                               "nodes": 1000, "best": None}
+    doc["poly"] = "x*y^12 + 1"
+    answers = []
+    for budget in ("1000", "100000"):
+        code, report, _ = run(capsys, tmp_path, "toric-verify", doc, "--budget", budget)
+        assert code == 0, report
+        answers.append(report["result"])
+    assert answers[0] == answers[1] and answers[0]["agree"] is True
 
 
 def test_toric_verify_derives_each_vertex_direction_once(capsys, tmp_path, monkeypatch):
@@ -853,7 +876,8 @@ def test_lines_check_accepts_every_searched_cover(capsys, tmp_path, grid, cover_
 SEARCHES = {"cover-bound": ("cayley_bacharach", "min_cover_size"),
             "lines-search": ("lines", "search_green_covers"),
             "problem1-bound": ("lines", "check_problem1_bound"),
-            "newton": ("toric", "newton_polytope")}
+            "newton": ("toric", "newton_polytope"),
+            "toric-verify": ("toric", "weighted_vertex_combination")}
 
 
 @pytest.mark.parametrize("subcommand", sorted(SEARCHES))
@@ -884,7 +908,7 @@ def test_default_budget(capsys, tmp_path, monkeypatch, subcommand):
                               *(("--budget", flag) if flag else ()))
         assert code == 0, report
     assert budgets == [_DEFAULT_BUDGET, 100000, 200000, 200000]
-    # above the 205,412 nodes of the 5x6 grid over Q minus a corner
+    # above the 115,131 nodes of the 5x6 grid over Q minus a corner
     assert _DEFAULT_BUDGET == 1_000_000
 
 

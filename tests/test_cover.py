@@ -6,10 +6,12 @@ import pytest
 
 from gridres import (BudgetExceededError, Field, FieldMismatchError, ProjLine, ProjPoint,
                      line_through)
+from gridres import cover
 from gridres.cover import candidate_traces, lines_through_pairs, min_line_cover
+from gridres.projective import infinity_line
 
-from helpers import (assert_cover, collinear, element_contains, oracle_min_line_cover,
-                     traces_by_incidence_scan)
+from helpers import (assert_cover, element_contains, oracle_candidates,
+                     oracle_min_line_cover, traces_by_incidence_scan)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -23,8 +25,9 @@ def pt(field, x, y):
 def test_candidates_avoid_excluded_and_infinity():
     points = [pt(Q, a, b) for a in (0, 1, 2) for b in (0, 1) if (a, b) != (0, 0)]
     traces = candidate_traces(points, pt(Q, 0, 0), Q)
-    for trace, line in traces.items():
-        assert not line.contains(pt(Q, 0, 0))
+    for trace, vec in traces.items():
+        line = ProjLine._raw(Q, vec)
+        assert line != infinity_line(Q) and not line.contains(pt(Q, 0, 0))
         for i in trace:
             assert line.contains(points[i])
     # the bottom row pair (1,0)-(2,0) lies on y = 0 through the excluded point,
@@ -58,8 +61,8 @@ def test_budget_exceeded():
         min_line_cover(points, pt(Q, 0, 0), Q, budget=1)
     assert (err.value.nodes, err.value.best) == (1, None)
     with pytest.raises(BudgetExceededError) as err:
-        min_line_cover(points, pt(Q, 0, 0), Q, budget=25)
-    assert (err.value.nodes, err.value.best) == (25, 4)
+        min_line_cover(points, pt(Q, 0, 0), Q, budget=12)
+    assert (err.value.nodes, err.value.best) == (12, 4)
 
 
 def test_collinear_points_one_line():
@@ -82,14 +85,16 @@ def test_node_counts_pinned(rows, nodes):
 
 
 # exact node counts of the residual-trace search with its transposition table
-RESIDUAL_NODES = {3: 26, 4: 114}
+# and sibling dominance
+RESIDUAL_NODES = {3: 13, 4: 57}
 
 
 @pytest.mark.parametrize("rows, untabled_nodes", [(3, 26), (4, 135)])
 def test_residual_bound_node_counts_pinned(rows, untabled_nodes):
-    # the branching order, the residual-trace bound and the transposition
-    # table fix the tree, so --budget keeps its meaning; the table only cuts
-    # revisits, so the counts of the search without it still suffice
+    # the branching order, the residual-trace bound, the transposition table
+    # and sibling dominance fix the tree, so --budget keeps its meaning; the
+    # table and dominance only cut branches, so the counts of the search
+    # without them still suffice
     points = [pt(Q, a, b) for a in range(3) for b in range(rows) if (a, b) != (0, 0)]
     nodes = RESIDUAL_NODES[rows]
     expected = min_line_cover(points, pt(Q, 0, 0), Q, budget=untabled_nodes)
@@ -159,19 +164,6 @@ def test_lines_through_pairs_against_incidence_scan(field):
                                       pt(field, 1, 2), ProjPoint(field, (0, 1, 0))])
 
 
-def _oracle_candidates(points, excluded):
-    """Traces of lines avoiding excluded, by incidence scan: a trace of two or
-    more points qualifies unless its line passes through excluded or is the
-    infinity line; every point also has a line meeting the set only there."""
-    out = {frozenset([i]) for i in range(len(points))}
-    for trace in traces_by_incidence_scan(points):
-        i, j = sorted(trace)[:2]
-        on_infinity = all(points[k].is_infinite() for k in trace)
-        if not on_infinity and not collinear(points[i], points[j], excluded):
-            out.add(trace)
-    return out
-
-
 def test_min_cover_against_subset_brute_force():
     rng = Random(83)
     for field in (Q, F5):
@@ -182,8 +174,10 @@ def test_min_cover_against_subset_brute_force():
             points = pool[:rng.randint(1, 6)]
             excluded = pool[6]
             size, _ = min_line_cover(points, excluded, field)
-            traces = _oracle_candidates(points, excluded)
-            assert set(candidate_traces(points, excluded, field)) == traces
+            traces = set(oracle_candidates(points, excluded, field))
+            # a singleton stays only where no pair trace covers its point
+            kept = {t for t in traces if len(t) > 1 or not any(t < s for s in traces)}
+            assert set(candidate_traces(points, excluded, field)) == kept
             best = None
             for r in range(1, len(points) + 1):
                 for combo in combinations(traces, r):
@@ -193,6 +187,46 @@ def test_min_cover_against_subset_brute_force():
                 if best is not None:
                     break
             assert size == best, (points, excluded, size, best)
+
+
+def test_singletons_survive_only_off_every_kept_pair_line():
+    """Points whose every pair line passes through excluded or is the
+    infinity line keep their singleton lines, and the search still returns
+    the oracle's cover."""
+    excluded = pt(Q, 0, 0)
+    # (1 : 1 : 0) pairs only with points of y = x and with points at infinity
+    star = [pt(Q, 1, 1), pt(Q, 2, 2), ProjPoint(Q, (1, 1, 0)), ProjPoint(Q, (1, 0, 0)),
+            ProjPoint(Q, (0, 1, 0))]
+    # every pair line passes through excluded
+    ray = [pt(Q, 1, 2), pt(Q, 2, 4), pt(Q, -1, -2), ProjPoint(Q, (1, 2, 0))]
+    for points, alone, size in ((star, {2}, 3), (ray, {0, 1, 2, 3}, 4)):
+        traces = candidate_traces(points, excluded, Q)
+        assert {i for t in traces if len(t) == 1 for i in t} == alone
+        assert all(not t & alone for t in traces if len(t) > 1)
+        found = min_line_cover(points, excluded, Q)
+        assert found == oracle_min_line_cover(points, excluded, Q)
+        assert_cover(points, excluded, found[1], size)
+
+
+def test_grid_cover_builds_lines_only_for_the_answer(monkeypatch):
+    """On a Q 4x5 grid minus a point every point lies on a kept pair line,
+    so no singleton line is built, and the only `ProjLine`s built are the
+    returned cover's."""
+    grid = [pt(Q, a, b) for a in range(4) for b in range(5)]
+    excluded = grid[6]
+    points = [p for p in grid if p != excluded]
+    singletons, built = [], []
+    original = ProjLine._raw.__func__
+    monkeypatch.setattr(cover, "_singleton_line",
+                        lambda *args: singletons.append(args) or None)
+    monkeypatch.setattr(ProjLine, "_raw",
+                        classmethod(lambda cls, f, vec: built.append(vec) or original(cls, f, vec)))
+    monkeypatch.setattr(ProjLine, "__init__", lambda *args: built.append(args))
+    size, lines = min_line_cover(points, excluded, Q)
+    monkeypatch.undo()
+    assert not singletons
+    assert size == 7 and len(built) == len(lines) == size
+    assert (size, lines) == oracle_min_line_cover(points, excluded, Q)
 
 
 @pytest.mark.parametrize("field", [Q, F5, F7], ids=str)

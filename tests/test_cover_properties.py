@@ -24,10 +24,8 @@ F7 = Field.prime(7)
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-@st.composite
-def point_sets(draw):
-    """A field, up to 12 distinct points (some at infinity) and one more point."""
-    field = draw(st.sampled_from([Q, F5, F7]))
+def _point_strategies(field):
+    """Strategies for a coordinate, an affine point and a point at infinity."""
     if field.is_prime_field:
         coord = st.integers(0, field.modulus - 1)
     else:
@@ -35,6 +33,14 @@ def point_sets(draw):
     affine = st.builds(lambda x, y: ProjPoint.affine(field, x, y), coord, coord)
     at_infinity = st.one_of(st.builds(lambda m: ProjPoint(field, (1, m, 0)), coord),
                             st.just(ProjPoint(field, (0, 1, 0))))
+    return coord, affine, at_infinity
+
+
+@st.composite
+def point_sets(draw):
+    """A field, up to 12 distinct points (some at infinity) and one more point."""
+    field = draw(st.sampled_from([Q, F5, F7]))
+    coord, affine, at_infinity = _point_strategies(field)
     size = draw(st.integers(1, 13))
     pool = draw(st.lists(st.one_of(affine, affine, affine, at_infinity),
                          min_size=size, max_size=size, unique=True))
@@ -45,6 +51,38 @@ def point_sets(draw):
 @SETTINGS
 @given(point_sets())
 def test_min_cover_matches_oracle(case):
+    field, points, excluded = case
+    size, lines = min_line_cover(points, excluded, field)
+    assert (size, lines) == oracle_min_line_cover(points, excluded, field)
+    assert_cover(points, excluded, lines, size)
+
+
+@st.composite
+def star_sets(draw):
+    """A field, points on up to three lines through an excluded point, some
+    with the line's point at infinity, and at most two loose points: most
+    pair lines pass through the excluded point or are the infinity line, so
+    some points keep their singleton lines."""
+    field = draw(st.sampled_from([Q, F5, F7]))
+    coord, affine, at_infinity = _point_strategies(field)
+    ex, ey = draw(coord), draw(coord)
+    excluded = ProjPoint.affine(field, ex, ey)
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        dx, dy = draw(coord), draw(coord)
+        if not (dx or dy):
+            continue
+        for t in draw(st.lists(st.integers(1, 4), max_size=3, unique=True)):
+            points.append(ProjPoint.affine(field, ex + t * dx, ey + t * dy))
+        if draw(st.booleans()):
+            points.append(ProjPoint(field, (dx, dy, 0)))
+    points += draw(st.lists(st.one_of(affine, at_infinity), max_size=2))
+    return field, [q for q in dict.fromkeys(points) if q != excluded], excluded
+
+
+@SETTINGS
+@given(star_sets())
+def test_min_cover_with_surviving_singletons_matches_oracle(case):
     field, points, excluded = case
     size, lines = min_line_cover(points, excluded, field)
     assert (size, lines) == oracle_min_line_cover(points, excluded, field)

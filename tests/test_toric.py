@@ -4,7 +4,8 @@ from random import Random
 
 import pytest
 
-from gridres import (Field, FieldMismatchError, MultiPoly, NewtonSystem, GridSystem,
+from gridres import (BudgetExceededError, Field, FieldMismatchError, MultiPoly,
+                     NewtonSystem, GridSystem,
                      SimpleZeros, coefficient_via_grid, default_samples,
                      is_unfolded, parse_poly, residue_sum_over_zeros,
                      solve_vertex_coefficients, vertex_residue, vertex_split,
@@ -481,3 +482,21 @@ def test_combination_reads_the_shared_directions(monkeypatch):
     assert weighted_vertex_combination(system, f, weights) == coefficient_via_grid(f, sep)
     assert vertex_split(system, parse_poly("x*y", Q, 2)).v_zero == ((2, 2),)
     assert system.vertex_directions is directions
+
+
+def test_vertex_series_spends_the_budget():
+    """A vertex expansion spends one unit per term pair a product multiplies
+    and per term a partial series sum holds.  The deepest expansion of
+    x*y^12 + 1 on nodes {1, 2} x {1, 3} spends 534 units, so a budget of
+    534 gives the unbounded answer and 533 stops; the default samples need
+    depth 0 and spend nothing."""
+    _, system, zeros = separable_system(Q, [[1, 2], [1, 3]])
+    weights = solve_vertex_coefficients(system, zeros, default_samples(system))
+    assert solve_vertex_coefficients(system, zeros, default_samples(system),
+                                     budget=0) == weights
+    f = parse_poly("x*y^12 + 1", Q, 2)
+    expected = weighted_vertex_combination(system, f, weights)
+    assert weighted_vertex_combination(system, f, weights, budget=534) == expected
+    with pytest.raises(BudgetExceededError) as err:
+        weighted_vertex_combination(system, f, weights, budget=533)
+    assert (err.value.nodes, err.value.best) == (533, None)
