@@ -34,16 +34,16 @@ a skipped sibling is not a node.  Every completion of the skipped branch
 completes the earlier one with as many lines, and a cover is recorded
 only when strictly smaller, so the first minimum cover stays the same.
 
-`lines_through_pairs` is the one source of candidate lines: the green
-cover search in `lines` draws its candidates from it as well.  A trace
-is the union of its pairs, so no incidence test is needed to find it.
-The pairs are joined on ints: over F_p the key of a pair is the raw
-`_scaled` cross product of the canonical triples, over Q each point is
-scaled once to its primitive integer triple and the key is their cross
-product over its gcd, with its first nonzero entry positive.
-`lines_through_pairs` builds one `ProjLine` per distinct key, not one per
-pair.  The cover search filters the keys on ints and builds a `ProjLine`
-only for the lines of the cover it returns.
+`_pair_keys` is the one source of candidate lines: the green cover
+search in `lines` filters its keys as well.  A trace is the union of its
+pairs, so no incidence test is needed to find it.  The pairs are joined
+on ints: over F_p the key of a pair is the raw `_scaled` cross product
+of the canonical triples, over Q each point is scaled once to its
+primitive integer triple and the key is their cross product over its
+gcd, with its first nonzero entry positive.  Both searches filter the
+keys on ints and build a `ProjLine` (`ProjLine._raw(field, key)`) only
+for the keys they keep: the cover search for the lines of the cover it
+returns, the green search for the lines with an n-point trace.
 """
 
 from __future__ import annotations
@@ -82,9 +82,12 @@ def _primitive(coords) -> tuple:
     return tuple(c.numerator * (scale // c.denominator) for c in coords)
 
 
-def _pair_keys(points: list) -> dict:
+def _pair_keys(points: Sequence[ProjPoint]) -> dict:
     """Map the integer key of each line through two or more of the points
-    -> set of the indices of the points on it (see `lines_through_pairs`)."""
+    -> set of the indices of the points on it.  A trace is the union of its
+    pairs, since each point on such a line pairs with another one on it.
+    Repeated points and mixed fields raise the error `line_through` raises
+    for the first such pair."""
     n = len(points)
     if n < 2:
         return {}
@@ -121,17 +124,6 @@ def _pair_keys(points: list) -> dict:
             else:
                 trace.add(j)
     return traces
-
-
-def lines_through_pairs(points: Sequence[ProjPoint]) -> dict:
-    """Map each line through two or more of the points -> frozenset of the
-    indices of the points on it.  A trace is the union of its pairs, since
-    each point on such a line pairs with another one on it.  Repeated
-    points and mixed fields raise the error `line_through` raises for the
-    first such pair."""
-    points = list(points)
-    return {ProjLine._raw(points[0].field, key): frozenset(trace)
-            for key, trace in _pair_keys(points).items()}
 
 
 def candidate_traces(points: Sequence[ProjPoint], excluded: ProjPoint,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .cover import _bits, lines_through_pairs, min_line_cover
+from .cover import _bits, _pair_keys, min_line_cover
 from .errors import BudgetExceededError, CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .linalg import _inverse
@@ -130,13 +130,14 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
 
     A cover line meets the grid in exactly n points, so for n >= 2 the
     candidates are the lines through pairs of grid points with an n-point
-    trace (`cover.lines_through_pairs`), over F_p or Q alike.  For n = 1
-    they are the pencil through the one grid point, finite only over F_p;
-    over Q that case raises ValueError.  Red, blue and infinity lines are
-    never candidates.  The exact-cover search runs on int bitmasks of the
-    grid points and branches on the point with the fewest live candidates,
-    then the lowest index.  Every returned cover is asserted to split the
-    grid into n disjoint n-point traces.
+    trace, over F_p or Q alike: the pair keys of `cover._pair_keys` are
+    filtered by trace size, and a line is built only for the keys that
+    pass.  For n = 1 they are the pencil through the one grid point, finite
+    only over F_p; over Q that case raises ValueError.  Red, blue and
+    infinity lines are never candidates.  The exact-cover search runs on
+    int bitmasks of the grid points and branches on the point with the
+    fewest live candidates, then the lowest index.  Every returned cover is
+    asserted to split the grid into n disjoint n-point traces.
     """
     red, blue = list(red), list(blue)
     for line in red + blue:
@@ -151,11 +152,12 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
             raise ValueError("a one-point grid has infinitely many cover lines over Q")
         traces = {line: frozenset([0]) for line in pencil(points[0])}
     else:
-        traces = lines_through_pairs(points)
+        traces = {ProjLine._raw(field, key): trace
+                  for key, trace in _pair_keys(points).items() if len(trace) == n}
     forbidden = set(red) | set(blue) | {infinity_line(field)}
     # (line, mask) with bit i of the mask for grid point i
     candidates = sorted(((line, sum(1 << i for i in trace)) for line, trace in traces.items()
-                         if len(trace) == n and line not in forbidden),
+                         if line not in forbidden),
                         key=lambda c: c[0])
     containing = [[c for c in candidates if c[1] >> i & 1] for i in range(len(points))]
 

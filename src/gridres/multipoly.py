@@ -315,14 +315,6 @@ class MultiPoly:
                 terms[m[:index] + (e - 1,) + m[index + 1:]] = c
         return MultiPoly(self.field, self.nvars, terms)
 
-    def shift(self, offset: Sequence[int]) -> "MultiPoly":
-        """Multiply by the Laurent monomial with the given exponent vector."""
-        offset = tuple(int(e) for e in offset)
-        if len(offset) != self.nvars:
-            raise ValueError("offset arity mismatch")
-        return MultiPoly(self.field, self.nvars,
-                         {monomial_product(m, offset): c for m, c in self.terms.items()})
-
     def __str__(self) -> str:
         return format_poly(self)
 

@@ -346,12 +346,6 @@ class LatticePolytope:
         face = tuple(v for v, s in zip(self.vertices, scores) if s == top)
         return LatticePolytope(self.dim, face, face)
 
-    def translate(self, offset: Sequence[int]) -> "LatticePolytope":
-        off = tuple(int(c) for c in offset)
-        move = lambda p: tuple(a + b for a, b in zip(p, off))
-        return LatticePolytope(self.dim, tuple(sorted(map(move, self.vertices))),
-                               tuple(sorted(map(move, self.points))))
-
     def contains(self, point: Sequence[int]) -> bool:
         point = tuple(int(c) for c in point)
         hull = self._hull_data()

@@ -80,9 +80,6 @@ class ProjPoint(_Homogeneous):
     def affine(cls, field: Field, x, y) -> "ProjPoint":
         return cls(field, (x, y, 1))
 
-    def is_infinite(self) -> bool:
-        return not self.coords[2]
-
     def __repr__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 

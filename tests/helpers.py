@@ -9,7 +9,7 @@ from random import Random
 from gridres import (BudgetExceededError, CounterexampleError, Field, LineConfiguration,
                      MultiPoly, NormalizationReport, ProjLine, ProjPoint, concurrency_point,
                      line_through, validate_green_cover, vanishing_poly_from_nodes)
-from gridres.cover import _singleton_line, lines_through_pairs
+from gridres.cover import _singleton_line
 from gridres.expr import MAX_DEPTH, MAX_PAIRS, MAX_POWER_BITS, MAX_POWER_TERMS, ParseError
 from gridres.field import FieldMismatchError
 from gridres.lines import grid_intersections
@@ -492,10 +492,21 @@ def collinear(p, q, r) -> bool:
 
 def traces_by_incidence_scan(points):
     """Oracle: for each line through two of the points, the frozenset of
-    the indices of all points on it, found by scanning every point for
-    every pair.  Returns the set of distinct traces."""
-    return {frozenset(k for k, r in enumerate(points) if collinear(points[i], points[j], r))
-            for i, j in combinations(range(len(points)), 2)}
+    the indices of all points on it, found by testing every point against
+    every pair not on a line found before.  Returns the set of distinct
+    traces."""
+    coords = [element_coords(p) for p in points]
+    traces, joined = set(), set()
+    for i, j in combinations(range(len(points)), 2):
+        if (i, j) not in joined:
+            (p0, p1, p2), (q0, q1, q2) = coords[i], coords[j]
+            # r is collinear with p and q iff det(r, p, q) = r . (p x q) vanishes
+            a, b, c = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
+            trace = frozenset(k for k, (r0, r1, r2) in enumerate(coords)
+                              if (a * r0 + b * r1 + c * r2).is_zero())
+            traces.add(trace)
+            joined.update(combinations(sorted(trace), 2))
+    return traces
 
 
 def assert_cover(points, excluded, lines, size):
@@ -515,7 +526,7 @@ def oracle_candidates(points, excluded, field):
     out = {frozenset([i]): _singleton_line(field, p, excluded) for i, p in enumerate(points)}
     for trace in traces_by_incidence_scan(points):
         i, j = sorted(trace)[:2]
-        on_infinity = all(points[k].is_infinite() for k in trace)
+        on_infinity = all(not points[k].coords[2] for k in trace)
         if not on_infinity and not collinear(points[i], points[j], excluded):
             out[trace] = line_through(points[i], points[j])
     return out
@@ -570,7 +581,9 @@ def oracle_min_line_cover(points, excluded, field, budget=None):
 def oracle_green_covers(red, blue, field, budget=None):
     """Oracle: the frozenset exact-cover search for green families, with the
     candidates and pick rule of `lines.search_green_covers` (fewest live
-    candidates, then lowest index); returns the sorted covers."""
+    candidates, then lowest index); returns the sorted covers.  For n >= 2
+    the candidates come from the incidence scan, each line joined from the
+    first two points of its trace."""
     red, blue = list(red), list(blue)
     for line in red + blue:
         if line.field != field:
@@ -584,7 +597,10 @@ def oracle_green_covers(red, blue, field, budget=None):
             raise ValueError("a one-point grid has infinitely many cover lines over Q")
         traces = {line: frozenset([0]) for line in pencil(points[0])}
     else:
-        traces = lines_through_pairs(points)
+        traces = {}
+        for trace in traces_by_incidence_scan(points):
+            i, j = sorted(trace)[:2]
+            traces[line_through(points[i], points[j])] = trace
     forbidden = set(red) | set(blue) | {infinity_line(field)}
     candidates = sorted(((line, trace) for line, trace in traces.items()
                          if len(trace) == n and line not in forbidden),

@@ -7,7 +7,7 @@ import pytest
 from gridres import (BudgetExceededError, Field, FieldMismatchError, ProjLine, ProjPoint,
                      line_through)
 from gridres import cover
-from gridres.cover import candidate_traces, lines_through_pairs, min_line_cover
+from gridres.cover import _pair_keys, candidate_traces, min_line_cover
 from gridres.projective import infinity_line
 
 from helpers import (assert_cover, element_contains, oracle_candidates,
@@ -106,7 +106,8 @@ def test_residual_bound_node_counts_pinned(rows, untabled_nodes):
 
 def test_candidate_build_makes_one_line_per_distinct_line(monkeypatch):
     """The pairs of a Q 4x5 grid, on the progressions of the benchmark's
-    grids, are joined on ints: one `ProjLine` per distinct line."""
+    grids, are joined on ints: `_pair_keys` builds no `ProjLine`, and each
+    distinct line has one key, from which one `ProjLine` is built."""
     xs = [Fraction(-7) + i * Fraction(5, 3) for i in range(4)]
     ys = [Fraction(4) - j * Fraction(3, 2) for j in range(5)]
     points = [pt(Q, x, y) for x in xs for y in ys if (x, y) != (xs[1], ys[1])]
@@ -118,39 +119,45 @@ def test_candidate_build_makes_one_line_per_distinct_line(monkeypatch):
         return original(cls, field, vec)
 
     monkeypatch.setattr(ProjLine, "_raw", classmethod(counted))
-    traces = lines_through_pairs(points)
-    assert len(built) == len(traces) < len(points) * (len(points) - 1) // 2
+    keys = _pair_keys(points)
+    assert not built
+    traces = [frozenset(trace) for trace in keys.values()]
+    assert len(set(traces)) == len(keys) < len(points) * (len(points) - 1) // 2
     monkeypatch.undo()
-    assert set(traces.values()) == traces_by_incidence_scan(points)
-    for line, trace in traces.items():
+    assert set(traces) == traces_by_incidence_scan(points)
+    for key, trace in keys.items():
         i, j = sorted(trace)[:2]
-        assert line == line_through(points[i], points[j])
+        assert ProjLine._raw(Q, key) == line_through(points[i], points[j])
 
 
 def test_lines_through_pairs_errors():
+    """The pair keys raise `line_through`'s error for the first bad pair."""
     with pytest.raises(ValueError, match="need two distinct points"):
-        lines_through_pairs([pt(Q, 0, 1), pt(Q, 1, 1), pt(Q, 0, 1)])
+        _pair_keys([pt(Q, 0, 1), pt(Q, 1, 1), pt(Q, 0, 1)])
     with pytest.raises(FieldMismatchError, match="mixed fields"):
-        lines_through_pairs([pt(Q, 0, 1), pt(Q, 1, 1), pt(F5, 2, 1)])
+        _pair_keys([pt(Q, 0, 1), pt(Q, 1, 1), pt(F5, 2, 1)])
     # the first offending pair decides, as for line_through
     with pytest.raises(ValueError, match="need two distinct points, got \\(0 : 1 : 1\\)"):
-        lines_through_pairs([pt(Q, 0, 1), pt(Q, 0, 1), pt(F5, 2, 1)])
+        _pair_keys([pt(Q, 0, 1), pt(Q, 0, 1), pt(F5, 2, 1)])
     with pytest.raises(FieldMismatchError, match="mixed fields"):
-        lines_through_pairs([pt(Q, 0, 1), pt(F5, 2, 1), pt(Q, 0, 1)])
-    assert lines_through_pairs([pt(Q, 0, 1)]) == {} == lines_through_pairs([])
+        _pair_keys([pt(Q, 0, 1), pt(F5, 2, 1), pt(Q, 0, 1)])
+    assert _pair_keys([pt(Q, 0, 1)]) == {} == _pair_keys([])
 
 
 def _check_traces_against_scan(points):
-    traces = lines_through_pairs(points)
-    assert set(traces.values()) == traces_by_incidence_scan(points)
-    assert len(set(traces.values())) == len(traces)
-    for line, trace in traces.items():
+    keys = _pair_keys(points)
+    traces = [frozenset(trace) for trace in keys.values()]
+    assert set(traces) == traces_by_incidence_scan(points)
+    assert len(set(traces)) == len(traces)
+    for key, trace in keys.items():
+        line = ProjLine._raw(points[0].field, key)
         for k, p in enumerate(points):
             assert element_contains(line, p) == (k in trace), (line, p)
 
 
 @pytest.mark.parametrize("field", [Q, F5, Field.prime(11)], ids=str)
 def test_lines_through_pairs_against_incidence_scan(field):
+    """The traces of the pair keys are the incidence scan's, one key a line."""
     rng = Random(f"pairs-{field}")
     coords = range(field.modulus) if field.is_prime_field else range(-3, 4)
     pool = [pt(field, a, b) for a in coords for b in coords]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridres import (BudgetExceededError, Field, FieldMismatchError, ProjLine, ProjPoint,
                      line_through, search_green_covers)
-from gridres.cover import lines_through_pairs, min_line_cover
+from gridres.cover import _pair_keys, min_line_cover
 from gridres.projective import all_lines
 
 from helpers import (assert_cover, oracle_green_covers, oracle_min_line_cover,
@@ -124,17 +124,18 @@ def big_denominator_sets(draw):
 @SETTINGS
 @given(big_denominator_sets())
 def test_integer_keyed_pairs_match_incidence_scan(points):
-    traces = lines_through_pairs(points)
-    assert set(traces.values()) == traces_by_incidence_scan(points)
-    assert len(set(traces.values())) == len(traces)
-    for line, trace in traces.items():
+    keys = _pair_keys(points)
+    traces = [frozenset(trace) for trace in keys.values()]
+    assert set(traces) == traces_by_incidence_scan(points)
+    assert len(set(traces)) == len(traces)
+    for key, trace in keys.items():
         for i, j in combinations(sorted(trace), 2):
-            assert line == line_through(points[i], points[j])
+            assert ProjLine._raw(Q, key) == line_through(points[i], points[j])
     if points:
         with pytest.raises(ValueError, match="need two distinct points"):
-            lines_through_pairs(points + [points[-1]])
+            _pair_keys(points + [points[-1]])
         with pytest.raises(FieldMismatchError, match="mixed fields"):
-            lines_through_pairs(points + [ProjPoint.affine(F7, 1, 2)])
+            _pair_keys(points + [ProjPoint.affine(F7, 1, 2)])
 
 
 def _min_budget(search, *args):
@@ -158,19 +159,25 @@ def _min_budget(search, *args):
 
 @st.composite
 def line_grids(draw):
-    """Red and blue families of one size over F_5 or F_7: axis-parallel grids
-    on random nodes, or random lines of the plane."""
-    field = draw(st.sampled_from([F5, F7]))
+    """Red and blue families of one size over F_5, F_7 or Q: axis-parallel
+    grids on random nodes (over Q, small integers and fractions a/b), or
+    random lines of the plane (over Q, with small integer coefficients)."""
+    field = draw(st.sampled_from([Q, F5, F7]))
     p = field.modulus
+    if p:
+        node, most = st.integers(0, p - 1), p
+        line = st.sampled_from(list(all_lines(field)))
+    else:
+        node, most = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)), 4
+        line = st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(lambda v: ProjLine(Q, v))
     if draw(st.booleans()):
-        n = draw(st.integers(1, p))
-        nodes = st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True)
+        n = draw(st.integers(1, most))
+        nodes = st.lists(node, min_size=n, max_size=n, unique=True)
         red = [ProjLine(field, (1, 0, -c)) for c in draw(nodes)]
         blue = [ProjLine(field, (0, 1, -c)) for c in draw(nodes)]
         return red, blue, field
-    lines = list(all_lines(field))
     n = draw(st.integers(1, 4))
-    family = st.lists(st.sampled_from(lines), min_size=n, max_size=n, unique=True)
+    family = st.lists(line, min_size=n, max_size=n, unique=True)
     return draw(family), draw(family), field
 
 

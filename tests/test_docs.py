@@ -1,6 +1,7 @@
 """The README's export table names only what its modules define, and
 exactly what the package imports from each of them; the figures it states
-are the ones the code computes."""
+are the ones the code computes; the module references in it and in the
+sources' docstrings and comments name what exists."""
 
 import ast
 import importlib
@@ -14,6 +15,10 @@ from gridres.cover import min_line_cover
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"^\| `(gridres\.\w+)` \| (.+) \|$")
+SOURCES = sorted((README.parent / "src" / "gridres").glob("*.py"))
+MODULES = {path.stem for path in SOURCES} - {"__init__"}
+# `gridres.module`, `module.name` or `gridres.module.Class.attr`, maybe called
+REFERENCE = re.compile(r"(gridres\.)?(\w+)((?:\.\w+)*)(?:\(.*\))?")
 
 
 def export_rows():
@@ -99,3 +104,29 @@ def test_readme_cover_node_count_is_what_the_search_counts():
     assert min_line_cover(points, corner, Q, budget=nodes)[0] == 4
     with pytest.raises(BudgetExceededError):
         min_line_cover(points, corner, Q, budget=nodes - 1)
+
+
+def module_references():
+    """(file name, span, module, attribute names) of each backticked
+    reference to a gridres module in the sources and the README."""
+    refs = []
+    for path in SOURCES + [README]:
+        for span in re.findall(r"`([^`\n]+)`", path.read_text(encoding="utf-8")):
+            match = REFERENCE.fullmatch(span)
+            if match and not span.endswith(".py") and (
+                    match.group(1) or match.group(2) in MODULES and match.group(3)):
+                refs.append((path.name, span, match.group(2), match.group(3).split(".")[1:]))
+    return refs
+
+
+def test_module_references_resolve():
+    refs = module_references()
+    assert len(refs) >= 10 and any(path != README.name for path, *_ in refs)
+    stale = []
+    for path, span, module, names in refs:
+        obj = importlib.import_module(f"gridres.{module}") if module in MODULES else None
+        for name in names:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            stale.append(f"{path}: `{span}`")
+    assert not stale, f"references to nothing: {stale}"

@@ -16,8 +16,8 @@ from gridres.field import is_prime
 from gridres.linalg import determinant
 from gridres.lines import _multiplicative_subgroup, _pencil_points
 from gridres.projective import all_lines, infinity_line, pencil
-from helpers import (affine_candidate_points, all_points, oracle_normalize_biconcurrent,
-                     product_form)
+from helpers import (affine_candidate_points, all_points, oracle_green_covers,
+                     oracle_normalize_biconcurrent, product_form, traces_by_incidence_scan)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -160,6 +160,26 @@ def test_search_matches_brute_force_oracle():
         assert covers == brute_force_covers(*case)
     assert tuple(sorted(moved.green)) in results[3]
     assert results[-1] == [(horizontal(F5, 2), ProjLine(F5, (F5(1), F5(2), F5(-2))))]
+
+
+@pytest.mark.parametrize("field, nodes", [
+    (F5, range(4)), (F7, [1, 2, 4]), (Q, range(3)), (Q, [Fraction(k, 2) for k in range(-1, 3)]),
+], ids=str)
+def test_green_search_builds_lines_only_for_n_point_traces(monkeypatch, field, nodes):
+    """One `ProjLine._raw` per line through exactly n grid points; the lines
+    through fewer stay integer keys."""
+    red = [vertical(field, c) for c in nodes]
+    blue = [horizontal(field, c) for c in nodes]
+    traces = traces_by_incidence_scan(grid_intersections(red, blue))
+    full = sum(1 for trace in traces if len(trace) == len(nodes))
+    built = []
+    original = ProjLine._raw.__func__
+    monkeypatch.setattr(ProjLine, "_raw",
+                        classmethod(lambda cls, f, vec: built.append(vec) or original(cls, f, vec)))
+    covers = search_green_covers(red, blue, field)
+    monkeypatch.undo()
+    assert len(built) == full < len(traces)
+    assert covers == oracle_green_covers(red, blue, field)
 
 
 def test_pencil_matches_incidence_scan():

