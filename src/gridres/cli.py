@@ -86,10 +86,9 @@ def _raw_reader(field: Field):
 def _decode_coords(read, raw, section: str, error: str,
                    lengths: tuple[int, ...] | None = None) -> tuple:
     """The scalars (strings or JSON numbers) of a JSON list in section,
-    each read by read: a Field, a memo of one, a raw reader, or str to
-    keep the strings.  Anything else, or a list whose length is not in
-    lengths, raises error formatted with {raw}; a scalar that read refuses
-    raises as _scalar says."""
+    each read by read: a Field, a memo of one, or a raw reader.  Anything
+    else, or a list whose length is not in lengths, raises error formatted
+    with {raw}; a scalar that read refuses raises as _scalar says."""
     if (not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths)
             or not all(type(v) in _SCALARS for v in raw)):
         raise InputError(error.format(raw=raw))
@@ -276,14 +275,16 @@ def _cmd_cb_forced(doc, args):
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
             raise InputError("each value record needs point and value")
-        point = _decode_coords(str, rec["point"], "values",
-                               "a value point must be a list of coordinates, got {raw!r}")
-        key = (tuple([m[s] if s in m else node(i, s) for i, (m, s) in enumerate(zip(memo, point))])
+        point = rec["point"]
+        if not isinstance(point, list) or not all(type(v) in _SCALARS for v in point):
+            raise InputError(f"a value point must be a list of coordinates, got {point!r}")
+        key = (tuple([m[s] if (s := str(v)) in m else node(i, s)
+                      for i, (m, v) in enumerate(zip(memo, point))])
                if len(point) == len(memo) else (None,))
         off = None in key
         if off:
             # off the grid: the raw point serves the messages only
-            key = tuple(_scalar(parse, s, "values").value for s in point)
+            key = tuple(_scalar(parse, str(v), "values").value for v in point)
             if key in stray:
                 raise InputError(f"value point {_point_out(key)} is given twice")
             stray.add(key)
@@ -564,8 +565,7 @@ def main(argv=None) -> int:
         report["error"] = {"type": type(err).__name__, "message": str(err)}
         code, summary = 2, f"error: {err}"
     report["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     if args.summary:
         print(f"[{args.subcommand}] {summary} (exit {code})", file=sys.stderr)
     return code

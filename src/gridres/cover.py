@@ -55,7 +55,7 @@ from typing import Sequence
 
 from .errors import BudgetExceededError
 from .field import Field
-from .projective import (ProjLine, ProjPoint, _same_field, _spanning_lines,
+from .projective import (ProjLine, ProjPoint, _same_field, _scaled, _spanning_lines,
                          infinity_line, line_through)
 
 
@@ -103,15 +103,8 @@ def _pair_keys(points: Sequence[ProjPoint]) -> dict:
         for j in range(i + 1, n):
             b0, b1, b2 = vecs[j]
             c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-            if p:  # the _scaled triple, inlined
-                c0, c1, c2 = c0 % p, c1 % p, c2 % p
-                if c0:
-                    inv = pow(c0, -1, p)
-                    key = (1, c1 * inv % p, c2 * inv % p)
-                elif c1:
-                    key = (0, 1, c2 * pow(c1, -1, p) % p)
-                else:
-                    key = (0, 0, 1)
+            if p:
+                key = _scaled(p, (c0, c1, c2))
             else:
                 g = gcd(c0, c1, c2)
                 if c0 < 0 or not c0 and (c1 < 0 or not c1 and c2 < 0):

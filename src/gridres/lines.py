@@ -6,17 +6,21 @@ certifying the product dependence alpha*R + beta*B = gamma*G when the
 greens are concurrent, normalizing biconcurrent configurations down to
 the multiplicative-subgroup model, and checking the n+m-2 lower bound for
 covers that dodge one grid point.  Below the API everything computes on
-raw values (ints mod p, Fractions over Q): the dependence is certified by
-evaluating the line products at the points of one pencil, with no
-polynomial expansion, normalization reads u, v and the green slopes off
-the canonical transported triples, and only the reported sets and the
-dependence scalars are field elements.
+raw canonical triples (ints mod p, Fractions over Q): the grid join is
+inline cross products scaled by `projective._scaled` and keyed by triple,
+with one `ProjPoint` built per grid point after the sort; cover validation
+and the partition check of each searched cover are inline dot products by
+grid index; the dependence is certified by evaluating the line products
+at the points of one pencil in one loop per product, with no polynomial
+expansion; normalization reads u, v and the green slopes off the
+canonical transported triples.  Only the reported sets and the dependence
+scalars are field elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 from typing import Iterable, Sequence
 
 from .cover import _bits, _pair_keys, min_line_cover
@@ -24,7 +28,8 @@ from .errors import BudgetExceededError, CounterexampleError
 from .field import Field, FieldElement, FieldMismatchError
 from .linalg import _inverse
 from .polytope import _dot
-from .projective import ProjLine, ProjPoint, infinity_line, line_through, meet, pencil
+from .projective import (ProjLine, ProjPoint, _same_field, _scaled, infinity_line,
+                         line_through, meet, pencil)
 
 
 def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> tuple:
@@ -32,7 +37,10 @@ def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> tup
     distinct.
 
     Points at infinity are allowed; coincident intersections (or a shared
-    red/blue line) are reported with the colliding parent pairs.
+    red/blue line) are reported with the colliding parent pairs, and mixed
+    fields raise the error `meet` raises for the first such pair.  The
+    meets are raw cross products keyed by their canonical triple, and each
+    point is built once, after the sort.
     """
     red, blue = list(red), list(blue)
     if not red or not blue:
@@ -44,17 +52,24 @@ def grid_intersections(red: Sequence[ProjLine], blue: Sequence[ProjLine]) -> tup
     shared = set(red) & set(blue)
     if shared:
         raise ValueError(f"line {sorted(shared)[0]} is both red and blue")
-    seen: dict[ProjPoint, tuple] = {}
+    field = red[0].field
+    mixed = any(l.field is not field and l.field != field for l in red + blue)
+    p = field.modulus
+    blues = [b.coords for b in blue]
+    seen: dict[tuple, tuple] = {}
     for i, r in enumerate(red):
-        for j, b in enumerate(blue):
-            p = meet(r, b)
-            if p in seen:
-                pi, pj = seen[p]
+        r0, r1, r2 = r.coords
+        for j, (b0, b1, b2) in enumerate(blues):
+            if mixed:  # the error meet raises, at the same pair
+                _same_field(r, blue[j])
+            key = _scaled(p, (r1 * b2 - r2 * b1, r2 * b0 - r0 * b2, r0 * b1 - r1 * b0))
+            if key in seen:
+                pi, pj = seen[key]
                 raise ValueError(
-                    f"intersections coincide at {p}: red {pi} x blue {pj} "
-                    f"and red {i} x blue {j} (grid is not transversal)")
-            seen[p] = (i, j)
-    return tuple(sorted(seen))
+                    f"intersections coincide at {ProjPoint._canonical(field, key)}: "
+                    f"red {pi} x blue {pj} and red {i} x blue {j} (grid is not transversal)")
+            seen[key] = (i, j)
+    return tuple([ProjPoint._canonical(field, key) for key in sorted(seen)])
 
 
 def concurrency_point(lines: Iterable[ProjLine]):
@@ -104,17 +119,19 @@ def validate_green_cover(config: LineConfiguration):
     diagnostics: dict = {"grid_size": len(grid)}
     clashes = sorted(set(config.green) & (set(config.red) | set(config.blue)))
     diagnostics["identity_violations"] = tuple(clashes)
-    # raw incidence on the canonical triples; the grid is sorted already
+    # raw incidence on the canonical triples, by grid index; the grid is
+    # sorted already
     p = config.field.modulus
     triples = [q.coords for q in grid]
+    hit = [False] * len(grid)
     coverage = {}
     for g in config.green:
-        a, b, c = g.coords
-        dots = [a * x + b * y + c * z for x, y, z in triples]
-        coverage[g] = tuple(q for q, d in zip(grid, dots) if not (d % p if p else d))
+        on = _incident(g.coords, triples, p)
+        for k in on:
+            hit[k] = True
+        coverage[g] = tuple([grid[k] for k in on])
     diagnostics["covered_by_green"] = coverage
-    covered = set().union(*coverage.values())
-    uncovered = tuple(sorted(set(grid) - covered))
+    uncovered = tuple([q for q, h in zip(grid, hit) if not h])
     diagnostics["uncovered"] = uncovered
     counts = sorted(len(v) for v in coverage.values())
     diagnostics["points_per_green"] = tuple(counts)
@@ -187,11 +204,23 @@ def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
     return covers
 
 
+def _incident(line, triples, p) -> list[int]:
+    """Indices of the raw point triples on the raw line (p is the modulus,
+    or None over Q)."""
+    a, b, c = line
+    if p:
+        return [k for k, (x, y, z) in enumerate(triples) if not (a * x + b * y + c * z) % p]
+    return [k for k, (x, y, z) in enumerate(triples) if not a * x + b * y + c * z]
+
+
 def _assert_partition(cover, points, n):
-    """Each cover line meets the grid in exactly n points, disjointly."""
+    """Each cover line meets the grid in exactly n points, disjointly, by
+    raw incidence on the canonical triples, apart from the search's masks."""
+    p = points[0].field.modulus
+    triples = [q.coords for q in points]
     seen: set = set()
     for line in cover:
-        trace = {p for p in points if line.contains(p)}
+        trace = set(_incident(line.coords, triples, p))
         if len(trace) != n:
             raise CounterexampleError(
                 f"cover line {line} meets the grid in {len(trace)} points, expected {n}")
@@ -220,8 +249,9 @@ def verify_product_dependence(config: LineConfiguration):
     concurrency point c, gamma is read at the first point of
     `_pencil_points` off the greens, and the identity is checked on raw
     values at every point of P_n, which is exact in degree n (Alon,
-    Lemma 2.1).  A failure raises CounterexampleError because it would
-    contradict the dependence claim.
+    Lemma 2.1).  Each product is one loop over the family's raw triples,
+    reduced mod p once.  A failure raises CounterexampleError because it
+    would contradict the dependence claim.
     """
     common = concurrency_point(config.green)
     if common is None:
@@ -240,9 +270,18 @@ def verify_product_dependence(config: LineConfiguration):
     def mod(x):
         return x % p if p else x
 
-    def products(q):
-        return [mod(prod(_dot(line.coords, q) for line in family))
+    families = [[line.coords for line in family]
                 for family in (config.red, config.blue, config.green)]
+
+    def products(q):
+        x, y, z = q
+        out = []
+        for family in families:
+            v = 1
+            for a, b, c in family:
+                v *= a * x + b * y + c * z
+            out.append(v % p if p else v)
+        return out
 
     r0, b0, _ = products(common.coords)
     if not r0 or not b0:

@@ -3,11 +3,14 @@
 Both carriers store `coords`, the raw canonical homogeneous triple (ints
 in [0, p) over F_p, Fractions over Q, first nonzero coordinate one), so
 equality, hashing, and sorting are structural.  Joins and meets are raw
-cross products, incidence is one raw dot product.  Lines through a point
-come from the two spanning lines of its pencil, so no library path walks
-the plane looking for a point.  Working projectively means parallel
-pencils (concurrency at infinity) need no special casing anywhere
-downstream.
+cross products, incidence is one raw dot product.  `_scaled` is the one
+scaler of raw triples to canonical form, for the constructors and for the
+raw joins in `cover` and `lines`; `_canonical` wraps a triple that is
+canonical already, so the grid join builds each point once without
+rescaling.  Lines through a point come from the two spanning lines of its
+pencil, so no library path walks the plane looking for a point.  Working
+projectively means parallel pencils (concurrency at infinity) need no
+special casing anywhere downstream.
 """
 
 from __future__ import annotations
@@ -22,16 +25,22 @@ from .polytope import _cross3, _dot
 def _scaled(p, vec) -> tuple:
     """A raw triple (p is the modulus, or None over Q) over its first
     nonzero entry."""
+    a, b, c = vec
     if p:
-        vec = [x % p for x in vec]
-    for lead in vec:
+        a, b, c = a % p, b % p, c % p
+        if a:
+            inv = pow(a, -1, p)
+            return 1, b * inv % p, c * inv % p
+        if b:
+            return 0, 1, c * pow(b, -1, p) % p
+        if c:
+            return 0, 0, 1
+    else:
+        lead = a or b or c
         if lead:
-            if p:
-                inv = pow(lead, -1, p)
-                return tuple(x * inv % p for x in vec)
             if type(lead) is int:  # int / int would be a float
                 lead = Fraction(lead)
-            return tuple(x / lead for x in vec)
+            return a / lead, b / lead, c / lead
     raise ValueError("all-zero homogeneous triple")
 
 
@@ -58,6 +67,14 @@ class _Homogeneous:
         self = object.__new__(cls)
         self.field = field
         self.coords = _scaled(field.modulus, vec)
+        return self
+
+    @classmethod
+    def _canonical(cls, field: Field, coords: tuple):
+        """From a raw triple that is canonical already, kept as it is."""
+        self = object.__new__(cls)
+        self.field = field
+        self.coords = coords
         return self
 
     def __eq__(self, other) -> bool:

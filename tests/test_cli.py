@@ -1182,3 +1182,47 @@ def test_deep_parentheses_are_a_parse_error(capsys, tmp_path):
         "grids": [["0", "1"]]})
     assert code == 2 and report["error"]["type"] == "ParseError"
     assert report["error"]["message"] == "parentheses nested deeper than 100 at offset 100"
+
+
+# one job per subcommand, and two error reports (invalid input, a tripped budget)
+FORMAT_JOBS = [
+    ("coeff", {"field": RATIONALS, "vars": ["x", "y"], "poly": "3*x^2*y + x*y - 2",
+               "grids": [["0", "1", "2"], ["0", "1"]]}),
+    ("witness", {"field": F7, "vars": ["x", "y"], "poly": "x*y - 1",
+                 "grids": [["0", "1"], ["0", "2"]]}),
+    ("cb-verify", {"field": RATIONALS, "vars": ["x", "y"], "poly": "x^3*y^3",
+                   "grids": [["0", "1", "2"], ["0", "1", "2"]]}),
+    ("cb-forced", {"field": RATIONALS, "grids": [["0", "1"], ["0", "1"]], "target": ["1", "1"],
+                   "values": [{"point": ["0", "0"], "value": "1/2"},
+                              {"point": ["0", "1"], "value": "1"},
+                              {"point": ["1", "0"], "value": "-3"}]}),
+    ("cover-bound", BUDGET_DOCS["cover-bound"]),
+    ("hyper-verify", {"field": {"kind": "prime-field", "modulus": "5"}, "vars": ["x", "y"],
+                      "system": ["x^2 - 1", "y^2 - x"], "poly": "x*y"}),
+    ("newton", BUDGET_DOCS["newton"]),
+    ("unfolded", {"field": RATIONALS, "vars": ["x", "y"], "system": ["1 + x*y", "1 + x*y"]}),
+    ("toric-verify", BUDGET_DOCS["toric-verify"]),
+    ("lines-search", BUDGET_DOCS["lines-search"]),
+    ("lines-check", SUBGROUP_LINES),
+    ("lines-classify", DIAGONALS),
+    ("problem1-bound", BUDGET_DOCS["problem1-bound"]),
+    ("coeff", {"field": RATIONALS, "vars": ["x"], "poly": "x +* 1", "grids": [["0", "1"]]}),
+    ("lines-search", dict(BUDGET_DOCS["lines-search"], budget="5")),
+]
+
+
+@pytest.mark.parametrize("subcommand, doc", FORMAT_JOBS,
+                         ids=[f"{i}-{s}" for i, (s, _) in enumerate(FORMAT_JOBS)])
+def test_report_is_indented_json_and_one_newline(capsys, tmp_path, subcommand, doc):
+    """stdout is exactly json.dumps(report, indent=2) and a newline."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code = main([subcommand, "--input", str(path)])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert ("error" in json.loads(out)) == (code in (2, 3))
+
+
+def test_format_jobs_cover_every_subcommand():
+    from gridres.cli import _HANDLERS
+    assert {s for s, _ in FORMAT_JOBS} == set(_HANDLERS)
