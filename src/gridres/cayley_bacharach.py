@@ -51,7 +51,7 @@ def verify_cb(f: MultiPoly, system: GridSystem) -> FieldElement:
     """
     _require_compatible(f, system)
     _require_polynomial(f)
-    return _weighted_grid_sum(f, system.nodes)
+    return f.field(_weighted_grid_sum(f, system.nodes))
 
 
 def _node_index(system: GridSystem) -> list[dict]:

@@ -11,15 +11,16 @@ or {"kind": "rationals"}) plus subcommand-specific sections; numbers are
 decimal strings ("a/b" for rationals) to avoid integer-width ambiguity.
 List sections (system, samples, zeros, values, target) must be JSON lists,
 and so must each zero and each value record's point; a repeated value
-point is invalid input.  Every scalar is read by the field's one scalar
-reader (gridres.field); a scalar it refuses is an InputError that names
-the section and the scalar.  Node lists decode to one GridSystem, which is
-also the separable system of cb-verify, cb-forced and toric-verify; the
-grid route of toric-verify takes its zeros and their weights from it.
-Polynomials, lines and points hold raw ints/Fractions (see gridres.expr
-and gridres.projective); cb-forced keys its value records by node index
-and reads each value straight to its raw value, and other decoded nodes
-and zeros are field elements.
+point is invalid input.  Every scalar is read to its raw value by the
+field's one scalar reader (gridres.field); a scalar it refuses, or a line
+or point whose entries all vanish, is an InputError that names the
+section.  Node lists decode to one GridSystem, which is also the
+separable system of cb-verify, cb-forced and toric-verify; grid-route
+toric-verify sums its residues over the grid's zeros with the grid
+kernel, so its residue sum is also its coefficient_via_grid.  Nodes,
+zeros, polynomials, lines and points hold raw ints/Fractions (see
+gridres.expr and gridres.projective); cb-forced keys its value records by
+node index.
 Reports are JSON on stdout; --summary adds human-readable lines on
 stderr.  Exit codes: 0 success/verified, 1 verdict negative, 2 invalid
 input, 3 search, hull or series budget exceeded.
@@ -69,35 +70,26 @@ def _require_list(doc: dict, key: str, kind: str) -> list:
 _SCALARS = (str, int, float)
 
 
-def _scalar(read, v, section: str):
-    """read(str(v)) for a JSON scalar v of section; a scalar that read
-    refuses raises InputError naming the section and the scalar."""
+def _scalar(field: Field, v, section: str, read=None):
+    """The raw value (see gridres.field) of a JSON scalar v of section, read
+    by _read_scalar, or by read, a memo of it; a scalar it refuses raises
+    InputError naming the section and the scalar."""
     try:
-        return read(str(v))
+        return (read or _read_scalar)(str(v), field.modulus)
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f'cannot read the scalar {v!r} in "{section}": {err}') from None
 
 
-def _raw_reader(field: Field):
-    """The raw value (see gridres.field) of a scalar string, with no element."""
-    return functools.partial(_read_scalar, p=field.modulus)
-
-
-def _decode_coords(read, raw, section: str, error: str,
-                   lengths: tuple[int, ...] | None = None) -> tuple:
-    """The scalars (strings or JSON numbers) of a JSON list in section,
-    each read by read: a Field, a memo of one, or a raw reader.  Anything
-    else, or a list whose length is not in lengths, raises error formatted
-    with {raw}; a scalar that read refuses raises as _scalar says."""
+def _decode_coords(field: Field, raw, section: str, error: str,
+                   lengths: tuple[int, ...] | None = None, read=None) -> tuple:
+    """The raw values of the scalars (strings or JSON numbers) of a JSON
+    list in section, each read as _scalar reads it.  Anything else, or a
+    list whose length is not in lengths, raises error formatted with
+    {raw}."""
     if (not isinstance(raw, list) or (lengths is not None and len(raw) not in lengths)
             or not all(type(v) in _SCALARS for v in raw)):
         raise InputError(error.format(raw=raw))
-    try:
-        return tuple([read(str(v)) for v in raw])
-    except (ValueError, ZeroDivisionError):
-        for v in raw:  # name the first scalar refused
-            _scalar(read, v, section)
-        raise
+    return tuple([_scalar(field, v, section, read) for v in raw])
 
 
 def _decode_field(doc: dict) -> Field:
@@ -145,22 +137,26 @@ def _decode_system(field: Field, names, doc: dict) -> list[MultiPoly]:
     return [_decode_poly(field, names, g) for g in raw]
 
 
-def _decode_grids(field, doc: dict, key: str = "grids") -> list[tuple]:
+def _decode_grids(field: Field, doc: dict, key: str = "grids", read=None) -> list[tuple]:
     raw = _require(doc, key, "list of node lists")
     error = f'"{key}" must be a list of node lists'
     if not isinstance(raw, list) or not raw or not all(isinstance(g, list) for g in raw):
         raise InputError(error)
-    return [_decode_coords(field, g, key, error) for g in raw]
+    return [_decode_coords(field, g, key, error, read=read) for g in raw]
 
 
 def _decode_lines(field: Field, doc: dict, key: str) -> list[ProjLine]:
     raw = _require(doc, key, "list of coefficient triples")
     if not isinstance(raw, list) or not raw:
         raise InputError(f'"{key}" must be a nonempty list of lines')
-    read = _raw_reader(field)
-    return [ProjLine._raw(field, _decode_coords(
-        read, l, key, "a line is a coefficient triple [a, b, c], got {raw!r}", (3,)))
-        for l in raw]
+    lines = []
+    for k, l in enumerate(raw):
+        coords = _decode_coords(field, l, key,
+                                "a line is a coefficient triple [a, b, c], got {raw!r}", (3,))
+        if not any(coords):
+            raise InputError(f'line {k} in "{key}" has all coefficients 0: it is no line')
+        lines.append(ProjLine._raw(field, coords))
+    return lines
 
 
 def _decode_config(field: Field, doc: dict) -> ln.LineConfiguration:
@@ -169,8 +165,10 @@ def _decode_config(field: Field, doc: dict) -> ln.LineConfiguration:
 
 
 def _decode_point(field: Field, raw) -> ProjPoint:
-    coords = _decode_coords(_raw_reader(field), raw, "excluded",
+    coords = _decode_coords(field, raw, "excluded",
                             "a point is [x, y] or [x, y, z], got {raw!r}", (2, 3))
+    if len(coords) == 3 and not any(coords):
+        raise InputError('"excluded" has all coordinates 0: it is no point')
     return ProjPoint._raw(field, coords if len(coords) == 3 else coords + (1,))
 
 
@@ -255,22 +253,16 @@ def _cmd_cb_verify(doc, args):
 
 def _cmd_cb_forced(doc, args):
     field = _decode_field(doc)
-    # the points repeat the few node strings of the grid: parse each once
-    parse = functools.cache(field)
-    system = ns.GridSystem(field, _decode_grids(parse, doc))
-    target = _decode_coords(parse, _require(doc, "target", "grid point"), "target",
-                            '"target" must be a list of coordinates, got {raw!r}')
+    # the points repeat the few node strings of the grid: read each once
+    read = functools.cache(_read_scalar)
+    system = ns.GridSystem(field, _decode_grids(field, doc, read=read))
+    target = _decode_coords(field, _require(doc, "target", "grid point"), "target",
+                            '"target" must be a list of coordinates, got {raw!r}', read=read)
     raw_values = _require_list(doc, "values", "list of {point, value} records")
-    read = _raw_reader(field)
     index = cb._node_index(system)
     # per axis, each coordinate string once to its node index (None off the
     # grid), through its value, so "1/2" and "2/4" name the same node
     memo = [{} for _ in index]
-
-    def node(i, s):
-        j = memo[i][s] = index[i].get(_scalar(parse, s, "values").value)
-        return j
-
     given, stray = {}, set()
     for rec in raw_values:
         if not isinstance(rec, dict) or "point" not in rec or "value" not in rec:
@@ -278,13 +270,14 @@ def _cmd_cb_forced(doc, args):
         point = rec["point"]
         if not isinstance(point, list) or not all(type(v) in _SCALARS for v in point):
             raise InputError(f"a value point must be a list of coordinates, got {point!r}")
-        key = (tuple([m[s] if (s := str(v)) in m else node(i, s)
-                      for i, (m, v) in enumerate(zip(memo, point))])
+        key = (tuple([m[s] if (s := str(v)) in m
+                      else m.setdefault(s, ix.get(_scalar(field, s, "values", read)))
+                      for m, ix, v in zip(memo, index, point)])
                if len(point) == len(memo) else (None,))
         off = None in key
         if off:
             # off the grid: the raw point serves the messages only
-            key = tuple(_scalar(parse, str(v), "values").value for v in point)
+            key = tuple(_scalar(field, str(v), "values", read) for v in point)
             if key in stray:
                 raise InputError(f"value point {_point_out(key)} is given twice")
             stray.add(key)
@@ -294,12 +287,11 @@ def _cmd_cb_forced(doc, args):
         value = rec["value"]
         if type(value) not in _SCALARS:
             raise InputError("a value is a scalar")
-        value = _scalar(read, value, "values")
+        value = _scalar(field, value, "values")
         if not off:
             given[key] = value
-    raw_target = tuple(t.value for t in target)
-    at = cb._target_key(index, raw_target)
-    forced = cb._forced_by_index(system, given, stray, raw_target, at)
+    at = cb._target_key(index, target)
+    forced = cb._forced_by_index(system, given, stray, target, at)
     result = {"target": _point_out(target), "forced_value": str(forced)}
     return result, 0, f"value at {_point_out(target)} forced to {forced}"
 
@@ -380,13 +372,12 @@ def _cmd_toric_verify(doc, args):
     if "grids" in doc:
         nodes = _decode_grids(field, doc)
         for i, node_set in enumerate(nodes):
-            if any(v.is_zero() for v in node_set):
+            if not all(node_set):
                 raise InputError(
                     f"node set {i} contains 0; translate the grid so the "
                     "zeros lie in the torus")
         names = _decode_names(doc, default_arity=len(nodes))
-        grid = ns.GridSystem(field, nodes)
-        zeros = toric.SimpleZeros.of_grid(grid)
+        zeros = toric.SimpleZeros.of_grid(ns.GridSystem(field, nodes))
         system = zeros.system
     else:
         names = _decode_names(doc)
@@ -394,7 +385,6 @@ def _cmd_toric_verify(doc, args):
         zeros = toric.SimpleZeros(system, [
             _decode_coords(field, z, "zeros", "a zero must be a list of coordinates, got {raw!r}")
             for z in _require_list(doc, "zeros", "list of points")])
-        grid = None
     f = _decode_poly(field, names, _require(doc, "poly", "expression string"))
     flag, witness = toric.is_unfolded(system)
     if not flag:
@@ -418,15 +408,13 @@ def _cmd_toric_verify(doc, args):
         "anomalies": [list(v) for v in weights.anomalies],
         "agree": agree,
     }
-    if grid is not None:
-        # outside the grid formula's domain the two-way answer stands alone
-        if not f.is_laurent() and ns.check_relaxed_support(f, grid.target_exponent):
-            grid_coefficient = ns.coefficient_via_grid(f, grid)
-            result["coefficient_via_grid"] = str(grid_coefficient)
-            agree = agree and grid_coefficient == lhs
-            result["agree"] = agree
-        else:
-            result["coefficient_via_grid"] = None
+    if zeros.grid is not None:
+        # over grid zeros the residue sum is the grid sum: the target coefficient
+        # where the grid formula applies, else the two-way answer stands alone
+        target = zeros.grid.target_exponent
+        applies = not f.is_laurent() and ns.check_relaxed_support(f, target)
+        result["coefficient_via_grid"] = str(lhs) if applies else None
+        result["agree"] = agree = agree and (not applies or f.coefficient(target) == lhs)
     if agree:
         return result, 0, f"residue sum {lhs} matches the vertex combination"
     return result, 1, f"MISMATCH: residue sum {lhs}, vertex combination {rhs}"

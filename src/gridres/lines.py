@@ -141,6 +141,22 @@ def validate_green_cover(config: LineConfiguration):
     return config._validation
 
 
+def _require_cover(config: LineConfiguration):
+    """Raise unless validate_green_cover accepts config, in one line: the
+    counts of uncovered points and identity violations, the first
+    uncovered point, and the family sizes when they differ."""
+    ok, diagnostics = validate_green_cover(config)
+    if not ok:
+        out = diagnostics["uncovered"]
+        sizes = len(config.red), len(config.blue), len(config.green)
+        raise ValueError(
+            f"not a valid green cover: {len(out)} uncovered grid points"
+            + (f", first {out[0]}" if out else "")
+            + f"; {len(diagnostics['identity_violations'])} identity violations"
+            + ("" if len(set(sizes)) == 1 else
+               "; family sizes {} red, {} blue, {} green".format(*sizes)))
+
+
 def search_green_covers(red: Sequence[ProjLine], blue: Sequence[ProjLine],
                         field: Field, budget: int | None = None) -> list[tuple[ProjLine, ...]]:
     """All n-line green families covering the n*n grid, canonically sorted.
@@ -256,9 +272,7 @@ def verify_product_dependence(config: LineConfiguration):
     common = concurrency_point(config.green)
     if common is None:
         raise ValueError("green lines are not concurrent")
-    ok, diagnostics = validate_green_cover(config)
-    if not ok:
-        raise ValueError(f"not a valid green cover: {diagnostics}")
+    _require_cover(config)
     field = config.field
     p = field.modulus
     n = config.n
@@ -377,9 +391,7 @@ def normalize_biconcurrent(config: LineConfiguration):
     char = field.characteristic()
     if char and gcd(n, char) != 1:
         raise ValueError(f"family size {n} shares a factor with the characteristic {char}")
-    ok, diagnostics = validate_green_cover(config)
-    if not ok:
-        raise ValueError(f"not a valid green cover: {diagnostics}")
+    _require_cover(config)
     p_red = concurrency_point(config.red)
     if p_red is None:
         raise ValueError("red lines are not concurrent")

@@ -27,12 +27,15 @@ only ints.  Write the s nodes of an axis as a_j = alpha_j / D with integer
 alpha_j and D the lcm of their denominators, P_j = prod over k != j of
 (alpha_j - alpha_k), L = lcm |P_j| and W_j = L / P_j; then
 1/phi'(a_j) = W_j * D^(s-1) / L.  With E the largest exponent of the axis
-in the term map, the integer table T(e) = sum_j W_j alpha_j^e D^(E-e) is
+in the term map, or 0, the table T(e) = sum_j W_j alpha_j^e D^(E-e) is
 S(e) times D^E L / D^(s-1), and f is scaled by M, the lcm of its
 coefficient denominators.  The grid sum is then an integer, and one
 division by M and the axis factors gives the single Fraction.  The walk
 restricts M f against alpha^e D^(E-e), a positive multiple of a^e, so it
 tests the same vanishing.  Over F_p, D = L = 1 and W_j = 1/phi'(a_j).
+The sum also takes the Laurent numerators of gridres.toric, on nonzero
+nodes: a^e with e < 0 is an inverse power mod p, and over Q the Fraction
+D^(E-e) / alpha^-e, the one place _collapse sees Fractions.
 """
 
 from __future__ import annotations
@@ -142,13 +145,14 @@ def _axis_weights(values, p) -> tuple:
 
 def _power_table(a, d: int, exps, p) -> dict:
     """{e: alpha^e D^(E-e)} for the raw node a = alpha / D, e in exps and
-    E = max(exps): the powers a^e scaled by D^E, as ints; over F_p
-    {e: a^e mod p}."""
+    E = max(0, *exps): the powers a^e scaled by D^E, ints for e >= 0;
+    over F_p {e: a^e mod p}.  A negative e needs a nonzero a."""
     if p:
         return {e: pow(a, e, p) for e in exps}
     alpha = a.numerator * (d // a.denominator)
-    top = max(exps, default=0)
-    return {e: alpha ** e * d ** (top - e) for e in exps}
+    top = max([0, *exps])
+    return {e: alpha ** e * d ** (top - e) if e >= 0 else Fraction(d ** (top - e), alpha ** -e)
+            for e in exps}
 
 
 def check_classical_degree(f: MultiPoly, c: Sequence[int]) -> bool:
@@ -186,16 +190,16 @@ def _collapse(terms: dict, table: dict, p) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _weighted_grid_sum(f: MultiPoly, nodes) -> FieldElement:
-    """Sum over the grid of f(x) * prod_i 1/phi_i'(x_i), one axis at a time.
+def _weighted_grid_sum(f: MultiPoly, nodes):
+    """Raw sum over the grid of f(x) * prod_i 1/phi_i'(x_i), one axis at
+    a time; f may be a Laurent polynomial when no node is 0.
 
     Axis i's table T_i(e) is itself a collapse: the scaled power map
     {(a, e): alpha^e D^(E-e)} summed over a against the integer weights
-    W; over Q the result is the int total divided once by M and by
+    W; over Q the result is the total divided once by M and by
     D^E L / D^(s-1) per axis.
     """
-    field = f.field
-    p = field.modulus
+    p = f.field.modulus
     terms, den = _clear_denominators(f.terms, p)
     num = 1
     for ns in nodes:
@@ -205,9 +209,9 @@ def _weighted_grid_sum(f: MultiPoly, nodes) -> FieldElement:
         sums = _collapse(powers, weights, p)
         terms = _collapse(terms, {e: s for (e,), s in sums.items()}, p)
         num *= d ** (len(ns) - 1)
-        den *= l * d ** max(exps, default=0)
+        den *= l * d ** max([0, *exps])
     total = terms.get((), 0)
-    return field(total if p else Fraction(total * num, den))
+    return total if p else Fraction(total * num, den)
 
 
 def _grid_walk(maps, nodes, p, dead):
@@ -271,7 +275,7 @@ def coefficient_via_grid(f: MultiPoly, grid: GridSystem) -> FieldElement:
     if not check_relaxed_support(f, c):
         raise ValueError(
             f"relaxed support condition violated for target exponent {c}")
-    return _weighted_grid_sum(f, grid.nodes)
+    return f.field(_weighted_grid_sum(f, grid.nodes))
 
 
 def find_nonvanishing_witness(f: MultiPoly, grid: GridSystem):

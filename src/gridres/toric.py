@@ -16,8 +16,9 @@ depth, and each numerator reads its residue off it.  So the weight solve
 expands one series per vertex, to the depth its deepest sample needs, and
 every sample reads it.  Each system derives its sum polytope and one
 strict support direction per vertex once, on first read, and the split,
-the solve and the combination share them; one walk over the zeros gives
-the residue sums of all samples through multipoly's raw evaluation.
+the solve and the combination share them.  A residue sum over a grid's
+zeros is nullstellensatz's grid kernel; over other zeros one walk gives
+those of all samples.
 The depth of a series grows with the numerator's exponents, so each
 expansion counts its work against an optional budget.
 """
@@ -26,15 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import prod
 from typing import Sequence
 
 from .errors import BudgetExceededError
 from .field import FieldElement, FieldMismatchError
 from .linalg import _inverse, determinant, solve_linear
 from .multipoly import MultiPoly, _add_terms, _eval_terms, _mul_terms
-from .nullstellensatz import grid_weights
+from .nullstellensatz import _weighted_grid_sum
 from .polytope import LatticePolytope, strict_support_direction, _dot
 
 
@@ -287,9 +286,10 @@ class SimpleZeros:
 
     ``SimpleZeros.of_grid(grid)`` holds the grid's points as the zeros of
     the separable system g_i = phi_i(z_i) that it builds.  There every
-    point is a distinct common zero and the Jacobian is diagonal, so the
-    weight is prod_i 1/phi_i'(x_i), read from grid_weights per axis, and
-    only the torus is checked, once per node.
+    point is a distinct common zero and the Jacobian is diagonal, so a
+    residue sum is the grid kernel's weighted sum, and only the torus is
+    checked, per node; ``weighted`` checks it too, then computes the
+    Jacobians as for any zeros.
     """
 
     def __init__(self, system: NewtonSystem, points: Sequence[Sequence]):
@@ -304,12 +304,20 @@ class SimpleZeros:
         zeros.grid = grid
         return zeros
 
+    def _check(self):
+        """The checks a residue sum needs: the torus, or those of weighted."""
+        if self.grid is None:
+            return self.weighted
+        for i, nodes in enumerate(self.grid.nodes):
+            if not all(nodes):
+                raise ValueError(f"node set {i} contains 0: its points leave the torus")
+
     @cached_property
     def weighted(self) -> list[tuple]:
         """(point, 1/det J(point)) per zero, in the given order, as raw
         values (ints mod p, Fractions over Q)."""
         if self.grid is not None:
-            return self._grid_weighted()
+            self._check()
         system = self.system
         field = system.field
         p = field.modulus
@@ -338,20 +346,6 @@ class SimpleZeros:
             out.append((point, _inverse(det, p)))
         return out
 
-    def _grid_weighted(self) -> list[tuple]:
-        """weighted for a grid: the points in row-major order, each weight
-        the product of its nodes' weights."""
-        grid = self.grid
-        p = grid.field.modulus
-        for i, nodes in enumerate(grid.nodes):
-            if any(a.is_zero() for a in nodes):
-                raise ValueError(f"node set {i} contains 0: its points leave the torus")
-        out = []
-        for axes in product(*(grid_weights(nodes).items() for nodes in grid.nodes)):
-            point, weights = zip(*axes)
-            out.append((point, prod(weights) % p if p else prod(weights)))
-        return out
-
 
 def _simple_zeros(system: NewtonSystem, zeros) -> SimpleZeros:
     if not isinstance(zeros, SimpleZeros):
@@ -363,8 +357,11 @@ def _simple_zeros(system: NewtonSystem, zeros) -> SimpleZeros:
 
 def _residue_sums(system: NewtonSystem, numerators: Sequence[MultiPoly],
                   zeros: SimpleZeros) -> list:
-    """Raw sums of f(z)/det J(z) over the zeros, one per numerator, in one
-    walk, each value from multipoly's raw evaluation."""
+    """Raw sums of f(z)/det J(z) over the zeros, one per numerator: the
+    grid kernel's over grid zeros, else one walk of raw evaluations."""
+    zeros._check()
+    if zeros.grid is not None:
+        return [_weighted_grid_sum(f, zeros.grid.nodes) for f in numerators]
     p = system.field.modulus
     sums = [0] * len(numerators)
     for point, weight in zeros.weighted:
@@ -409,15 +406,13 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
     full-dimensional sum polytope on the zero side of some split, meeting
     exactly n facets, with recovered weight zero is flagged as an anomaly.
 
-    Each piece of work runs once per vertex or once per zero: the support
-    directions of system.vertex_directions, derived once per system, serve
-    the split of every sample and the combination, one series
-    expansion per vertex, to the depth the deepest sample needs, is read
-    by every sample (every factor has nonpositive u-weight, so the deeper
-    expansion leaves the terms a shallower sample reads as they were),
-    and one walk over the zeros gives every residue sum.
-    With the default samples that depth is 0, since z^{w - (1,...,1)} has
-    bound <u, w - v> < 0 at every other vertex v.  The checks keep the
+    The directions of system.vertex_directions serve every sample's split
+    and the combination, and every sample reads one series expansion per
+    vertex, to the depth the deepest sample needs (every factor has
+    nonpositive u-weight, so a deeper expansion keeps the terms a
+    shallower one has).  With the default samples that depth is 0, since
+    z^{w - (1,...,1)} has bound <u, w - v> < 0 at every other vertex v.
+    The residue sums are those of _residue_sums.  The checks keep the
     order of a sample-by-sample solve: the first sample's split and field,
     then the zeros, then the later samples'.  The system is solved on raw
     values.  budget bounds each vertex's expansion (see _vertex_residues).
@@ -436,7 +431,7 @@ def solve_vertex_coefficients(system: NewtonSystem, zeros: Sequence,
         zero_side.update(vertex_split(system, f).v_zero)
         _require_numerator(system, f)
         if k == 0:
-            zeros.weighted  # the zeros are checked before the later samples
+            zeros._check()  # the zeros are checked before the later samples
     sign = -1 if n % 2 else 1
     columns = [_vertex_residues(system, samples, v, u, budget)
                for v, u in directions.items()]

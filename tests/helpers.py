@@ -177,17 +177,19 @@ def oracle_evaluate(a: dict, field: Field, point):
 def pointwise_grid_sum(f: MultiPoly, nodes):
     """Oracle: sum over the grid of f(x) * prod_i 1/phi_i'(x_i).
 
-    Evaluates f and each phi_i' (the derivative of the vanishing polynomial
-    of A_i) at every grid point in field elements, with no per-axis
-    factorization; grid_weights is not used.
+    Evaluates f term by term and each phi_i' (the derivative of the
+    vanishing polynomial of A_i) at every grid point in field elements,
+    with no per-axis factorization; grid_weights is not used.  A Laurent
+    f needs nodes without 0.
     """
     derivs = [vanishing_poly_from_nodes(ns).partial_derivative(0) for ns in nodes]
+    terms = element_terms(f)
     total = f.field.zero
     for x in product(*nodes):
         w = f.field.one
         for g, xi in zip(derivs, x):
             w = w * g.evaluate((xi,)).inv()
-        total = total + f.evaluate(x) * w
+        total = total + oracle_evaluate(terms, f.field, x) * w
     return total
 
 
@@ -747,6 +749,21 @@ def _oracle_is_subgroup(field: Field, elements) -> bool:
     return all(a * b in values for a in values for b in values)
 
 
+def invalid_cover_message(config: LineConfiguration, diagnostics: dict) -> str:
+    """The one-line error for a configuration `validate_green_cover`
+    refuses: the counts of uncovered grid points and identity violations,
+    the first uncovered point, and the family sizes when they differ."""
+    uncovered = diagnostics["uncovered"]
+    text = f"not a valid green cover: {len(uncovered)} uncovered grid points"
+    if uncovered:
+        text += f", first {uncovered[0]}"
+    text += f"; {len(diagnostics['identity_violations'])} identity violations"
+    sizes = [len(config.red), len(config.blue), len(config.green)]
+    if min(sizes) != max(sizes):
+        text += f"; family sizes {sizes[0]} red, {sizes[1]} blue, {sizes[2]} green"
+    return text
+
+
 def oracle_normalize_biconcurrent(config: LineConfiguration):
     """Oracle: `lines.normalize_biconcurrent` with its normalization done in
     field elements, each transported coordinate coerced and divided out
@@ -762,7 +779,7 @@ def oracle_normalize_biconcurrent(config: LineConfiguration):
         raise ValueError(f"family size {n} shares a factor with the characteristic {char}")
     ok, diagnostics = validate_green_cover(config)
     if not ok:
-        raise ValueError(f"not a valid green cover: {diagnostics}")
+        raise ValueError(invalid_cover_message(config, diagnostics))
     p_red = concurrency_point(config.red)
     if p_red is None:
         raise ValueError("red lines are not concurrent")

@@ -2,6 +2,7 @@ import json
 import signal
 import time
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -923,6 +924,50 @@ def test_problem1_bound(capsys, tmp_path):
     assert report["result"] == {"min_green_lines": 3, "bound": 3, "meets_bound": True}
 
 
+LINES_CHECK_DOC = {
+    "field": F7,
+    "red": [["0", "1", "-1"], ["0", "1", "-2"], ["0", "1", "-4"]],
+    "blue": [["1", "-1", "0"], ["1", "-2", "0"], ["1", "-4", "0"]],
+    "green": [["1", "0", "-1"], ["1", "0", "-2"], ["1", "0", "-4"]],
+}
+PROBLEM1_DOC = {
+    "field": RATIONALS,
+    "red": [["1", "0", "0"], ["1", "0", "-1"], ["1", "0", "-2"]],
+    "blue": [["0", "1", "0"], ["0", "1", "-1"]],
+    "excluded": ["0", "0"],
+}
+
+
+@pytest.mark.parametrize("subcommand, section, index, zero", [
+    ("lines-check", "red", 1, ["7", "0", "-14"]),
+    ("lines-check", "blue", 2, ["0", "0", "0"]),
+    ("lines-check", "green", 0, ["0", "21", "7/3"]),
+    ("lines-classify", "green", 2, ["0", "0", "0"]),
+    ("lines-search", "blue", 0, ["-7", "0", "0"]),
+    ("problem1-bound", "red", 2, ["0", "0", "0/5"]),
+    ("problem1-bound", "blue", 1, [0, 0, 0]),
+    ("problem1-bound", "excluded", None, ["0", "0", "0"]),
+])
+def test_all_zero_triple_is_invalid_input(capsys, tmp_path, subcommand, section, index, zero):
+    """A line or point whose entries all vanish (mod p over F_p) is
+    refused as it is decoded, naming its section and index."""
+    doc = json.loads(json.dumps(PROBLEM1_DOC if subcommand == "problem1-bound"
+                                else LINES_CHECK_DOC))
+    if index is None:
+        doc[section] = zero
+        message = f'"{section}" has all coordinates 0: it is no point'
+    else:
+        doc[section][index] = zero
+        message = f'line {index} in "{section}" has all coefficients 0: it is no line'
+    code, report, _ = run(capsys, tmp_path, subcommand, doc)
+    assert code == 2
+    assert report["error"] == {"type": "InputError", "message": message}
+    # a point given as [x, y] is affine, so [0, 0] is the origin
+    if section == "excluded":
+        code, report, _ = run(capsys, tmp_path, subcommand, dict(doc, excluded=["0", "0"]))
+        assert code == 0, report
+
+
 def test_summary_flag(capsys, tmp_path):
     code, report, err = run(capsys, tmp_path, "coeff", {
         "field": RATIONALS, "vars": ["x", "y"],
@@ -1092,6 +1137,50 @@ def test_toric_verify_checks_each_zero_once(capsys, tmp_path, monkeypatch):
         "grids": [["1", "2", "3"], ["1", "2"]]})
     assert code == 0 and report["result"]["agree"] is True
     assert calls == []
+
+
+def bench_jobs(workload: str, seed: int) -> list:
+    """The benchmark's seeded job list, from bench/jobs.py, which uses the
+    standard library only."""
+    import importlib.util
+    path = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("bench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_jobs(workload, seed)
+
+
+def test_toric_verify_grid_route_sums_each_numerator_once(capsys, tmp_path, monkeypatch):
+    """On the benchmark's seed-1 toric-verify jobs, all on the grid route,
+    no numerator is evaluated point by point: the grid kernel sums each
+    default sample and the poly once, and that one sum of the poly is
+    also its coefficient_via_grid."""
+    from gridres import nullstellensatz as ns
+    evaluated, summed = [], []
+    original_eval, original_sum = multipoly._eval_terms, ns._weighted_grid_sum
+
+    def counted_eval(terms, point, p):
+        evaluated.append(point)
+        return original_eval(terms, point, p)
+
+    def counted_sum(f, nodes):
+        summed.append(f)
+        return original_sum(f, nodes)
+    for module in (multipoly, toric):
+        monkeypatch.setattr(module, "_eval_terms", counted_eval)
+    for module in (ns, toric):
+        monkeypatch.setattr(module, "_weighted_grid_sum", counted_sum, raising=False)
+    jobs = [j for j in bench_jobs("algebra", 1) if j["kind"] == "toric-verify"]
+    assert len(jobs) == 50 and all("grids" in j["doc"] for j in jobs)
+    for j in jobs:
+        summed.clear()
+        code, report, _ = run(capsys, tmp_path, "toric-verify", j["doc"])
+        assert code == 0, report
+        assert evaluated == [], j["id"]
+        result = report["result"]
+        vertices = len(result["vertex_weights"]) + len(result["unconstrained_vertices"])
+        assert len(summed) == vertices + 1, j["id"]
+        assert result["coefficient_via_grid"] == result["residue_sum"]
 
 
 def test_vanishing_polys_built_only_for_toric_grid_route(capsys, tmp_path, monkeypatch):

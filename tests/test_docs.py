@@ -73,6 +73,33 @@ def test_export_table_matches_package_imports():
             f"imported by the package only {sorted(imported - table)}")
 
 
+def test_every_import_is_used_or_re_exported():
+    """Each name a module of the package imports is read in it, or the
+    package imports it from there, or the module lists it in __all__."""
+    reexported = package_imports()
+    dead = []
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({a.asname or a.name.split(".")[0]: node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        kept = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept |= reexported.get(f"gridres.{path.stem}", set())
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                kept |= set(ast.literal_eval(node.value))
+        dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                 if name not in kept]
+    assert not dead, f"imported and never used: {dead}"
+
+
 def test_install_note_names_every_optional_test_dependency():
     """Each test module that skips without a package is named, with the
     package, in the README's install section."""

@@ -16,8 +16,9 @@ from gridres.field import is_prime
 from gridres.linalg import determinant
 from gridres.lines import _multiplicative_subgroup, _pencil_points
 from gridres.projective import all_lines, infinity_line, pencil
-from helpers import (affine_candidate_points, all_points, oracle_green_covers,
-                     oracle_normalize_biconcurrent, product_form, traces_by_incidence_scan)
+from helpers import (affine_candidate_points, all_points, invalid_cover_message,
+                     oracle_green_covers, oracle_normalize_biconcurrent, product_form,
+                     traces_by_incidence_scan)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -512,6 +513,31 @@ def test_normalization_error_paths_match_oracle():
     report = assert_normalization_matches_oracle(skewed)
     assert report.u_set == (Q("-5/4"), Q("1/4"), Q(1))
     assert not report.is_subgroup and not report.success
+
+
+def test_invalid_cover_error_is_one_summary_line():
+    """A refused cover's error counts what is wrong and names the first
+    uncovered point; it does not list the covered points, so its length
+    does not grow with n."""
+    F17 = Field.prime(17)
+    for n in (8, 16):
+        c = roots_of_unity_config(F17, n)
+        grid = sorted(grid_intersections(c.red, c.blue))
+        for green, check, clashes, sizes in [
+                (c.red, verify_product_dependence, n, ""),
+                (c.green[:-1] + c.red[:1], normalize_biconcurrent, 1, ""),
+                (c.green[:-1], verify_product_dependence, 0,
+                 f"; family sizes {n} red, {n} blue, {n - 1} green")]:
+            uncovered = [q for q in grid if not any(g.contains(q) for g in green)]
+            first = f", first {uncovered[0]}" if uncovered else ""
+            config = LineConfiguration(F17, c.red, c.blue, green)
+            with pytest.raises(ValueError) as info:
+                check(config)
+            assert str(info.value) == (
+                f"not a valid green cover: {len(uncovered)} uncovered grid points{first}; "
+                f"{clashes} identity violations{sizes}")
+            assert str(info.value) == invalid_cover_message(config, validate_green_cover(config)[1])
+            assert len(str(info.value)) < 150
 
 
 def test_problem1_bound_examples():

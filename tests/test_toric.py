@@ -6,8 +6,8 @@ import pytest
 
 from gridres import (BudgetExceededError, Field, FieldMismatchError, MultiPoly,
                      NewtonSystem, GridSystem,
-                     SimpleZeros, coefficient_via_grid, default_samples,
-                     is_unfolded, parse_poly, residue_sum_over_zeros,
+                     SimpleZeros, check_relaxed_support, coefficient_via_grid,
+                     default_samples, is_unfolded, parse_poly, residue_sum_over_zeros,
                      solve_vertex_coefficients, vertex_residue, vertex_split,
                      weighted_vertex_combination)
 
@@ -15,8 +15,8 @@ from gridres import toric
 from gridres.polytope import strict_support_direction
 from gridres.toric import _vertex_residues
 
-from helpers import (oracle_shift, oracle_vertex_residue, random_element, random_nodes,
-                     random_relaxed_poly)
+from helpers import (oracle_shift, oracle_vertex_residue, pointwise_grid_sum, random_element,
+                     random_laurent_poly, random_nodes, random_poly, random_relaxed_poly)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -206,6 +206,66 @@ def test_grid_zeros_stay_in_the_torus():
     zeros = SimpleZeros.of_grid(GridSystem(Q, [[1, 2], [0, 3]]))
     with pytest.raises(ValueError, match="node set 1 contains 0"):
         zeros.weighted
+
+
+def random_grid(rng, field):
+    """A grid of one to three axes of one to four nonzero nodes."""
+    return GridSystem(field, [random_nodes(rng, field, rng.randint(1, 4), avoid_zero=True)
+                              for _ in range(rng.randint(1, 3))])
+
+
+@pytest.mark.parametrize("field", [F7, F10007, Q], ids=str)
+def test_grid_zero_residue_sums_match_pointwise_oracle(field):
+    """Over grid zeros a residue sum is the grid kernel's weighted sum: it
+    equals the pointwise grid sum for the default samples z^(v - 1),
+    Laurent numerators and polynomials outside the relaxed support
+    condition alike."""
+    rng = Random(f"grid-residues-{field}")
+    kinds = set()
+    for _ in range(15):
+        grid = random_grid(rng, field)
+        zeros = SimpleZeros.of_grid(grid)
+        n = grid.nvars
+        for f in default_samples(zeros.system) + [random_laurent_poly(rng, field, n),
+                                                  random_poly(rng, field, n, 6, 5)]:
+            if f.is_laurent():
+                kinds.add("laurent")
+            elif not check_relaxed_support(f, grid.target_exponent):
+                kinds.add("outside")
+            assert residue_sum_over_zeros(zeros.system, f, zeros) == \
+                pointwise_grid_sum(f, grid.nodes), (grid, f)
+    assert kinds == {"laurent", "outside"}
+    # the torus is checked before a sum
+    zeros = SimpleZeros.of_grid(GridSystem(field, [[1, 2], [0, 3]]))
+    with pytest.raises(ValueError, match="node set 1 contains 0"):
+        residue_sum_over_zeros(zeros.system, parse_poly("x^-1", field, 2), zeros)
+
+
+@pytest.mark.parametrize("field", [F7, F10007, Q], ids=str)
+def test_grid_zero_vertex_systems_match_pointwise_oracle(field, monkeypatch):
+    """The right-hand sides solve_vertex_coefficients builds over grid
+    zeros are the pointwise grid sums of its samples, which carry negative
+    exponents, and the weights equal those over the same zeros given as
+    points."""
+    rhs = []
+    original = toric.solve_linear
+
+    def captured(rows, b, p):
+        rhs.append(list(b))
+        return original(rows, b, p)
+    monkeypatch.setattr(toric, "solve_linear", captured)
+    rng = Random(f"grid-vertex-systems-{field}")
+    for _ in range(10):
+        grid = random_grid(rng, field)
+        zeros = SimpleZeros.of_grid(grid)
+        default = default_samples(zeros.system)
+        scaled = [s * random_element(rng, field, nonzero=True) for s in reversed(default)]
+        for samples in (default, scaled):
+            assert any(s.is_laurent() for s in samples)
+            rhs.clear()
+            got = solve_vertex_coefficients(zeros.system, zeros, samples)
+            assert rhs == [[pointwise_grid_sum(s, grid.nodes).value for s in samples]]
+            assert got == solve_vertex_coefficients(zeros.system, list(grid.points()), samples)
 
 
 def test_solve_vertex_coefficients_worked():
